@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleError
+from .errors import DomainError, PoleError
 
 __all__ = [
     "EULER_GAMMA",
@@ -142,6 +142,8 @@ def _log_sin_pi(z: complex) -> complex:
 
 def _nonpositive_integer_distance(z: complex) -> tuple[float, int]:
     """Distance from z to the nearest non-positive integer -n, and that n."""
+    if not cmath.isfinite(z):
+        raise DomainError(f"argument {z} is not finite")
     n = int(round(-z.real))
     if n < 0:
         n = 0

@@ -101,8 +101,10 @@ class EvalMethod(enum.Enum):
     CLOSED_FORM = "closed-form"
     DIRECT_INTEGRAL = "direct-integral"
     HANKEL = "hankel"
+    HANKEL_REFLECTED = "hankel-reflected"
     WEIERSTRASS_PRODUCT = "weierstrass"
     EULER_LIMIT = "euler-limit"
+    BETA_PRODUCT = "beta-product"
     CLASSICAL_MIXED = "classical-mixed"
 
 
@@ -273,8 +275,13 @@ def poles(p: DegenerateParameter, n_max: int) -> list[PoleInfo]:
 
 
 def nearest_pole(s: complex, p: DegenerateParameter) -> tuple[float, PoleFamily, int]:
-    """Distance from s to the nearest pole, found analytically per family."""
+    """Distance from s to the nearest pole, found analytically per family.
+
+    Raises DomainError if s is not finite.
+    """
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError(f"argument {s} is not finite")
     n1 = max(0, int(round(-s.real)))
     d1 = abs(s + n1)
     n2 = max(0, int(round(s.real - p.inv_lambda)))

@@ -365,7 +365,7 @@ def hankel_gamma_reflected(
     return EvalResult(
         value=value,
         abs_error_estimate=err,
-        method=EvalMethod.HANKEL,
+        method=EvalMethod.HANKEL_REFLECTED,
         status=EvalStatus.REGULAR,
         log_value=cmath.log(value) if value != 0 else None,
     )

@@ -2,9 +2,22 @@
 
 These are the alternative evaluation paths: truncated infinite products with
 explicit truncation control, converging first-order (log-error ~ C/N) to the
-closed form.  Everything is accumulated as sums of logs over numpy chunks
-(pairwise summation; reassociation stays at the 1 ulp level) and exponentiated
-once.
+closed form.  Every product is accumulated as sums of logs and exponentiated
+once, and all four share one kernel, :func:`_paired_log_sum`, which sums
+log((1 + x/n)(1 + (u - x)/n)) over n:
+
+* Head, n <= n0 = ceil(2 max(|x|, |u - x|, 1)): the principal log of each
+  factor, in complex arithmetic.  Near a pole one factor is close to 0, and
+  fusing it with its partner would cancel in |1 + t|**2 - 1.
+* Tail, n > n0: both factors lie within 1/2 of 1, so the pair is fused into
+  log1p(t), t = tr + i*ti = u/n + q/n**2 with q = x(u - x), evaluated in real
+  float64 arithmetic as 0.5*log1p(tr(2 + tr) + ti**2) + i*arctan2(ti, 1 + tr).
+  Each factor's argument is below pi/6 in size, so the principal log of the
+  product equals the sum of the two principal logs: the fused tail keeps the
+  branch of the unfused sum.
+
+Terms are summed with numpy's pairwise summation over chunks; reassociation
+stays at the 1 ulp level.
 """
 
 from __future__ import annotations
@@ -37,6 +50,11 @@ __all__ = [
 ]
 
 _NAN = complex(math.nan, math.nan)
+
+# Chunk length of the paired sum: the few float64 work arrays of a chunk stay
+# in cache and come from the allocator's free list.  At 1 << 20 every fresh
+# array pays its page faults, and each term cost about three times as much.
+_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -84,35 +102,47 @@ def _tail_sums(n_terms: int) -> tuple[float, float]:
     return s2, s3
 
 
-def _product_log_sum(
-    z: complex, w: complex, p: DegenerateParameter, spec: ProductSpec,
-    euler_constant_form: bool,
-) -> complex:
-    """Partial log-sum of the paired product over n = 1..N.
+def _paired_log_sum(x: complex, u: float, lo: int, hi: int) -> complex:
+    """sum_{lo <= n < hi} log((1 + x/n)(1 + (u - x)/n)), for lo >= 1.
 
-    The default form sums (1/lam)*log(1+1/n) - log(1+z/n) - log(1+w/n).
-    The Euler-constant form replaces the first piece by 1/(n*lam) and then
-    subtracts gamma_N/lam with gamma_N = H_N - log(N+1), the truncation of
-    Euler's constant against the *same* partial product (this pairing makes
-    the two forms identical in exact arithmetic at every N).
+    Head and tail as in the module docstring; the head bound n0 is the one
+    :func:`_weierstrass_tail_bound` uses.
     """
-    N = spec.n_terms
-    total = 0.0 + 0.0j
-    harmonic = 0.0
-    inv_lam = p.inv_lambda
-    for lo, hi in _chunks(1, N + 1):
-        n = np.arange(lo, hi, dtype=np.float64)
-        block = -np.log1p(z / n) - np.log1p(w / n)
-        if euler_constant_form:
-            harmonic += float(np.sum(1.0 / n))
-            total += np.sum(block)
-        else:
-            total += np.sum(block + inv_lam * np.log1p(1.0 / n))
-    if euler_constant_form:
-        # Euler's constant truncated against the same partial product
-        gamma_n = harmonic - math.log(N + 1.0)
-        total += harmonic * inv_lam - gamma_n * inv_lam
-    return total
+    y = u - x
+    q = x * y
+    split = max(lo, min(hi, math.ceil(2.0 * max(abs(x), abs(y), 1.0)) + 1))
+    head = 0.0 + 0.0j
+    for a, b in _chunks(lo, split, _CHUNK):
+        n = np.arange(a, b, dtype=np.float64)
+        head += np.sum(np.log1p(x / n) + np.log1p(y / n))
+    re_sum = im_sum = 0.0
+    for a, b in _chunks(split, hi, _CHUNK):
+        r = np.arange(a, b, dtype=np.float64)
+        np.reciprocal(r, out=r)
+        tr = q.real * r
+        tr += u
+        tr *= r  # Re t = u/n + Re(q)/n^2
+        ti = np.multiply(r, r, out=r)
+        ti *= q.imag  # Im t = Im(q)/n^2
+        v = tr + 2.0
+        v *= tr
+        v += ti * ti  # |1 + t|^2 - 1
+        re_sum += np.log1p(v, out=v).sum()
+        tr += 1.0
+        im_sum += np.arctan2(ti, tr, out=ti).sum()
+    return head + complex(0.5 * re_sum, im_sum)
+
+
+def _harmonic_less_gamma(n: int) -> float:
+    """H_n - gamma, with H_n = 1 + 1/2 + ... + 1/n and gamma Euler's constant."""
+    if n < 100:
+        return math.fsum(1.0 / k for k in range(1, n + 1)) - EULER_GAMMA
+    # asymptotic series; the first omitted term is below 1/(240 n**8) < 1e-18
+    inv2 = 1.0 / (n * n)
+    return (
+        math.log(n) + 0.5 / n
+        - inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 / 252.0))
+    )
 
 
 def _weierstrass_tail_bound(z: complex, w: complex, p: DegenerateParameter,
@@ -144,8 +174,8 @@ def _finish_product(log_val: complex, method: EvalMethod, rel_est: float,
                     tolerance: float | None) -> EvalResult:
     if tolerance is not None and not rel_est <= tolerance:
         raise ConvergenceError(
-            f"truncation tail bound {rel_est:.3g} exceeds requested tolerance "
-            f"{tolerance:.3g}; raise n_terms"
+            f"truncation error estimate {rel_est:.3g} exceeds requested "
+            f"tolerance {tolerance:.3g}; raise n_terms"
         )
     if log_val.real > LOG_OVERFLOW:
         return EvalResult(
@@ -176,10 +206,11 @@ def weierstrass_gamma(
     value = lam**(-z) / (z*(u-z)*Gamma(u)) * prod_{n=1}^{N}
             (1 + 1/n)**u * (1 + z/n)**(-1) * (1 + (u-z)/n)**(-1),   u = 1/lam.
 
-    ``euler_constant_form=True`` switches to the equivalent grouping with
-    exp(-gamma/lam) * prod exp(1/(n*lam)) (...), evaluated with the truncated
-    Euler constant H_N - log(N+1) so both forms share one partial-product
-    state; the two paths agree to ~1e-13 at equal N.
+    ``euler_constant_form=True`` names the equivalent grouping with
+    exp(-gamma/lam) * prod exp(1/(n*lam)) (...), taken with the truncated
+    Euler constant H_N - log(N+1).  Both groupings reduce exactly to
+    u*log(N+1) - sum_n log((1 + z/n)(1 + (u-z)/n)), since the factors
+    (1 + 1/n) telescope to N + 1, so both forms now take the same sum.
 
     The error estimate comes from the analytic O(1/N) tail bound of the
     log-product (or its O(1/N**3) remainder with ``use_tail_correction``).
@@ -197,7 +228,8 @@ def weierstrass_gamma(
         - cmath.log(w)
         - classical.log_gamma(u).log_abs
     )
-    log_prod = _product_log_sum(z, w, p, spec, euler_constant_form)
+    N = spec.n_terms
+    log_prod = u * math.log(N + 1.0) - _paired_log_sum(z, u, 1, N + 1)
     if spec.use_tail_correction:
         correction, rel_est = _corrected_tail(z, w, p, spec.n_terms)
         log_prod += correction
@@ -208,24 +240,6 @@ def weierstrass_gamma(
     )
 
 
-def _log_pochhammer_sum(z: complex, n: int) -> tuple[complex, complex]:
-    """(sum_{j=0}^{n//2-1} log(z+j), sum_{j=0}^{n-1} log(z+j)) in one pass."""
-    half = n // 2
-    s_half = 0.0 + 0.0j
-    s_full = 0.0 + 0.0j
-    for lo, hi in _chunks(0, n):
-        j = np.arange(lo, hi, dtype=np.float64)
-        logs = np.log(z + j)
-        if hi <= half:
-            s_half += np.sum(logs)
-        elif lo >= half:
-            s_full += np.sum(logs)
-        else:
-            s_half += np.sum(logs[: half - lo])
-            s_full += np.sum(logs[half - lo:])
-    return s_half, s_half + s_full
-
-
 def euler_limit_gamma(
     z: complex, p: DegenerateParameter, spec: ProductSpec | None = None
 ) -> EvalResult:
@@ -234,66 +248,41 @@ def euler_limit_gamma(
     value_n = lam**(-z)/Gamma(u) * n**u * ((n-1)!)**2
               / (z(1+z)...(n-1+z) * (u-z)(1+u-z)...(n-1+u-z)),   u = 1/lam,
 
-    accumulated in log space ((n-1)! enters as log-gamma, so levels up to 1e8
-    stay in range).  The error estimate is the observed difference between the
+    accumulated in log space.  Writing z + j = j(1 + z/j) cancels the
+    ((n-1)!)**2 against the denominators, so the log value is
+    log(lam**(-z)/(Gamma(u) z (u-z))) + u*log(n) minus the paired sum
+    sum_{j=1}^{n-1} log((1 + z/j)(1 + (u-z)/j)): no O(n log n)-sized terms
+    cancel.  The error estimate is the observed difference between the
     level-n and level-n/2 values (first-order convergence makes that an
-    honest proxy for the remaining error).
+    honest proxy for the remaining error), plus a rounding floor.
     """
     spec = spec or ProductSpec()
     z = complex(z)
     _require_regular(z, p, "euler_limit_gamma")
     n = spec.n_terms
     u = p.inv_lambda
-    w = u - z
-    base = -z * p.log_lambda - classical.log_gamma(u).log_abs
-
-    def level_log(m: int, denom_sum: complex) -> complex:
-        return (
-            base
-            + u * math.log(m)
-            + 2.0 * classical.log_gamma(float(m)).log_abs
-            - denom_sum
-        )
-
-    sums_half_z, sums_z = _log_pochhammer_sum(z, n)
-    sums_half_w, sums_w = _log_pochhammer_sum(w, n)
-    log_val = level_log(n, sums_z + sums_w)
-    # rounding floor: the log value is a small difference of O(n log n)-sized
-    # sums, so a few ulps of those magnitudes survive in the result
-    fp_floor = 4e-16 * (
-        u * math.log(n)
-        + 2.0 * classical.log_gamma(float(n)).log_abs
-        + abs(sums_z)
-        + abs(sums_w)
+    # log(z + j) = log j + log1p(z/j) for j >= 1, and the two log((n-1)!)
+    # cancel the numerator's ((n-1)!)**2 exactly, leaving the paired sum
+    base = (
+        -z * p.log_lambda
+        - classical.log_gamma(u).log_abs
+        - cmath.log(z)
+        - cmath.log(u - z)
     )
+    half = max(n // 2, 1)
+    sum_half = _paired_log_sum(z, u, 1, half)
+    sum_full = sum_half + _paired_log_sum(z, u, half, n)
+    log_val = base + u * math.log(n) - sum_full
+    # rounding floor: a few ulps of each magnitude the log value carries
+    fp_floor = 4e-16 * (abs(base) + u * math.log(n) + abs(sum_full))
     if n >= 2:
-        log_half = level_log(n // 2, sums_half_z + sums_half_w)
+        log_half = base + u * math.log(half) - sum_half
         # first-order convergence makes the level gap equal the remaining
         # error asymptotically; the 1.25 cushion covers the next order
         rel_est = 1.25 * abs(log_val - log_half) + fp_floor
     else:
         rel_est = math.inf
-    if spec.tolerance is not None and not rel_est <= spec.tolerance:
-        raise ConvergenceError(
-            f"euler_limit_gamma: level-doubling gap {rel_est:.3g} exceeds "
-            f"tolerance {spec.tolerance:.3g}"
-        )
-    if log_val.real > LOG_OVERFLOW:
-        return EvalResult(
-            value=_NAN,
-            abs_error_estimate=math.inf,
-            method=EvalMethod.EULER_LIMIT,
-            status=EvalStatus.OVERFLOW,
-            log_value=log_val,
-        )
-    value = cmath.exp(log_val)
-    return EvalResult(
-        value=value,
-        abs_error_estimate=abs(value) * rel_est,
-        method=EvalMethod.EULER_LIMIT,
-        status=EvalStatus.REGULAR,
-        log_value=log_val,
-    )
+    return _finish_product(log_val, EvalMethod.EULER_LIMIT, rel_est, spec.tolerance)
 
 
 def sine_product(z: complex, n_terms: int) -> complex:
@@ -311,12 +300,8 @@ def sine_product(z: complex, n_terms: int) -> complex:
             f"{nearest}, where a factor vanishes",
             location=complex(nearest, 0.0),
         )
-    z2 = z * z
-    total = 0.0 + 0.0j
-    for lo, hi in _chunks(1, n_terms + 1):
-        n = np.arange(lo, hi, dtype=np.float64)
-        total -= np.sum(np.log1p(-z2 / (n * n)))
-    return cmath.exp(total)
+    # (1 - z^2/n^2) = (1 + z/n)(1 + (0 - z)/n): the paired sum with u = 0
+    return cmath.exp(-_paired_log_sum(z, 0.0, 1, n_terms + 1))
 
 
 def degenerate_beta_product(
@@ -332,9 +317,10 @@ def degenerate_beta_product(
                    / ((1+a/n)(1+(u-a)/n)(1+b/n)(1+(u-b)/n)),   u = 1/lam.
 
     The grouped log-terms are O(1/n^2), so the full Euler constant can be used
-    directly in the prefactor.  When a+b sits at a pole the product contains a
-    vanishing numerator factor and the value is exactly 0 (with a note), in
-    agreement with the ratio path's limit.
+    directly in the prefactor; the exponential factors combine to
+    exp(u*(H_N - gamma)) and the rest is three paired sums.  When a+b sits at
+    a pole the product contains a vanishing numerator factor and the value is
+    exactly 0 (with a note), in agreement with the ratio path's limit.
     """
     spec = spec or ProductSpec()
     a, b = complex(a), complex(b)
@@ -349,15 +335,16 @@ def degenerate_beta_product(
         return EvalResult(
             value=0.0 + 0.0j,
             abs_error_estimate=0.0,
-            method=EvalMethod.WEIERSTRASS_PRODUCT,
+            method=EvalMethod.BETA_PRODUCT,
             status=EvalStatus.REGULAR,
             note=_BETA_ZERO_NOTE,
         )
     u = p.inv_lambda
     ab = a + b
     uab = u - ab
+    # exp(-gamma*u) * prod_n exp(u/n) = exp(u*(H_N - gamma))
     log_pre = (
-        -EULER_GAMMA * u
+        u * _harmonic_less_gamma(spec.n_terms)
         + cmath.log(ab)
         + cmath.log(uab)
         - classical.log_gamma(u).log_abs
@@ -366,18 +353,12 @@ def degenerate_beta_product(
         - cmath.log(u - a)
         - cmath.log(u - b)
     )
-    total = 0.0 + 0.0j
-    for lo, hi in _chunks(1, spec.n_terms + 1):
-        n = np.arange(lo, hi, dtype=np.float64)
-        total += np.sum(
-            u / n
-            + np.log1p(ab / n)
-            + np.log1p(uab / n)
-            - np.log1p(a / n)
-            - np.log1p((u - a) / n)
-            - np.log1p(b / n)
-            - np.log1p((u - b) / n)
-        )
+    end = spec.n_terms + 1
+    total = (
+        _paired_log_sum(ab, u, 1, end)
+        - _paired_log_sum(a, u, 1, end)
+        - _paired_log_sum(b, u, 1, end)
+    )
     sq = (
         abs(ab) ** 2
         + abs(uab) ** 2
@@ -389,5 +370,5 @@ def degenerate_beta_product(
     n0 = 2.0 * max(abs(ab), abs(uab), abs(a), abs(b), abs(u - a), abs(u - b), 1.0)
     rel_est = sq / spec.n_terms if spec.n_terms >= n0 else math.inf
     return _finish_product(
-        log_pre + total, EvalMethod.WEIERSTRASS_PRODUCT, rel_est, spec.tolerance
+        log_pre + total, EvalMethod.BETA_PRODUCT, rel_est, spec.tolerance
     )

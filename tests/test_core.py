@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degamma.classical import gamma, sin_pi
+from degamma.classical import gamma, log_gamma, sin_pi
 from degamma.core import (
     DegenerateParameter,
     EvalStatus,
@@ -37,6 +37,7 @@ from degamma.errors import (
     PoleError,
     SingularParameterError,
 )
+from degamma.representations import weierstrass_gamma
 
 
 def rel(a, b):
@@ -66,6 +67,34 @@ class TestDegenerateParameter:
         p = DegenerateParameter(0.3)
         assert p.inv_lambda * p.lam == pytest.approx(1.0, abs=1e-16)
         assert p.log_lambda == math.log(0.3)
+
+
+_NON_FINITE = [
+    complex(math.nan, 0.0),
+    complex(math.inf, 0.0),
+    complex(-math.inf, 0.0),
+    complex(0.5, math.inf),
+    complex(0.5, -math.inf),
+    complex(0.5, math.nan),
+]
+
+
+@pytest.mark.parametrize("s", _NON_FINITE)
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        degenerate_gamma,
+        lambda s, p: degenerate_beta(s, 0.5, p),
+        lambda s, p: degenerate_beta(0.5, s, p),
+        lambda s, p: log_gamma(s),
+        weierstrass_gamma,
+    ],
+    ids=["degenerate_gamma", "degenerate_beta_a", "degenerate_beta_b",
+         "log_gamma", "weierstrass_gamma"],
+)
+def test_non_finite_argument_raises_domain_error(evaluate, s):
+    with pytest.raises(DomainError):
+        evaluate(s, DegenerateParameter(0.3))
 
 
 class TestDegenerateExpLog:

@@ -1,5 +1,6 @@
 """Tests for the product and limit representations."""
 
+import cmath
 import math
 
 import numpy as np
@@ -209,3 +210,106 @@ class TestProductSpec:
             ProductSpec(n_terms=0)
         with pytest.raises(ValueError):
             ProductSpec(n_terms=10, tolerance=-1.0)
+
+
+@pytest.fixture
+def mp():
+    """mpmath at 40 digits; the tests using it skip when it is missing."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        yield mpmath
+
+
+def _mp_paired_log_sum(mp, x, u, n_terms):
+    """40-digit sum_{n=1}^{N} log((1 + x/n)(1 + (u - x)/n)), up to 2*pi*i.
+
+    prod_{n=1}^{N} (1 + x/n) = Gamma(N + 1 + x) / (Gamma(1 + x) N!).
+    """
+    x, u = mp.mpc(x), mp.mpf(u)
+    return sum(
+        mp.loggamma(n_terms + 1 + t) - mp.loggamma(1 + t) - mp.loggamma(n_terms + 1)
+        for t in (x, u - x)
+    )
+
+
+def _log_gap(got, ref):
+    """|got - ref| for logs, with the imaginary gap reduced mod 2*pi."""
+    d = complex(got) - complex(ref)
+    return abs(complex(d.real, math.remainder(d.imag, 2.0 * math.pi)))
+
+
+class TestPairedSumPrecision:
+    """The paired log-sum kernel against 40-digit truncated products."""
+
+    N = 2000
+    LAM = 0.3
+
+    def arguments(self, u):
+        return [
+            -2.0 + 1e-6, -3.0 + 1e-6j, u + 1.0 + 1e-6, u + 1.0 - 1e-6j,
+            -0.5, -7.3, -40.25,
+            0.5 + 20.0j, 1.0 - 20.0j, 3.0 + 7.0j,
+        ]
+
+    def test_weierstrass(self, mp):
+        p = DegenerateParameter(self.LAM)
+        u = p.inv_lambda
+        for z in self.arguments(u):
+            z = complex(z)
+            res = weierstrass_gamma(z, p, ProductSpec(n_terms=self.N))
+            zz = mp.mpc(z)
+            ref = (
+                -zz * mp.log(mp.mpf(p.lam)) - mp.log(zz) - mp.log(u - zz)
+                - mp.loggamma(mp.mpf(u)) + u * mp.log(self.N + 1)
+                - _mp_paired_log_sum(mp, z, u, self.N)
+            )
+            assert _log_gap(res.log_value, ref) <= 1e-13, z
+
+    def test_sine(self, mp):
+        for z in self.arguments(0.0)[:-3] + [0.5 + 6.0j, 0.25 - 6.5j]:
+            z = complex(z)
+            ref = -_mp_paired_log_sum(mp, z, 0.0, self.N)
+            assert _log_gap(cmath.log(sine_product(z, self.N)), ref) <= 1e-13, z
+
+    # 50 takes H_N as a direct sum, 2000 from its asymptotic series
+    @pytest.mark.parametrize("n_terms", [50, 2000])
+    def test_beta(self, mp, n_terms):
+        p = DegenerateParameter(self.LAM)
+        u = p.inv_lambda
+        pairs = [
+            (-2.0 + 1e-6, 0.4 + 0.2j), (-3.0 + 1e-6j, 1.5), (u + 1.0 + 1e-6, 0.3),
+            (-3.5, 1.25), (-7.3, -0.4), (0.3 + 20.0j, 0.2 - 5.0j),
+        ]
+        for a, b in pairs:
+            a, b = complex(a), complex(b)
+            res = degenerate_beta_product(a, b, p, ProductSpec(n_terms=n_terms))
+            ma, mb, mu = mp.mpc(a), mp.mpc(b), mp.mpf(u)
+            ref = (
+                mu * (mp.harmonic(n_terms) - mp.euler)
+                + mp.log(ma + mb) + mp.log(mu - ma - mb) - mp.loggamma(mu)
+                - mp.log(ma) - mp.log(mb) - mp.log(mu - ma) - mp.log(mu - mb)
+                + _mp_paired_log_sum(mp, a + b, u, n_terms)
+                - _mp_paired_log_sum(mp, a, u, n_terms)
+                - _mp_paired_log_sum(mp, b, u, n_terms)
+            )
+            assert _log_gap(res.log_value, ref) <= 1e-13, (a, b)
+
+    def test_euler_limit_level_value_and_estimate(self, mp):
+        n = 3000
+        for lam, z in ((0.3, 0.7 + 0.4j), (0.45, -2.5 + 0.5j), (0.7, 1.1 - 3.0j)):
+            p = DegenerateParameter(lam)
+            res = euler_limit_gamma(z, p, ProductSpec(n_terms=n))
+            zz, mu, ml = mp.mpc(z), mp.mpf(p.inv_lambda), mp.mpf(p.lam)
+            ww = mu - zz
+            # lam**(-z)/Gamma(u) * n**u * ((n-1)!)**2 * Gamma(z) Gamma(w)
+            #   / (Gamma(z + n) Gamma(w + n))
+            level = mp.exp(
+                -zz * mp.log(ml) - mp.loggamma(mu) + mu * mp.log(n)
+                + 2 * mp.loggamma(n) + mp.loggamma(zz) + mp.loggamma(ww)
+                - mp.loggamma(zz + n) - mp.loggamma(ww + n)
+            )
+            assert abs(res.value - complex(level)) <= 1e-13 * abs(level), z
+            limit = complex(
+                ml ** (-zz) * mp.gamma(zz) * mp.gamma(ww) / mp.gamma(mu)
+            )
+            assert abs(res.value - limit) <= res.abs_error_estimate, z
