@@ -8,9 +8,10 @@ import pytest
 
 from degamma.classical import sin_pi
 from degamma.core import DegenerateParameter, degenerate_beta, degenerate_gamma
-from degamma.errors import ConvergenceError, PoleError
+from degamma.errors import ConvergenceError, DomainError, PoleError
 from degamma.representations import (
     ProductSpec,
+    _paired_log_sum,
     degenerate_beta_product,
     euler_limit_gamma,
     sine_product,
@@ -173,6 +174,33 @@ class TestSineProduct:
             n = 10**5
             assert rel(sine_product(z, n), target) <= 3 * (abs(z) ** 2 + 1) / n
 
+    @pytest.mark.parametrize(
+        "z",
+        [complex(math.nan, 0.0), complex(math.inf, 0.0),
+         complex(0.0, math.nan), complex(0.5, math.inf)],
+    )
+    def test_non_finite_raises_domain_error(self, z):
+        with pytest.raises(DomainError):
+            sine_product(z, 100)
+
+
+class TestHugeTruncation:
+    """N = 1e12: the far tail is summed in closed form, so this is cheap."""
+
+    N = 10**12
+
+    @pytest.mark.parametrize("lam", [0.4, 0.7])
+    @pytest.mark.parametrize("z", [0.8 + 0.3j, -2.5 + 0.5j])
+    def test_gamma_products_within_estimate(self, z, lam):
+        p = DegenerateParameter(lam)
+        target = closed(z, p)
+        spec = ProductSpec(n_terms=self.N)
+        for res in (weierstrass_gamma(z, p, spec), euler_limit_gamma(z, p, spec)):
+            assert abs(res.value - target) <= res.abs_error_estimate, res.method
+
+    def test_sine_half(self):
+        assert abs(sine_product(0.5, self.N) - math.pi / 2.0) <= 1e-11
+
 
 class TestBetaProduct:
     def test_unit_arguments(self):
@@ -313,3 +341,27 @@ class TestPairedSumPrecision:
                 ml ** (-zz) * mp.gamma(zz) * mp.gamma(ww) / mp.gamma(mu)
             )
             assert abs(res.value - limit) <= res.abs_error_estimate, z
+
+
+class TestEulerMaclaurinTail:
+    """The paired sum's closed-form far tail against 40-digit truncated sums.
+
+    hi runs through M - 1, M and M + 1, where M is the first n the
+    Euler-Maclaurin stretch takes, and on to N + 1 for N = 1e5 and 1e6.
+    """
+
+    @pytest.mark.parametrize("u", [0.0, 1.0 / 0.3, 100.0])
+    def test_against_truncated_sums(self, mp, u):
+        eps = np.finfo(float).eps
+        for x in (-2.0 + 1e-6, u + 1.0 - 1e-6j, -150.5 + 3.0j, 0.5 + 250.0j):
+            x = complex(x)
+            m = max(32, math.ceil(8.0 * max(abs(x), abs(u - x), 1.0)))
+            for hi in (m - 1, m, m + 1, 10**5 + 1, 10**6 + 1):
+                n_terms = hi - 1
+                got = _paired_log_sum(x, u, 1, hi)
+                ref = _mp_paired_log_sum(mp, x, u, n_terms)
+                bound = 8 * eps * max(1.0, abs(complex(ref)), u * math.log(n_terms))
+                assert _log_gap(got, ref) <= bound, (x, hi)
+                # same branch as summing every term
+                direct = _paired_log_sum(x, u, 1, hi, direct=True)
+                assert abs(got.imag - direct.imag) < 1.0, (x, hi)
