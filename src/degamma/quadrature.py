@@ -3,19 +3,29 @@
 The engine is a double-exponential (tanh-sinh) rule on (0, 1) with level
 doubling and node reuse.  Integrands receive both the node x and the distance
 1-x computed without cancellation, so algebraic singularities at either
-endpoint keep full relative accuracy.
+endpoint keep full relative accuracy.  The convergence test cannot pass before
+level 3, so levels 0-3 (195 nodes) are evaluated in one integrand call on
+cached concatenated nodes, and each level's sum is taken from its slice;
+deeper levels are then added one at a time.
 
 The Hankel path realizes the loop around the origin as two straight edges
 along the negative axis (phases exp(+-i*pi*s)) plus a circle of radius delta,
 the circle by a doubling trapezoid rule; together with the 1/(2i sin(pi s))
 prefactor this continues the degenerate gamma function left of the validity
-strip.
+strip.  The circle's geometry does not depend on s or lambda: for each
+realization and radius, the nodes of the trapezoid ladder up to 1024
+intervals and log(1 -+ delta e^{it}) at them are cached, for the last eight
+(realization, radius) pairs used; deeper rows are formed per call.  The nodes
+up to 256 intervals (257), before which the ladder hardly ever converges, are
+evaluated in one integrand call; the Romberg test still runs row by row and
+stops at the first converged row.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +33,7 @@ import numpy as np
 from . import classical
 from .classical import POLE_TOLERANCE
 from .core import DegenerateParameter, EvalMethod, EvalResult, EvalStatus
-from .errors import ConvergenceError, IntegerArgumentError, StripError
+from .errors import ConvergenceError, DomainError, IntegerArgumentError, StripError
 
 __all__ = [
     "QuadratureSpec",
@@ -95,12 +105,29 @@ def _nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return entry
 
 
+# The convergence test in de_quadrature cannot pass before this level.
+_FIRST_TEST_LEVEL = 3
+_head_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]] = {}
+
+
+def _head_nodes(top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """Levels 0..top concatenated as (x, 1-x, weight, end index of each level)."""
+    cached = _head_cache.get(top)
+    if cached is None:
+        levels = [_nodes(level) for level in range(top + 1)]
+        ends = np.cumsum([len(x) for x, _, _ in levels]).tolist()
+        cached = tuple(np.concatenate(parts) for parts in zip(*levels)) + (ends,)
+        _head_cache[top] = cached
+    return cached
+
+
 def de_quadrature(f, spec: QuadratureSpec | None = None) -> tuple[complex, float]:
     """Integrate f over (0, 1) by the tanh-sinh rule with level doubling.
 
-    ``f(x, one_minus_x)`` must accept numpy arrays and return an array; the
-    second argument is the distance to the right endpoint, supplied separately
-    so integrands singular at 1 do not lose digits to cancellation.
+    ``f(x, one_minus_x)`` must accept numpy arrays and return an array of
+    pointwise values; the second argument is the distance to the right
+    endpoint, supplied separately so integrands singular at 1 do not lose
+    digits to cancellation.  Levels up to 3 are evaluated in one call of f.
 
     Returns (value, err) where err is the last inter-level difference.
 
@@ -111,17 +138,24 @@ def de_quadrature(f, spec: QuadratureSpec | None = None) -> tuple[complex, float
         rel_tolerance of each other.
     """
     spec = spec or QuadratureSpec()
-    x, omx, w = _nodes(0)
+    top = min(_FIRST_TEST_LEVEL, spec.max_level)
+    x, omx, w, ends = _head_nodes(top)
+    head = f(x, omx) * w
     h = _BASE_STEP
-    total = complex(np.sum(f(x, omx) * w)) * h
+    total = complex(head[: ends[0]].sum()) * h
     prev = total
     err = math.inf
     for level in range(1, spec.max_level + 1):
         h *= 0.5
-        x, omx, w = _nodes(level)
-        total = 0.5 * prev + complex(np.sum(f(x, omx) * w)) * h
+        if level <= top:
+            terms = head[ends[level - 1] : ends[level]]
+        else:
+            x, omx, w = _nodes(level)
+            terms = f(x, omx) * w
+        total = 0.5 * prev + complex(terms.sum()) * h
         err = abs(total - prev)
-        if level >= 3 and err <= spec.rel_tolerance * max(abs(total), 1e-300):
+        converged = err <= spec.rel_tolerance * max(abs(total), 1e-300)
+        if level >= _FIRST_TEST_LEVEL and converged:
             return total, err
         prev = total
     raise ConvergenceError(
@@ -146,10 +180,13 @@ def direct_integral_gamma(
     u**(1/lambda - s - 1) (u + lambda)**(-1/lambda).  Both pieces get an
     additional v**K power substitution before the tanh-sinh rule.
 
-    Raises StripError unless 0 < Re(s) < 1/lambda with margin 0.01.
+    Raises DomainError if s is not finite, and StripError unless
+    0 < Re(s) < 1/lambda with margin 0.01.
     """
     spec = spec or QuadratureSpec()
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError(f"direct_integral_gamma: s = {s} is not finite")
     u_max = p.inv_lambda
     if not (STRIP_MARGIN <= s.real <= u_max - STRIP_MARGIN):
         raise StripError(
@@ -185,51 +222,146 @@ def direct_integral_gamma(
     )
 
 
-def _auto_cutoff(s: complex, p: DegenerateParameter, spec: QuadratureSpec) -> float:
-    if spec.hankel_cutoff is not None:
-        return spec.hankel_cutoff
-    gap = p.inv_lambda - s.real
-    return max(10.0, (spec.rel_tolerance * gap) ** (-1.0 / gap))
+def _hankel_edges(
+    s: complex, p: DegenerateParameter, spec: QuadratureSpec, name: str
+) -> tuple[complex, float, float]:
+    """Checks and edge integral shared by both loop realizations.
 
-
-def _edge_integral(
-    s: complex, p: DegenerateParameter, delta: float, cutoff: float,
-    spec: QuadratureSpec,
-) -> tuple[complex, float]:
-    """integral_delta^R t**(s-1) (1+t)**(-1/lambda) dt via y = log t."""
-    a = math.log(delta)
-    b = math.log(cutoff)
-    span = b - a
+    Returns (edge, edge_err, tail): edge = integral_delta^R t**(s-1)
+    (1+t)**(-1/lambda) dt, taken in y = log t, and the analytic bound on the
+    part beyond the cutoff R, R**(Re s - 1/lambda)/(1/lambda - Re s).
+    """
+    if not cmath.isfinite(s):  # before round() and the strip test see it
+        raise DomainError(f"{name}: s = {s} is not finite")
+    nearest = round(s.real)
+    if math.hypot(s.real - nearest, s.imag) < POLE_TOLERANCE:
+        raise IntegerArgumentError(
+            f"hankel_gamma: s = {s} is within {POLE_TOLERANCE} of the integer "
+            f"{nearest}, where the sine prefactor vanishes"
+        )
     u_max = p.inv_lambda
+    if s.real >= u_max - HANKEL_MARGIN:
+        raise StripError(
+            f"hankel_gamma: Re(s) = {s.real} must stay below 1/lambda - "
+            f"{HANKEL_MARGIN} = {u_max - HANKEL_MARGIN:.6g} for the "
+            f"contour tail to converge"
+        )
+    gap = u_max - s.real
+    cutoff = spec.hankel_cutoff
+    if cutoff is None:
+        cutoff = max(10.0, (spec.rel_tolerance * gap) ** (-1.0 / gap))
+    tail = cutoff ** (-gap) / gap
+
+    a = math.log(spec.hankel_radius)
+    span = math.log(cutoff) - a
 
     def integrand(x, _):
         y = a + span * x
         return span * np.exp(s * y - u_max * np.logaddexp(0.0, y))
 
     with np.errstate(under="ignore"):
-        return de_quadrature(integrand, spec)
+        edge, edge_err = de_quadrature(integrand, spec)
+    return edge, edge_err, tail
 
 
-def _circle_trapezoid(g, a: float, b: float, tol: float) -> tuple[complex, float]:
+def _hankel_result(
+    s: complex, p: DegenerateParameter, total: complex, err: float,
+    method: EvalMethod,
+) -> EvalResult:
+    """lambda**(-s) times a loop realization's total and error."""
+    lam_pow = cmath.exp(-s * p.log_lambda)
+    value = lam_pow * total
+    return EvalResult(
+        value=value,
+        abs_error_estimate=abs(lam_pow) * err,
+        method=method,
+        status=EvalStatus.REGULAR,
+        log_value=cmath.log(value) if value != 0 else None,
+    )
+
+
+# The circle's trapezoid ladder starts from the rule with _CIRCLE_N0
+# intervals; each further row adds the midpoints that halve the step.  The
+# first _CIRCLE_HEAD nodes (256 intervals), which the ladder almost always
+# reaches, go to the integrand in one call.  The nodes up to
+# _CIRCLE_CACHED_INTERVALS and the circle's log term at them are cached for
+# the last _CIRCLE_CACHE_SIZE (realization, radius) pairs; deeper rows are
+# formed per call.
+_CIRCLE_N0 = 16
+_CIRCLE_HEAD = 257
+_CIRCLE_CACHED_INTERVALS = 1024
+_CIRCLE_CACHE_SIZE = 8
+_circle_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+_circle_cache_lock = threading.Lock()
+
+
+def _loop_circle_log(theta, delta):
+    """log(1 - delta e^{i theta}) on hankel_gamma's circle, theta in [-pi, pi]."""
+    return np.log(1.0 - delta * np.exp(1j * theta))
+
+
+def _reflected_circle_log(phi, delta):
+    """log(1 + delta e^{i phi}) on hankel_gamma_reflected's circle, phi in [0, 2pi]."""
+    return np.log(1.0 + delta * np.exp(1j * phi))
+
+
+def _circle_geometry(
+    circle_log, a: float, b: float, delta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ladder nodes on [a, b] in row order, and circle_log(t, delta) at them."""
+    key = (circle_log, a, b, delta)
+    entry = _circle_cache.get(key)
+    if entry is None:
+        n = _CIRCLE_N0
+        h = (b - a) / n
+        parts = [np.array([a, b]), a + h * np.arange(1, n)]
+        while n < _CIRCLE_CACHED_INTERVALS:
+            parts.append(a + 0.5 * h + h * np.arange(n))
+            h *= 0.5
+            n *= 2
+        t = np.concatenate(parts)
+        entry = (t, circle_log(t, delta))
+        with _circle_cache_lock:
+            while len(_circle_cache) >= _CIRCLE_CACHE_SIZE:
+                del _circle_cache[next(iter(_circle_cache))]
+            _circle_cache[key] = entry
+    return entry
+
+
+def _circle_trapezoid(
+    g, circle_log, a: float, b: float, delta: float, tol: float
+) -> tuple[complex, float]:
     """Trapezoid rule on [a, b], step-doubled with Romberg extrapolation.
 
-    g takes a numpy array of parameter values.  The circle integrand is
-    analytic but not periodic (the e^{i s theta} factor), so the raw
-    trapezoid ladder is only second order; the Romberg columns restore fast
-    convergence while the 2^m doubling remains the control loop.
+    g(t, log_t) takes numpy arrays of parameter values and of
+    circle_log(t, delta) at them.  The circle integrand is analytic but not
+    periodic (the e^{i s theta} factor), so the raw trapezoid ladder is only
+    second order; the Romberg columns restore fast convergence while the 2^m
+    doubling remains the control loop.
     """
-    n = 16
+    t, log_t = _circle_geometry(circle_log, a, b, delta)
+    head_vals = g(t[:_CIRCLE_HEAD], log_t[:_CIRCLE_HEAD])
+    n = _CIRCLE_N0
     h = (b - a) / n
-    end_vals = g(np.array([a, b]))
-    interior = g(a + h * np.arange(1, n))
-    total = h * (complex(np.sum(end_vals)) * 0.5 + complex(np.sum(interior)))
-    abs_mass = h * float(np.sum(np.abs(end_vals)) * 0.5 + np.sum(np.abs(interior)))
+    end_vals = head_vals[:2]
+    interior = head_vals[2 : n + 1]
+    total = h * (complex(end_vals.sum()) * 0.5 + complex(interior.sum()))
+    abs_mass = h * float(np.abs(end_vals).sum() * 0.5 + np.abs(interior).sum())
+    start = n + 1
     rows = [[total]]
     err = math.inf
     for _ in range(14):  # up to ~260k nodes
-        mid_vals = g(a + 0.5 * h + h * np.arange(n))
-        total = 0.5 * rows[-1][0] + 0.5 * h * complex(np.sum(mid_vals))
-        abs_mass = 0.5 * abs_mass + 0.5 * h * float(np.sum(np.abs(mid_vals)))
+        stop = start + n
+        if stop <= _CIRCLE_HEAD:
+            mid_vals = head_vals[start:stop]
+        elif stop <= len(t):
+            mid_vals = g(t[start:stop], log_t[start:stop])
+        else:
+            mids = a + 0.5 * h + h * np.arange(n)
+            mid_vals = g(mids, circle_log(mids, delta))
+        start = stop
+        total = 0.5 * rows[-1][0] + 0.5 * h * complex(mid_vals.sum())
+        abs_mass = 0.5 * abs_mass + 0.5 * h * float(np.abs(mid_vals).sum())
         row = [total]
         for j in range(1, min(len(rows[-1]) + 1, 7)):
             weight = 4.0**j
@@ -247,37 +379,6 @@ def _circle_trapezoid(g, a: float, b: float, tol: float) -> tuple[complex, float
     )
 
 
-def _hankel_preconditions(s: complex, p: DegenerateParameter) -> None:
-    nearest = round(s.real)
-    if math.hypot(s.real - nearest, s.imag) < POLE_TOLERANCE:
-        raise IntegerArgumentError(
-            f"hankel_gamma: s = {s} is within {POLE_TOLERANCE} of the integer "
-            f"{nearest}, where the sine prefactor vanishes"
-        )
-    if s.real >= p.inv_lambda - HANKEL_MARGIN:
-        raise StripError(
-            f"hankel_gamma: Re(s) = {s.real} must stay below 1/lambda - "
-            f"{HANKEL_MARGIN} = {p.inv_lambda - HANKEL_MARGIN:.6g} for the "
-            f"contour tail to converge"
-        )
-
-
-def _hankel_result(
-    s: complex, p: DegenerateParameter, edge: complex, edge_err: float,
-    circle_over_sin: complex, circle_err: float, tail: float,
-) -> EvalResult:
-    lam_pow = cmath.exp(-s * p.log_lambda)
-    value = lam_pow * (edge + circle_over_sin)
-    err = abs(lam_pow) * (edge_err + circle_err + tail)
-    return EvalResult(
-        value=value,
-        abs_error_estimate=err,
-        method=EvalMethod.HANKEL,
-        status=EvalStatus.REGULAR,
-        log_value=cmath.log(value) if value != 0 else None,
-    )
-
-
 def hankel_gamma(
     s: complex, p: DegenerateParameter, spec: QuadratureSpec | None = None
 ) -> EvalResult:
@@ -290,31 +391,27 @@ def hankel_gamma(
     Dividing by 2i sin(pi s) and by lambda**s recovers the function; the
     result is independent of delta and, unlike the defining integral, valid
     for Re(s) <= 0 away from the integers.
+
+    Raises DomainError if s is not finite.
     """
     spec = spec or QuadratureSpec()
     s = complex(s)
-    _hankel_preconditions(s, p)
+    edge, edge_err, tail = _hankel_edges(s, p, spec, "hankel_gamma")
     delta = spec.hankel_radius
-    cutoff = _auto_cutoff(s, p, spec)
-    gap = p.inv_lambda - s.real
-    tail = cutoff ** (-gap) / gap
-
-    edge, edge_err = _edge_integral(s, p, delta, cutoff, spec)
-
     delta_pow = cmath.exp(s * math.log(delta))
     u_max = p.inv_lambda
 
-    def circle(theta):
-        zc = delta * np.exp(1j * theta)
-        return 1j * delta_pow * np.exp(1j * s * theta - u_max * np.log(1.0 - zc))
+    def circle(theta, log_circle):
+        return 1j * delta_pow * np.exp(1j * s * theta - u_max * log_circle)
 
     circle_val, circle_err = _circle_trapezoid(
-        circle, -math.pi, math.pi, min(spec.rel_tolerance, 1e-11)
+        circle, _loop_circle_log, -math.pi, math.pi, delta,
+        min(spec.rel_tolerance, 1e-11),
     )
     two_i_sin = 2j * classical.sin_pi(s)
     return _hankel_result(
-        s, p, edge, edge_err,
-        circle_val / two_i_sin, circle_err / abs(two_i_sin), tail,
+        s, p, edge + circle_val / two_i_sin,
+        edge_err + circle_err / abs(two_i_sin) + tail, EvalMethod.HANKEL,
     )
 
 
@@ -327,45 +424,34 @@ def hankel_gamma_reflected(
     phi = theta + pi; with the i/(2 sin(pi s)) prefactor this is algebraically
     identical to :func:`hankel_gamma` and serves as an independent
     parametrization check.
+
+    Raises DomainError if s is not finite.
     """
     spec = spec or QuadratureSpec()
     s = complex(s)
-    _hankel_preconditions(s, p)
-    delta = spec.hankel_radius
-    cutoff = _auto_cutoff(s, p, spec)
-    gap = p.inv_lambda - s.real
-    tail = cutoff ** (-gap) / gap
-
-    edge, edge_err = _edge_integral(s, p, delta, cutoff, spec)
+    edge, edge_err, tail = _hankel_edges(s, p, spec, "hankel_gamma_reflected")
     # (-w)**(s-1) phases on the two passes along the positive axis
     phase_diff = cmath.exp(1j * math.pi * (s - 1.0)) - cmath.exp(-1j * math.pi * (s - 1.0))
     edge_part = phase_diff * edge
 
+    delta = spec.hankel_radius
     delta_pow = cmath.exp((s - 1.0) * math.log(delta))
     u_max = p.inv_lambda
 
-    def circle(phi):
-        wc = delta * np.exp(1j * phi)
+    def circle(phi, log_circle):
         return (
             1j * delta * delta_pow
             * np.exp(1j * (s - 1.0) * (phi - math.pi) + 1j * phi
-                     - u_max * np.log(1.0 + wc))
+                     - u_max * log_circle)
         )
 
     circle_val, circle_err = _circle_trapezoid(
-        circle, 0.0, 2.0 * math.pi, min(spec.rel_tolerance, 1e-11)
+        circle, _reflected_circle_log, 0.0, 2.0 * math.pi, delta,
+        min(spec.rel_tolerance, 1e-11),
     )
     prefactor = 1j / (2.0 * classical.sin_pi(s))
-    total = prefactor * (edge_part + circle_val)
-    lam_pow = cmath.exp(-s * p.log_lambda)
-    value = lam_pow * total
-    err = abs(lam_pow) * (
-        abs(prefactor) * (abs(phase_diff) * edge_err + circle_err) + tail
-    )
-    return EvalResult(
-        value=value,
-        abs_error_estimate=err,
-        method=EvalMethod.HANKEL_REFLECTED,
-        status=EvalStatus.REGULAR,
-        log_value=cmath.log(value) if value != 0 else None,
+    return _hankel_result(
+        s, p, prefactor * (edge_part + circle_val),
+        abs(prefactor) * (abs(phase_diff) * edge_err + circle_err) + tail,
+        EvalMethod.HANKEL_REFLECTED,
     )

@@ -271,7 +271,8 @@ def weierstrass_gamma(
     cost proportional to N, so the two check each other.
 
     The error estimate comes from the analytic O(1/N) tail bound of the
-    log-product (or its O(1/N**3) remainder with ``use_tail_correction``).
+    log-product (or its O(1/N**3) remainder with ``use_tail_correction``),
+    plus a rounding floor of a few ulps of the magnitudes the log carries.
     """
     spec = spec or ProductSpec()
     z = complex(z)
@@ -287,14 +288,16 @@ def weierstrass_gamma(
         - classical.log_gamma(u).log_abs
     )
     N = spec.n_terms
-    log_prod = u * math.log(N + 1.0) - _paired_log_sum(
-        z, u, 1, N + 1, direct=euler_constant_form
-    )
+    log_growth = u * math.log(N + 1.0)
+    log_sum = _paired_log_sum(z, u, 1, N + 1, direct=euler_constant_form)
+    log_prod = log_growth - log_sum
     if spec.use_tail_correction:
         correction, rel_est = _corrected_tail(z, w, p, spec.n_terms)
         log_prod += correction
     else:
         rel_est = _weierstrass_tail_bound(z, w, p, spec.n_terms)
+    # rounding floor: a few ulps of each magnitude the log value carries
+    rel_est += 4e-16 * (abs(log_pre) + log_growth + abs(log_sum))
     return _finish_product(
         log_pre + log_prod, EvalMethod.WEIERSTRASS_PRODUCT, rel_est, spec.tolerance
     )

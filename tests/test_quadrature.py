@@ -1,13 +1,21 @@
 """Tests for the tanh-sinh engine, the defining integral, and the Hankel loop."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from degamma import quadrature
 from degamma.classical import beta as classical_beta
 from degamma.core import DegenerateParameter, degenerate_gamma, nearest_pole
-from degamma.errors import ConvergenceError, IntegerArgumentError, StripError
+from degamma.errors import (
+    ConvergenceError,
+    DomainError,
+    IntegerArgumentError,
+    StripError,
+)
 from degamma.quadrature import (
     QuadratureSpec,
     de_quadrature,
@@ -183,3 +191,133 @@ class TestHankel:
         assert abs(res.value - closed(s, p)) <= max(
             res.abs_error_estimate, 1e-12 * abs(res.value)
         )
+
+
+NON_FINITE = [
+    complex(math.nan, 0.0),
+    complex(math.inf, 0.0),
+    complex(-math.inf, 0.0),
+    complex(0.5, math.inf),
+    complex(0.5, math.nan),
+]
+
+
+@pytest.mark.parametrize("s", NON_FINITE, ids=repr)
+@pytest.mark.parametrize(
+    "path", [direct_integral_gamma, hankel_gamma, hankel_gamma_reflected],
+    ids=lambda f: f.__name__,
+)
+def test_non_finite_argument_raises_domain_error(path, s, monkeypatch):
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran on a non-finite argument")
+
+    monkeypatch.setattr(quadrature, "de_quadrature", no_quadrature)
+    with pytest.raises(DomainError):
+        path(s, DegenerateParameter(0.4))
+
+
+def _level_by_level(f, spec):
+    """The tanh-sinh ladder one level per integrand call: the reference."""
+    x, omx, w = quadrature._nodes(0)
+    h = quadrature._BASE_STEP
+    total = complex(np.sum(f(x, omx) * w)) * h
+    prev = total
+    for level in range(1, spec.max_level + 1):
+        h *= 0.5
+        x, omx, w = quadrature._nodes(level)
+        total = 0.5 * prev + complex(np.sum(f(x, omx) * w)) * h
+        err = abs(total - prev)
+        if level >= 3 and err <= spec.rel_tolerance * max(abs(total), 1e-300):
+            return total, err
+        prev = total
+    raise ConvergenceError("reference ladder did not converge")
+
+
+class TestBatchedHead:
+    def test_level_three_stop_sees_exactly_its_nodes(self):
+        seen = []
+
+        def integrand(x, omx):
+            seen.append(x.copy())
+            return np.ones_like(x)
+
+        value, err = de_quadrature(integrand)
+        assert value == pytest.approx(1.0, rel=1e-13)
+        assert len(seen) == 1
+        loop_nodes = np.concatenate([quadrature._nodes(m)[0] for m in range(4)])
+        assert len(loop_nodes) == 195
+        assert np.array_equal(np.sort(seen[0]), np.sort(loop_nodes))
+
+    @pytest.mark.parametrize("max_level", [1, 2, 3, 4, 6, 10])
+    @pytest.mark.parametrize("exponent", [-0.97, -0.5, 0.5, 2.0])
+    def test_matches_level_by_level_ladder(self, max_level, exponent):
+        def integrand(x, omx):
+            return x**exponent * np.sqrt(omx)
+
+        spec = QuadratureSpec(rel_tolerance=1e-12, max_level=max_level)
+        try:
+            expected = _level_by_level(integrand, spec)
+        except ConvergenceError:
+            with pytest.raises(ConvergenceError):
+                de_quadrature(integrand, spec)
+        else:
+            assert de_quadrature(integrand, spec) == expected
+
+    @pytest.mark.parametrize("max_level", [1, 2])
+    def test_shallow_ladders_never_converge(self, max_level):
+        spec = QuadratureSpec(max_level=max_level)
+        with pytest.raises(ConvergenceError):
+            de_quadrature(lambda x, omx: np.ones_like(x), spec)
+
+
+class TestCircleCache:
+    S = 0.7 - 0.4j
+    P = DegenerateParameter(0.3)
+
+    def _fresh(self, path, delta):
+        quadrature._circle_cache.clear()
+        return path(self.S, self.P, QuadratureSpec(hankel_radius=delta)).value
+
+    def test_keyed_by_radius_and_realization(self):
+        deltas = (0.1, 0.3, 0.5, 0.1)
+        paths = (hankel_gamma, hankel_gamma_reflected)
+        expected = [[self._fresh(path, d) for path in paths] for d in deltas]
+        quadrature._circle_cache.clear()
+        got = [
+            [path(self.S, self.P, QuadratureSpec(hankel_radius=d)).value
+             for path in paths]
+            for d in deltas
+        ]
+        assert got == expected
+
+    def test_bounded(self):
+        for delta in np.linspace(0.05, 0.6, 50):
+            hankel_gamma(self.S, self.P, QuadratureSpec(hankel_radius=float(delta)))
+        assert 0 < len(quadrature._circle_cache) <= quadrature._CIRCLE_CACHE_SIZE
+
+    def test_concurrent_calls_under_eviction(self):
+        # more radii than the cache holds, so threads evict each other's rows
+        deltas = [0.1 + 0.04 * k for k in range(quadrature._CIRCLE_CACHE_SIZE + 3)]
+        expected = {d: self._fresh(hankel_gamma, d) for d in deltas}
+        mismatches = []
+
+        def worker(offset):
+            for k in range(2 * len(deltas)):
+                d = deltas[(k + offset) % len(deltas)]
+                spec = QuadratureSpec(hankel_radius=d)
+                if hankel_gamma(self.S, self.P, spec).value != expected[d]:
+                    mismatches.append(d)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+        assert len(quadrature._circle_cache) <= quadrature._CIRCLE_CACHE_SIZE

@@ -202,6 +202,19 @@ class TestHugeTruncation:
         assert abs(sine_product(0.5, self.N) - math.pi / 2.0) <= 1e-11
 
 
+class TestWeierstrassRoundingFloor:
+    """The estimate keeps a rounding floor once the tail bound falls below it."""
+
+    @pytest.mark.parametrize("n_terms", [10**6, 10**12])
+    @pytest.mark.parametrize("corrected", [False, True])
+    @pytest.mark.parametrize("lam,z", [(0.4, 0.8 + 0.3j), (0.7, -2.5 + 0.5j)])
+    def test_estimate_covers_true_error(self, lam, z, corrected, n_terms):
+        p = DegenerateParameter(lam)
+        spec = ProductSpec(n_terms=n_terms, use_tail_correction=corrected)
+        res = weierstrass_gamma(z, p, spec)
+        assert abs(res.value - closed(z, p)) <= res.abs_error_estimate
+
+
 class TestBetaProduct:
     def test_unit_arguments(self):
         p = DegenerateParameter(0.25)
