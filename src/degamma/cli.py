@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import math
 import os
 import re
@@ -165,31 +164,33 @@ def _csv_scalar(v) -> str:
     return str(v)
 
 
+# One JSON object per row, keys in wire order; the values are preformatted.
+_JSON_ROW = "{{" + ", ".join(f'"{name}": {{}}' for name in OutputRecord.FIELDS) + "}}\n"
+
+
 class _Emitter:
-    """Streams OutputRecords as JSON lines or CSV (header always emitted)."""
+    """Streams OutputRecords as JSON lines or CSV (header always emitted).
+
+    Every row, and the CSV header, is one ``write`` call on the stream.
+    """
 
     def __init__(self, fmt: str, stream):
-        self.fmt = fmt
         self.stream = stream
+        self._csv = None
+        if fmt == "csv":
+            self._csv = csv.writer(
+                stream, quoting=csv.QUOTE_MINIMAL, lineterminator="\n"
+            )
         self._wrote_header = False
 
     def emit(self, rec: OutputRecord) -> None:
-        if self.fmt == "csv":
-            if not self._wrote_header:
-                self._write_csv_row(list(OutputRecord.FIELDS))
-                self._wrote_header = True
-            self._write_csv_row([_csv_scalar(v) for v in rec.values()])
-        else:
-            pairs = (
-                f'"{name}": {_json_scalar(value)}'
-                for name, value in zip(OutputRecord.FIELDS, rec.values())
-            )
-            self.stream.write("{" + ", ".join(pairs) + "}\n")
-
-    def _write_csv_row(self, row) -> None:
-        buf = io.StringIO()
-        csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n").writerow(row)
-        self.stream.write(buf.getvalue())
+        if self._csv is None:
+            self.stream.write(_JSON_ROW.format(*map(_json_scalar, rec.values())))
+            return
+        if not self._wrote_header:
+            self._csv.writerow(OutputRecord.FIELDS)
+            self._wrote_header = True
+        self._csv.writerow([_csv_scalar(v) for v in rec.values()])
 
 
 def _record_from_result(
@@ -229,28 +230,25 @@ _GAMMA_METHODS = (
 )
 
 
-def _evaluate_gamma(method: str, s: complex, p: DegenerateParameter,
-                    tol: float, n_terms: int) -> EvalResult:
+def _gamma_evaluator(method: str, tol: float, n_terms: int):
+    """The function (s, p) -> EvalResult of one --method, its spec built once."""
     qspec = quadrature.QuadratureSpec(rel_tolerance=tol)
     pspec = representations.ProductSpec(n_terms=n_terms)
     if method == "closed-form":
-        return core.degenerate_gamma(s, p)
-    if method == "direct-integral":
-        return quadrature.direct_integral_gamma(s, p, qspec)
-    if method == "hankel":
-        return quadrature.hankel_gamma(s, p, qspec)
-    if method == "hankel-reflected":
-        return quadrature.hankel_gamma_reflected(s, p, qspec)
-    if method == "weierstrass":
-        return representations.weierstrass_gamma(s, p, pspec)
-    if method == "euler-limit":
-        return representations.euler_limit_gamma(s, p, pspec)
-    raise ValueError(f"unknown method {method}")  # pragma: no cover
+        return core.degenerate_gamma
+    fn, spec = {
+        "direct-integral": (quadrature.direct_integral_gamma, qspec),
+        "hankel": (quadrature.hankel_gamma, qspec),
+        "hankel-reflected": (quadrature.hankel_gamma_reflected, qspec),
+        "weierstrass": (representations.weierstrass_gamma, pspec),
+        "euler-limit": (representations.euler_limit_gamma, pspec),
+    }[method]
+    return lambda s, p: fn(s, p, spec)
 
 
 def _cmd_eval(args, emitter) -> int:
     p = DegenerateParameter(args.lam)
-    result = _evaluate_gamma(args.method, args.s, p, args.tol, args.n_terms)
+    result = _gamma_evaluator(args.method, args.tol, args.n_terms)(args.s, p)
     emitter.emit(_record_from_result(args.s, args.lam, args.method, result))
     return 0
 
@@ -284,10 +282,14 @@ def _cmd_table(args, parser, emitter) -> int:
         if args.s is None:
             parser.error("--s is required when --lambda is a range")
         points = [(args.s, lam) for lam in args.lam]
+    # The first row's lambda is checked before the specs, as in eval.
+    p = DegenerateParameter(points[0][1])
+    evaluate = _gamma_evaluator(args.method, args.tol, args.n_terms)
     for s, lam in points:
-        p = DegenerateParameter(lam)
+        if lam != p.lam:
+            p = DegenerateParameter(lam)
         try:
-            result = _evaluate_gamma(args.method, s, p, args.tol, args.n_terms)
+            result = evaluate(s, p)
         except DegammaError:
             emitter.emit(OutputRecord(
                 s_re=s.real, s_im=s.imag, lam=lam,

@@ -63,13 +63,17 @@ NEAR_POLE_RADIUS = 1e-4
 class DegenerateParameter:
     """A validated deformation parameter lambda in the open interval (0,1).
 
-    Caches 1/lambda and log(lambda), the two derived quantities every
-    evaluation path needs.
+    Caches 1/lambda, log(lambda) and log Gamma(1/lambda), the derived
+    quantities every evaluation path needs; the closed form divides by
+    Gamma(1/lambda) at every s, so it is taken once here.  The cached fields
+    take no part in equality, hashing or repr, which see only ``lam``.
+    Lambda so small that 1/lambda overflows is rejected.
     """
 
     lam: float
     inv_lambda: float = field(init=False, repr=False)
     log_lambda: float = field(init=False, repr=False)
+    log_gamma_inv_lambda: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lam = float(self.lam)
@@ -77,9 +81,15 @@ class DegenerateParameter:
             raise ParameterRangeError(
                 f"lambda must lie strictly inside (0, 1); got {lam!r}"
             )
+        inv_lambda = 1.0 / lam
+        if not math.isfinite(inv_lambda):
+            raise ParameterRangeError(
+                f"lambda = {lam!r} is so small that 1/lambda overflows"
+            )
         object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "inv_lambda", 1.0 / lam)
+        object.__setattr__(self, "inv_lambda", inv_lambda)
         object.__setattr__(self, "log_lambda", math.log(lam))
+        object.__setattr__(self, "log_gamma_inv_lambda", _lg_real(inv_lambda))
 
 
 class PoleFamily(enum.Enum):
@@ -240,8 +250,7 @@ def pole_residue(family: PoleFamily, n: int, p: DegenerateParameter) -> complex:
     if n < 0:
         raise ValueError("pole_residue: n must be non-negative")
     u = p.inv_lambda
-    lg_u = _lg_real(u)
-    log_mag = _lg_real(u + n) - _lg_real(n + 1.0) - lg_u
+    log_mag = _lg_real(u + n) - _lg_real(n + 1.0) - p.log_gamma_inv_lambda
     if family is PoleFamily.NON_POSITIVE:
         log_mag += n * p.log_lambda
         sign = -1.0 if n % 2 else 1.0
@@ -298,7 +307,7 @@ def degenerate_gamma_log(s: complex, p: DegenerateParameter) -> complex:
     """
     s = complex(s)
     u = p.inv_lambda
-    return (-s) * p.log_lambda + _lg(s) + _lg(u - s) - _lg_real(u)
+    return (-s) * p.log_lambda + _lg(s) + _lg(u - s) - p.log_gamma_inv_lambda
 
 
 def degenerate_gamma(s: complex, p: DegenerateParameter) -> EvalResult:
@@ -324,7 +333,7 @@ def degenerate_gamma(s: complex, p: DegenerateParameter) -> EvalResult:
     u = p.inv_lambda
     term_s = _lg(s)
     term_us = _lg(u - s)
-    term_u = _lg_real(u)
+    term_u = p.log_gamma_inv_lambda
     log_val = (-s) * p.log_lambda + term_s + term_us - term_u
     mag_sum = (
         abs(term_s) + abs(term_us) + abs(term_u) + abs(s) * abs(p.log_lambda)
@@ -563,7 +572,7 @@ def degenerate_beta_classical(
         _lg(u - a),
         _lg(u - b),
         -_lg(u - a - b),
-        -_lg_real(u),
+        -p.log_gamma_inv_lambda,
     ]
     log_val = sum(terms)
     rel_est = 1e-14 + 8e-16 * sum(abs(t) for t in terms)

@@ -236,13 +236,13 @@ def _hankel_edges(
     nearest = round(s.real)
     if math.hypot(s.real - nearest, s.imag) < POLE_TOLERANCE:
         raise IntegerArgumentError(
-            f"hankel_gamma: s = {s} is within {POLE_TOLERANCE} of the integer "
+            f"{name}: s = {s} is within {POLE_TOLERANCE} of the integer "
             f"{nearest}, where the sine prefactor vanishes"
         )
     u_max = p.inv_lambda
     if s.real >= u_max - HANKEL_MARGIN:
         raise StripError(
-            f"hankel_gamma: Re(s) = {s.real} must stay below 1/lambda - "
+            f"{name}: Re(s) = {s.real} must stay below 1/lambda - "
             f"{HANKEL_MARGIN} = {u_max - HANKEL_MARGIN:.6g} for the "
             f"contour tail to converge"
         )

@@ -39,7 +39,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import classical
 from .classical import EULER_GAMMA, LOG_OVERFLOW, POLE_TOLERANCE, _chunks
 from .core import (
     DegenerateParameter,
@@ -285,7 +284,7 @@ def weierstrass_gamma(
         -z * p.log_lambda
         - cmath.log(z)
         - cmath.log(w)
-        - classical.log_gamma(u).log_abs
+        - p.log_gamma_inv_lambda
     )
     N = spec.n_terms
     log_growth = u * math.log(N + 1.0)
@@ -328,7 +327,7 @@ def euler_limit_gamma(
     # cancel the numerator's ((n-1)!)**2 exactly, leaving the paired sum
     base = (
         -z * p.log_lambda
-        - classical.log_gamma(u).log_abs
+        - p.log_gamma_inv_lambda
         - cmath.log(z)
         - cmath.log(u - z)
     )
@@ -412,7 +411,7 @@ def degenerate_beta_product(
         u * _harmonic_less_gamma(spec.n_terms)
         + cmath.log(ab)
         + cmath.log(uab)
-        - classical.log_gamma(u).log_abs
+        - p.log_gamma_inv_lambda
         - cmath.log(a)
         - cmath.log(b)
         - cmath.log(u - a)

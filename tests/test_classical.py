@@ -6,9 +6,10 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from degamma import classical
 from degamma.classical import (
     EULER_GAMMA,
     beta,
@@ -86,6 +87,93 @@ class TestLogGamma:
             mine = log_gamma(z).as_complex()
             err = abs(mine - complex(ref))
             assert err <= 1e-13 * max(1.0, abs(complex(ref))), z
+
+
+def _lanczos_log_reference(z):
+    """The complex Lanczos sum written out term by term, shift inside the loop."""
+    acc = classical._LANCZOS_C[0] + 0.0j
+    for k in range(1, len(classical._LANCZOS_C)):
+        acc += classical._LANCZOS_C[k] / (z - 1.0 + k)
+    t = z - 0.5 + classical._LANCZOS_G
+    return (classical._HALF_LOG_TWO_PI + (z - 0.5) * cmath.log(t) - t
+            + cmath.log(acc))
+
+
+def _complex_path(z):
+    """log Gamma(z) in complex arithmetic throughout: Lanczos or reflection."""
+    if z.real >= 0.5:
+        return _lanczos_log_reference(z)
+    unwind = math.copysign(2.0 * math.pi, z.imag) * math.floor(0.5 * z.real + 0.25)
+    return (complex(classical._LOG_PI, unwind)
+            - classical._log_sin_pi(z)
+            - _lanczos_log_reference(1.0 - z))
+
+
+# Real arguments: the reflection boundary, negative half-integers (sin(pi x)
+# = +-1 and cos(pi x) a signed zero), 1e-7 from a pole, |sin(pi x)| inside
+# cmath's log1p band [0.71, 1.73], Lanczos sums inside that band (x >= 18 or,
+# reflected, x <= -17; at 30.02, 95.26, 142.2 and their reflections the band's
+# log1p form and plain log differ in the result's last bit), and magnitudes
+# up to 1e13.
+_REAL_GRID = sorted({
+    0.5, math.nextafter(0.5, 1.0), 0.5 + 1e-15, 0.5 + 1e-9, 0.50001,
+    math.nextafter(0.5, 0.0), 0.4999999, 0.25, 1e-7, 1e-3, 0.75, 1.0, 1.5,
+    2.0, 2.5, 3.0, 7.25, 17.9, 18.0, 25.0, 30.02, 40.5, 95.26, 142.2, 171.3,
+    1e3 + 0.1, 1e6 / 3, 1e13, 1e13 / 3, -29.02, -94.26, -141.2,
+    *(-n - 0.5 for n in range(0, 60, 3)),
+    *(-n + d for n in range(0, 200, 7) for d in (1e-7, -1e-7, 3e-8, -3e-8)),
+    -0.25, -0.75, -1.25, -1.75, -3.3, -16.6, -17.2, -30.3, -171.7, -1e4 - 0.8,
+    -1e13 + 0.5, -1e13 / 3,
+})
+
+
+def _off_pole(z):
+    dist, _ = classical._nonpositive_integer_distance(complex(z))
+    return dist >= classical.POLE_TOLERANCE
+
+
+class TestRealAxisPath:
+    """The float-arithmetic real-axis path returns the complex path's bits."""
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_grid_bit_identical(self, sign):
+        for x in _REAL_GRID:
+            z = complex(x, math.copysign(0.0, sign))
+            assert repr(classical._log_gamma_complex(z)) == repr(_complex_path(z)), z
+
+    # Inside the band, log1p((a-1)(a+1))/2 and log(a) differ in the last bit
+    # at 0.713, 1.2345, 1.725 and 1.73.
+    @pytest.mark.parametrize("a", [
+        1e-300, 1e-8, 0.5, math.nextafter(0.71, 0.0), 0.71, 0.713, 1.0,
+        math.nextafter(1.0, 2.0), 1.2345, 1.725, 1.73, math.nextafter(1.73, 2.0),
+        4.7, 1e13, 1e300,
+    ])
+    def test_log_positive_is_cmath_real_part(self, a):
+        for y in (0.0, -0.0):
+            want = cmath.log(complex(a, y)).real
+            assert repr(classical._log_positive(a)) == repr(want)
+
+    @given(
+        st.one_of(
+            st.floats(-1e13, 1e13),
+            st.floats(-60.0, 60.0),
+            st.integers(-300, 0).flatmap(
+                lambda n: st.floats(n - 0.5, n + 0.5).filter(lambda x: x != n)
+            ),
+        ).filter(_off_pole),
+        st.sampled_from([0.0, -0.0]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_sampled_bit_identical(self, x, y):
+        z = complex(x, y)
+        assert repr(classical._log_gamma_complex(z)) == repr(_complex_path(z))
+
+    @given(st.floats(-80.0, 80.0), st.floats(-80.0, 80.0))
+    @settings(max_examples=200, deadline=None)
+    def test_complex_loop_bit_identical(self, x, y):
+        z = complex(x, y)
+        assume(y != 0.0 and _off_pole(z))
+        assert repr(classical._log_gamma_complex(z)) == repr(_complex_path(z))
 
 
 class TestGamma:

@@ -4,10 +4,16 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import degamma
 from degamma.cli import OutputRecord, main, parse_complex, parse_range
+from degamma.core import DegenerateParameter, EvalStatus, degenerate_gamma
 
 
 def run_cli(capsys, *argv):
@@ -222,6 +228,98 @@ class TestTable:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0] == list(OutputRecord.FIELDS)
         assert len(rows) == 3
+
+
+class _CountingStream:
+    """A stdout stand-in that keeps every write separately."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def _closed_form_row(s, lam):
+    """The wire row for one table point, straight from degenerate_gamma."""
+    r = degenerate_gamma(s, DegenerateParameter(lam))
+    row = dict.fromkeys(OutputRecord.FIELDS)
+    row.update({"s_re": s.real, "s_im": s.imag, "lambda": lam,
+                "method": "closed-form"})
+    if r.status is EvalStatus.AT_POLE:
+        row.update(status="pole", residue_re=r.pole.residue.real,
+                   residue_im=r.pole.residue.imag)
+    elif r.status is EvalStatus.OVERFLOW:
+        row.update(status="overflow")
+    else:
+        row.update(status=r.status.value, value_re=r.value.real,
+                   value_im=r.value.imag, abs_error=r.abs_error_estimate)
+    return row
+
+
+def _parse_wire_row(text, fmt):
+    """One written row back to a dict; numbers keep their sign of zero."""
+    if fmt == "jsonl":
+        return json.loads(text, parse_int=float)
+    (raw,) = csv.reader(io.StringIO(text))
+    return {
+        k: None if v == "" else v if k in ("method", "status") else float(v)
+        for k, v in zip(OutputRecord.FIELDS, raw)
+    }
+
+
+class TestTableContract:
+    """Every table row is degenerate_gamma's result, written in one call."""
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("sweep", [
+        ("--lambda=0.25", "--s-re=-2.5:5.5:0.125"),  # poles -2..0 and 4, 5
+        ("--s=4", "--lambda=0.0625:0.9375:0.0078125"),  # poles at 1/4, 1/2
+        ("--s=0.7-1.3i", "--lambda=0.05:0.95:0.01"),
+    ], ids=["s-re", "lambda-real-s", "lambda-complex-s"])
+    def test_rows_match_closed_form_one_write_each(self, sweep, fmt, monkeypatch):
+        stream = _CountingStream()
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert main(["table", *sweep, f"--format={fmt}"]) == 0
+        fixed, grid = sweep
+        if fixed.startswith("--lambda="):
+            lam = float(fixed.split("=")[1])
+            points = [(complex(x, 0.0), lam) for x in parse_range(grid.split("=")[1])]
+        else:
+            s = parse_complex(fixed.split("=")[1])
+            points = [(s, lam) for lam in parse_range(grid.split("=")[1])]
+        writes = stream.writes
+        if fmt == "csv":
+            assert writes[0] == ",".join(OutputRecord.FIELDS) + "\n"
+            writes = writes[1:]
+        assert len(writes) == len(points)
+        statuses = set()
+        for text, (s, lam) in zip(writes, points):
+            got = _parse_wire_row(text, fmt)
+            want = _closed_form_row(s, lam)
+            assert list(got) == list(OutputRecord.FIELDS)
+            assert {k: repr(v) for k, v in got.items()} == {
+                k: repr(v) for k, v in want.items()
+            }, (s, lam)
+            statuses.add(want["status"])
+        if not sweep[0].startswith("--s=0.7"):
+            assert "pole" in statuses
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_degamma(self):
+        src = Path(degamma.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-m", "degamma", "eval", "--lambda", "0.5", "--s", "1"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["value_re"] == 2.0
 
 
 class TestBeta:

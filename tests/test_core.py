@@ -67,6 +67,22 @@ class TestDegenerateParameter:
         p = DegenerateParameter(0.3)
         assert p.inv_lambda * p.lam == pytest.approx(1.0, abs=1e-16)
         assert p.log_lambda == math.log(0.3)
+        assert p.log_gamma_inv_lambda == log_gamma(p.inv_lambda).log_abs
+
+    @pytest.mark.parametrize("tiny", [1e-310, 5e-324])
+    def test_rejects_lambda_whose_reciprocal_overflows(self, tiny):
+        with pytest.raises(ParameterRangeError):
+            DegenerateParameter(tiny)
+
+    def test_smallest_lambda_with_finite_reciprocal_is_accepted(self):
+        p = DegenerateParameter(5.6e-309)
+        assert math.isfinite(p.inv_lambda)
+
+    def test_cached_log_gamma_stays_out_of_eq_hash_repr(self):
+        p, q = DegenerateParameter(0.25), DegenerateParameter(0.25)
+        assert p == q and p != DegenerateParameter(0.5)
+        assert hash(p) == hash((p.lam, p.inv_lambda, p.log_lambda)) == hash(q)
+        assert repr(p) == "DegenerateParameter(lam=0.25)"
 
 
 _NON_FINITE = [

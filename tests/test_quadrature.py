@@ -193,6 +193,14 @@ class TestHankel:
         )
 
 
+@pytest.mark.parametrize("s, error", [(1.0, IntegerArgumentError),
+                                      (3.5, StripError)])
+def test_reflected_loop_errors_name_their_caller(s, error):
+    # 1/lambda = 3.33: s = 1 zeroes the sine prefactor, s = 3.5 is past the strip
+    with pytest.raises(error, match=r"^hankel_gamma_reflected:"):
+        hankel_gamma_reflected(s, DegenerateParameter(0.3))
+
+
 NON_FINITE = [
     complex(math.nan, 0.0),
     complex(math.inf, 0.0),
