@@ -28,19 +28,23 @@ NUMERIC_EXIT = 2
 _DEFAULT_TOL = 1e-10
 
 
-def _default_tolerance() -> float:
-    raw = os.environ.get("DEGAMMA_DEFAULT_TOL")
-    if raw is None:
-        return _DEFAULT_TOL
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ParameterRangeError(
-            f"DEGAMMA_DEFAULT_TOL={raw!r} is not a number"
-        ) from exc
-    if not value >= 1e-14:
-        raise ParameterRangeError("DEGAMMA_DEFAULT_TOL must be >= 1e-14")
-    return value
+def _tolerance(tol: float | None) -> float:
+    """The --tol value, else DEGAMMA_DEFAULT_TOL, else 1e-10; must be >= 1e-14."""
+    source = "--tol"
+    if tol is None:
+        raw = os.environ.get("DEGAMMA_DEFAULT_TOL")
+        if raw is None:
+            return _DEFAULT_TOL
+        source = "DEGAMMA_DEFAULT_TOL"
+        try:
+            tol = float(raw)
+        except ValueError as exc:
+            raise ParameterRangeError(
+                f"DEGAMMA_DEFAULT_TOL={raw!r} is not a number"
+            ) from exc
+    if not tol >= 1e-14:
+        raise ParameterRangeError(f"{source} must be >= 1e-14")
+    return tol
 
 
 _NUM = r"[-+]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][-+]?\d+)?"
@@ -415,8 +419,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "tol", None) is None and args.command != "verify":
-            args.tol = _default_tolerance()
+        if hasattr(args, "tol"):  # eval, table and beta
+            args.tol = _tolerance(args.tol)
         if args.command == "verify":
             return _cmd_verify(args)
         emitter = _Emitter(args.format, sys.stdout)

@@ -146,6 +146,30 @@ class EvalResult:
 _NAN = complex(math.nan, math.nan)
 
 
+def _finish(log_val: complex, method: EvalMethod, rel_est: float,
+            status: EvalStatus = EvalStatus.REGULAR,
+            pole: PoleInfo | None = None) -> EvalResult:
+    """The EvalResult of a value computed in log space.
+
+    Exponentiates once; past LOG_OVERFLOW the value is NaN-encoded, the
+    status is OVERFLOW and only ``log_value`` carries the result.
+    ``rel_est`` is the relative error estimate of the value.
+    """
+    if log_val.real > LOG_OVERFLOW:
+        value, estimate, status = _NAN, math.inf, EvalStatus.OVERFLOW
+    else:
+        value = cmath.exp(log_val)
+        estimate = abs(value) * rel_est
+    return EvalResult(
+        value=value,
+        abs_error_estimate=estimate,
+        method=method,
+        status=status,
+        pole=pole,
+        log_value=log_val,
+    )
+
+
 def degenerate_exp(x: complex, t: complex, lam: float) -> complex:
     """(1 + lambda*t)**(x/lambda) on the principal branch.
 
@@ -339,30 +363,11 @@ def degenerate_gamma(s: complex, p: DegenerateParameter) -> EvalResult:
         abs(term_s) + abs(term_us) + abs(term_u) + abs(s) * abs(p.log_lambda)
     )
     rel_est = 1e-14 + 8e-16 * mag_sum
-    pole_info = None
-    status = EvalStatus.REGULAR
     if dist < NEAR_POLE_RADIUS:
-        status = EvalStatus.NEAR_POLE
-        pole_info = _pole_info(family, n, p)
         rel_est *= NEAR_POLE_RADIUS / dist
-    if log_val.real > LOG_OVERFLOW:
-        return EvalResult(
-            value=_NAN,
-            abs_error_estimate=math.inf,
-            method=EvalMethod.CLOSED_FORM,
-            status=EvalStatus.OVERFLOW,
-            pole=pole_info,
-            log_value=log_val,
-        )
-    value = cmath.exp(log_val)
-    return EvalResult(
-        value=value,
-        abs_error_estimate=abs(value) * rel_est,
-        method=EvalMethod.CLOSED_FORM,
-        status=status,
-        pole=pole_info,
-        log_value=log_val,
-    )
+        return _finish(log_val, EvalMethod.CLOSED_FORM, rel_est,
+                       EvalStatus.NEAR_POLE, _pole_info(family, n, p))
+    return _finish(log_val, EvalMethod.CLOSED_FORM, rel_est)
 
 
 @dataclass(frozen=True)
@@ -479,44 +484,42 @@ def symmetry_partner(s: complex, p: DegenerateParameter) -> complex:
     return p.inv_lambda - complex(s)
 
 
-def _beta_argument_check(name: str, w: complex, p: DegenerateParameter) -> None:
+def _check_argument(name: str, w: complex, p: DegenerateParameter) -> None:
+    """Raise PoleError if argument ``name`` = w sits at a pole.
+
+    The error's ``location`` is the pole itself, not the argument.
+    """
     dist, family, n = nearest_pole(w, p)
     if dist < POLE_TOLERANCE:
+        location = _pole_info(family, n, p).location
         raise PoleError(
-            f"degenerate beta: argument {name} = {w} sits at the pole "
-            f"{_pole_info(family, n, p).location} of the degenerate gamma function",
-            location=_pole_info(family, n, p).location,
+            f"argument {name} = {w} sits at the pole {location} "
+            f"of the degenerate gamma function",
+            location=location,
             argument_name=name,
         )
 
 
-def _beta_sum_at_pole(a: complex, b: complex, p: DegenerateParameter) -> bool:
+def _beta_guard(a: complex, b: complex, p: DegenerateParameter,
+                method: EvalMethod) -> EvalResult | None:
+    """Argument checks shared by every degenerate-beta path.
+
+    Raises PoleError when alpha or beta sits at a pole.  When alpha+beta does
+    instead, the ratio vanishes in the limit and the exact-zero result is
+    returned; otherwise None.
+    """
+    _check_argument("alpha", a, p)
+    _check_argument("beta", b, p)
     dist, _, _ = nearest_pole(a + b, p)
-    return dist < POLE_TOLERANCE
-
-
-_BETA_ZERO_NOTE = (
-    "alpha+beta sits at a pole of the degenerate gamma function; "
-    "the ratio vanishes in the limit, so 0 is returned"
-)
-
-
-def _finish_beta(log_val: complex, method: EvalMethod, rel_est: float) -> EvalResult:
-    if log_val.real > LOG_OVERFLOW:
-        return EvalResult(
-            value=_NAN,
-            abs_error_estimate=math.inf,
-            method=method,
-            status=EvalStatus.OVERFLOW,
-            log_value=log_val,
-        )
-    value = cmath.exp(log_val)
+    if dist >= POLE_TOLERANCE:
+        return None
     return EvalResult(
-        value=value,
-        abs_error_estimate=abs(value) * rel_est,
+        value=0.0 + 0.0j,
+        abs_error_estimate=0.0,
         method=method,
         status=EvalStatus.REGULAR,
-        log_value=log_val,
+        note="alpha+beta sits at a pole of the degenerate gamma function; "
+             "the ratio vanishes in the limit, so 0 is returned",
     )
 
 
@@ -528,22 +531,15 @@ def degenerate_beta(a: complex, b: complex, p: DegenerateParameter) -> EvalResul
     is 0 with an explanatory note.
     """
     a, b = complex(a), complex(b)
-    _beta_argument_check("alpha", a, p)
-    _beta_argument_check("beta", b, p)
-    if _beta_sum_at_pole(a, b, p):
-        return EvalResult(
-            value=0.0 + 0.0j,
-            abs_error_estimate=0.0,
-            method=EvalMethod.CLOSED_FORM,
-            status=EvalStatus.REGULAR,
-            note=_BETA_ZERO_NOTE,
-        )
+    zero = _beta_guard(a, b, p, EvalMethod.CLOSED_FORM)
+    if zero is not None:
+        return zero
     la = degenerate_gamma_log(a, p)
     lb = degenerate_gamma_log(b, p)
     lab = degenerate_gamma_log(a + b, p)
     log_val = la + lb - lab
     rel_est = 1e-14 + 8e-16 * (abs(la) + abs(lb) + abs(lab))
-    return _finish_beta(log_val, EvalMethod.CLOSED_FORM, rel_est)
+    return _finish(log_val, EvalMethod.CLOSED_FORM, rel_est)
 
 
 def degenerate_beta_classical(
@@ -556,16 +552,9 @@ def degenerate_beta_classical(
     a cross-check path.
     """
     a, b = complex(a), complex(b)
-    _beta_argument_check("alpha", a, p)
-    _beta_argument_check("beta", b, p)
-    if _beta_sum_at_pole(a, b, p):
-        return EvalResult(
-            value=0.0 + 0.0j,
-            abs_error_estimate=0.0,
-            method=EvalMethod.CLASSICAL_MIXED,
-            status=EvalStatus.REGULAR,
-            note=_BETA_ZERO_NOTE,
-        )
+    zero = _beta_guard(a, b, p, EvalMethod.CLASSICAL_MIXED)
+    if zero is not None:
+        return zero
     u = p.inv_lambda
     terms = [
         classical.log_beta(a, b),
@@ -576,4 +565,4 @@ def degenerate_beta_classical(
     ]
     log_val = sum(terms)
     rel_est = 1e-14 + 8e-16 * sum(abs(t) for t in terms)
-    return _finish_beta(log_val, EvalMethod.CLASSICAL_MIXED, rel_est)
+    return _finish(log_val, EvalMethod.CLASSICAL_MIXED, rel_est)

@@ -16,9 +16,9 @@ class PoleError(DegammaError):
     Attributes
     ----------
     location : complex or None
-        The offending pole, when known.
+        The pole itself, never the argument that sits on it.
     argument_name : str or None
-        Which argument triggered the error for multi-argument operations.
+        Which argument sits on the pole, e.g. ``"z"``, ``"alpha"`` or ``"beta"``.
     """
 
     def __init__(self, message, location=None, argument_name=None):

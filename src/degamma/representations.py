@@ -39,15 +39,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import EULER_GAMMA, LOG_OVERFLOW, POLE_TOLERANCE, _chunks
+from .classical import EULER_GAMMA, POLE_TOLERANCE, _chunks
 from .core import (
     DegenerateParameter,
     EvalMethod,
     EvalResult,
-    EvalStatus,
-    _BETA_ZERO_NOTE,
-    _beta_sum_at_pole,
-    nearest_pole,
+    _beta_guard,
+    _check_argument,
+    _finish,
 )
 from .errors import ConvergenceError, DomainError, PoleError
 
@@ -58,8 +57,6 @@ __all__ = [
     "sine_product",
     "degenerate_beta_product",
 ]
-
-_NAN = complex(math.nan, math.nan)
 
 # Chunk length of the summed stretches of the paired sum (long only for large
 # |x| or direct summation): the few float64 work arrays of a chunk stay in
@@ -96,15 +93,6 @@ class ProductSpec:
             raise ValueError("ProductSpec: n_terms must be >= 1")
         if self.tolerance is not None and self.tolerance <= 0.0:
             raise ValueError("ProductSpec: tolerance must be positive")
-
-
-def _require_regular(z: complex, p: DegenerateParameter, who: str) -> None:
-    dist, family, n = nearest_pole(z, p)
-    if dist < POLE_TOLERANCE:
-        raise PoleError(
-            f"{who}: z = {z} sits at a pole of the degenerate gamma function",
-            location=z,
-        )
 
 
 def _tail_sums(n_terms: int) -> tuple[float, float]:
@@ -232,22 +220,7 @@ def _finish_product(log_val: complex, method: EvalMethod, rel_est: float,
             f"truncation error estimate {rel_est:.3g} exceeds requested "
             f"tolerance {tolerance:.3g}; raise n_terms"
         )
-    if log_val.real > LOG_OVERFLOW:
-        return EvalResult(
-            value=_NAN,
-            abs_error_estimate=math.inf,
-            method=method,
-            status=EvalStatus.OVERFLOW,
-            log_value=log_val,
-        )
-    value = cmath.exp(log_val)
-    return EvalResult(
-        value=value,
-        abs_error_estimate=abs(value) * rel_est,
-        method=method,
-        status=EvalStatus.REGULAR,
-        log_value=log_val,
-    )
+    return _finish(log_val, method, rel_est)
 
 
 def weierstrass_gamma(
@@ -275,11 +248,10 @@ def weierstrass_gamma(
     """
     spec = spec or ProductSpec()
     z = complex(z)
-    _require_regular(z, p, "weierstrass_gamma")
+    # z = 0 and z = u, the prefactor's poles, are poles of the families
+    _check_argument("z", z, p)
     u = p.inv_lambda
     w = u - z
-    if min(abs(z), abs(w)) < POLE_TOLERANCE:
-        raise PoleError(f"weierstrass_gamma: prefactor pole at z = {z}")
     log_pre = (
         -z * p.log_lambda
         - cmath.log(z)
@@ -320,7 +292,7 @@ def euler_limit_gamma(
     """
     spec = spec or ProductSpec()
     z = complex(z)
-    _require_regular(z, p, "euler_limit_gamma")
+    _check_argument("z", z, p)
     n = spec.n_terms
     u = p.inv_lambda
     # log(z + j) = log j + log1p(z/j) for j >= 1, and the two log((n-1)!)
@@ -388,21 +360,9 @@ def degenerate_beta_product(
     """
     spec = spec or ProductSpec()
     a, b = complex(a), complex(b)
-    for name, arg in (("alpha", a), ("beta", b)):
-        dist, _, _ = nearest_pole(arg, p)
-        if dist < POLE_TOLERANCE:
-            raise PoleError(
-                f"degenerate_beta_product: {name} = {arg} sits at a pole",
-                argument_name=name,
-            )
-    if _beta_sum_at_pole(a, b, p):
-        return EvalResult(
-            value=0.0 + 0.0j,
-            abs_error_estimate=0.0,
-            method=EvalMethod.BETA_PRODUCT,
-            status=EvalStatus.REGULAR,
-            note=_BETA_ZERO_NOTE,
-        )
+    zero = _beta_guard(a, b, p, EvalMethod.BETA_PRODUCT)
+    if zero is not None:
+        return zero
     u = p.inv_lambda
     ab = a + b
     uab = u - ab

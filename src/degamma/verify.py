@@ -4,6 +4,13 @@ Samples the parameter space (deterministically, given a seed), runs every
 evaluation path, checks each functional identity the library implements, and
 emits machine-readable reports.  The closed form is the reference path; all
 others are judged against it.
+
+Each identity is one row of the table ``_CHECKS``: its name, the index of its
+random stream (None for a fixed grid), whether it compares logs, and a
+function that produces the samples.  ``CHECK_ROSTER`` is the table's names,
+and :func:`run_identity_suite` is one loop over it.  The perturb hook applies
+in that loop only, to each sample's observed value: it multiplies the value by
+the factor, or for the log-space check adds the factor's log.
 """
 
 from __future__ import annotations
@@ -29,28 +36,6 @@ __all__ = [
     "run_limit_checks",
     "reports_to_json",
 ]
-
-# Every identity the harness covers, by what each check does.
-CHECK_ROSTER = (
-    "beta-classical-mixed",
-    "beta-integer-formula",
-    "beta-product",
-    "closed-form-beta-identity",
-    "difference-equation",
-    "euler-limit",
-    "hankel-contour",
-    "hankel-contour-reflected",
-    "integer-values",
-    "lambda-shift-k0",
-    "lambda-shift-k1",
-    "lambda-shift-k2",
-    "reflection-symmetry",
-    "residues-nonpositive",
-    "residues-shifted",
-    "sine-product",
-    "weierstrass-product-main",
-    "weierstrass-product-paired",
-)
 
 # Pole-avoidance radius used by every sampler.
 REJECTION_RADIUS = 0.05
@@ -129,24 +114,11 @@ def _away_from_poles(s: complex, p: DegenerateParameter,
 class _Recorder:
     """Accumulates per-sample comparisons into a CheckReport."""
 
-    def __init__(self, name: str, perturb_check: str | None, perturb_factor: float):
+    def __init__(self, name: str):
         self.name = name
         self.max_rel_err = 0.0
         self.failures: list = []
         self.count = 0
-        self._factor = (
-            perturb_factor if perturb_check == name else 1.0
-        )
-
-    def perturb(self, value: complex) -> complex:
-        # test hook: multiplies one path by a known factor to prove the
-        # harness actually detects disagreement
-        return value * self._factor
-
-    def compare(self, s: complex, lam: float, path: str,
-                observed: complex, expected: complex, tol: float) -> None:
-        err = _rel(observed, expected)
-        self.record(s, lam, path, observed, expected, err, tol)
 
     def record(self, s, lam, path, observed, expected, err, tol) -> None:
         self.count += 1
@@ -177,218 +149,149 @@ def _value(s: complex, p: DegenerateParameter) -> complex:
     return core.degenerate_gamma(s, p).value
 
 
-def run_identity_suite(
-    seed: int,
-    samples: int,
-    p_range: tuple[float, float] = (0.1, 0.9),
-    perturb_check: str | None = None,
-    perturb_factor: float = 1.0 + 1e-6,
-    product_terms: int = 100_000,
-) -> list[CheckReport]:
-    """Run every identity check; deterministic given (seed, samples, p_range).
+def _draw_pair(rng, p_range, shifted: bool = False):
+    """lambda and s over the strip, s (and s + 1 when ``shifted``) off the poles."""
+    p = DegenerateParameter(rng.uniform(*_lambda_range(p_range, 0.05, 0.95)))
+    s = _sample_complex(
+        rng, (-2.5, p.inv_lambda - 1.5), (-5.0, 5.0),
+        lambda s: not _away_from_poles(s, p)
+        or (shifted and not _away_from_poles(s + 1.0, p)),
+    )
+    return s, p
 
-    ``perturb_check`` multiplies one path of the named check by
-    ``perturb_factor`` so the harness's sensitivity itself can be tested.
-    Reports come back sorted by check_name.
-    """
-    if samples < 1:
-        raise ValueError("run_identity_suite: samples must be >= 1")
-    pspec = representations.ProductSpec(n_terms=product_terms)
-    qspec = quadrature.QuadratureSpec()
-    reports = []
 
-    def rng_for(idx: int):
-        return np.random.default_rng([seed, idx])
+def _difference_equation(rng, p_range, pspec):
+    # dgamma(s+1) = s/(1 - lam*(s+1)) * dgamma(s)
+    s, p = _draw_pair(rng, p_range, shifted=True)
+    return (s, p.lam, "difference-step", _value(s + 1.0, p),
+            core.difference_step(s, p) * _value(s, p), 1e-10)
 
-    def draw_pair(rng, lam_range, re_pad=(-2.5, -1.5), im_max=5.0,
-                  extra_reject=None):
-        lam = rng.uniform(*lam_range)
-        p = DegenerateParameter(lam)
-        u = p.inv_lambda
 
-        def reject(s):
-            if not _away_from_poles(s, p):
-                return True
-            if extra_reject is not None and extra_reject(s, p):
-                return True
-            return False
+def _reflection_symmetry(rng, p_range, pspec):
+    # lam^s dgamma(s) = lam^(u-s) dgamma(u-s), as the two logs
+    s, p = _draw_pair(rng, p_range)
+    partner = core.symmetry_partner(s, p)
+    l1 = s * p.log_lambda + core.degenerate_gamma_log(s, p)
+    l2 = partner * p.log_lambda + core.degenerate_gamma_log(partner, p)
+    return s, p.lam, "symmetry", l1, l2, 1e-10
 
-        s = _sample_complex(
-            rng, (re_pad[0], u + re_pad[1]), (-im_max, im_max), reject
-        )
-        return s, p
 
-    # difference equation: dgamma(s+1) = s/(1 - lam*(s+1)) * dgamma(s)
-    rec = _Recorder("difference-equation", perturb_check, perturb_factor)
-    rng = rng_for(0)
-    for _ in range(samples):
-        s, p = draw_pair(
-            rng, _lambda_range(p_range, 0.05, 0.95),
-            extra_reject=lambda s, p: not _away_from_poles(s + 1.0, p),
-        )
-        lhs = rec.perturb(_value(s + 1.0, p))
-        rhs = core.difference_step(s, p) * _value(s, p)
-        rec.compare(s, p.lam, "difference-step", lhs, rhs, 1e-10)
-    reports.append(rec.report())
-
-    # symmetry: lam^s dgamma(s) = lam^(u-s) dgamma(u-s), compared in log space
-    rec = _Recorder("reflection-symmetry", perturb_check, perturb_factor)
-    rng = rng_for(1)
-    for _ in range(samples):
-        s, p = draw_pair(rng, _lambda_range(p_range, 0.05, 0.95))
-        partner = core.symmetry_partner(s, p)
-        l1 = s * p.log_lambda + core.degenerate_gamma_log(s, p)
-        l2 = partner * p.log_lambda + core.degenerate_gamma_log(partner, p)
-        if rec._factor != 1.0:
-            l1 += cmath.log(rec._factor)
-        gap = _log_space_gap(l1, l2)
-        rec.record(s, p.lam, "symmetry", cmath.exp(l1 - l2), 1.0 + 0.0j, gap, 1e-10)
-    reports.append(rec.report())
-
+def _closed_form_beta_identity(rng, p_range, pspec):
     # closed form against the classical-beta grouping lam^{-s} B(s, u-s)
-    rec = _Recorder("closed-form-beta-identity", perturb_check, perturb_factor)
-    rng = rng_for(2)
-    for _ in range(samples):
-        s, p = draw_pair(rng, _lambda_range(p_range, 0.05, 0.95))
-        lhs = rec.perturb(_value(s, p))
-        rhs = cmath.exp(-s * p.log_lambda + classical.log_beta(s, p.inv_lambda - s))
-        rec.compare(s, p.lam, "beta-grouping", lhs, rhs, 1e-12)
-    reports.append(rec.report())
+    s, p = _draw_pair(rng, p_range)
+    return (s, p.lam, "beta-grouping", _value(s, p),
+            cmath.exp(-s * p.log_lambda + classical.log_beta(s, p.inv_lambda - s)),
+            1e-12)
 
-    # lambda-shift recurrences, k = 0, 1, 2
-    for k in (0, 1, 2):
-        rec = _Recorder(f"lambda-shift-k{k}", perturb_check, perturb_factor)
-        rng = rng_for(3 + k)
-        lam_lo, lam_hi = _lambda_range(p_range, 0.02, 1.0 / (k + 2) - 0.02)
-        for _ in range(samples):
-            lam = rng.uniform(lam_lo, lam_hi)
-            p = DegenerateParameter(lam)
-            u = p.inv_lambda
-            shifted_lam = lam / (1.0 - (k + 1) * lam)
-            p_shift = DegenerateParameter(shifted_lam)
 
-            def reject(s):
-                return (
-                    not _away_from_poles(s + 1.0, p)
-                    or not _away_from_poles(s - k, p_shift)
-                )
+def _lambda_shift(k: int):
+    """The lambda-shift recurrence by k + 1 steps."""
 
-            s = _sample_complex(
-                rng, (k + 0.1, min(u - 1.0 - 0.1, k + 8.0)), (-3.0, 3.0), reject
-            )
-            step = core.lambda_shift_recurrence(s, k, p)
-            lhs = rec.perturb(_value(s + 1.0, p))
-            rhs = step.factor * _value(step.shifted_arg, p_shift)
-            rec.compare(s, lam, f"shift-k{k}", lhs, rhs, 1e-10)
-        reports.append(rec.report())
+    def check(rng, p_range, pspec):
+        lam = rng.uniform(*_lambda_range(p_range, 0.02, 1.0 / (k + 2) - 0.02))
+        p = DegenerateParameter(lam)
+        p_shift = DegenerateParameter(lam / (1.0 - (k + 1) * lam))
+        s = _sample_complex(
+            rng, (k + 0.1, min(p.inv_lambda - 1.0 - 0.1, k + 8.0)), (-3.0, 3.0),
+            lambda s: (
+                not _away_from_poles(s + 1.0, p)
+                or not _away_from_poles(s - k, p_shift)
+            ),
+        )
+        step = core.lambda_shift_recurrence(s, k, p)
+        return (s, lam, f"shift-k{k}", _value(s + 1.0, p),
+                step.factor * _value(step.shifted_arg, p_shift), 1e-10)
 
+    return check
+
+
+def _integer_values():
     # integer arguments against exact rational products
-    rec = _Recorder("integer-values", perturb_check, perturb_factor)
     for lam in (0.05, 0.09, 0.11, 0.3):
         p = DegenerateParameter(lam)
         for k in range(1, 11):
             exact = core.degenerate_gamma_integer(k, p).exact()
-            lhs = rec.perturb(_value(complex(k), p))
-            rec.compare(complex(k), lam, "integer-product",
-                        lhs, complex(float(exact)), 1e-12)
-    reports.append(rec.report())
+            yield (complex(k), lam, "integer-product", _value(complex(k), p),
+                   complex(float(exact)), 1e-12)
 
-    # product representations against the closed form
-    def product_domain(rng):
-        lam = rng.uniform(*_lambda_range(p_range, 0.45, 0.9))
-        p = DegenerateParameter(lam)
-        s = _sample_complex(
-            rng, (0.2, 1.4), (-0.6, 0.6),
-            lambda z: not _away_from_poles(z, p, 0.1),
-        )
-        return s, p
 
-    rec = _Recorder("weierstrass-product-main", perturb_check, perturb_factor)
-    rng = rng_for(6)
-    for _ in range(samples):
-        s, p = product_domain(rng)
-        res = representations.weierstrass_gamma(s, p, pspec)
-        lhs = rec.perturb(res.value)
-        expected = _value(s, p)
-        tol = max(res.abs_error_estimate / max(abs(expected), _TINY), 5e-13)
-        rec.compare(s, p.lam, "weierstrass", lhs, expected, tol)
-    reports.append(rec.report())
+def _product_domain(rng, p_range):
+    p = DegenerateParameter(rng.uniform(*_lambda_range(p_range, 0.45, 0.9)))
+    s = _sample_complex(
+        rng, (0.2, 1.4), (-0.6, 0.6),
+        lambda z: not _away_from_poles(z, p, 0.1),
+    )
+    return s, p
 
-    rec = _Recorder("weierstrass-product-paired", perturb_check, perturb_factor)
-    rng = rng_for(7)
-    for _ in range(samples):
-        s, p = product_domain(rng)
-        main = representations.weierstrass_gamma(s, p, pspec)
-        paired = representations.weierstrass_gamma(
-            s, p, pspec, euler_constant_form=True
-        )
-        lhs = rec.perturb(paired.value)
-        rec.compare(s, p.lam, "paired-form", lhs, main.value, 1e-12)
-    reports.append(rec.report())
 
-    rec = _Recorder("euler-limit", perturb_check, perturb_factor)
-    rng = rng_for(8)
-    for _ in range(samples):
-        s, p = product_domain(rng)
-        res = representations.euler_limit_gamma(s, p, pspec)
-        lhs = rec.perturb(res.value)
-        expected = _value(s, p)
-        tol = max(2.0 * res.abs_error_estimate / max(abs(expected), _TINY), 1e-12)
-        rec.compare(s, p.lam, "euler-limit", lhs, expected, tol)
-    reports.append(rec.report())
+def _weierstrass_main(rng, p_range, pspec):
+    s, p = _product_domain(rng, p_range)
+    res = representations.weierstrass_gamma(s, p, pspec)
+    expected = _value(s, p)
+    tol = max(res.abs_error_estimate / max(abs(expected), _TINY), 5e-13)
+    return s, p.lam, "weierstrass", res.value, expected, tol
 
+
+def _weierstrass_paired(rng, p_range, pspec):
+    # the directly summed product against the Euler-Maclaurin one
+    s, p = _product_domain(rng, p_range)
+    main = representations.weierstrass_gamma(s, p, pspec)
+    paired = representations.weierstrass_gamma(
+        s, p, pspec, euler_constant_form=True
+    )
+    return s, p.lam, "paired-form", paired.value, main.value, 1e-12
+
+
+def _euler_limit(rng, p_range, pspec):
+    s, p = _product_domain(rng, p_range)
+    res = representations.euler_limit_gamma(s, p, pspec)
+    expected = _value(s, p)
+    tol = max(2.0 * res.abs_error_estimate / max(abs(expected), _TINY), 1e-12)
+    return s, p.lam, "euler-limit", res.value, expected, tol
+
+
+def _sine_product(rng, p_range, pspec):
     # sine product against pi z / sin(pi z)
-    rec = _Recorder("sine-product", perturb_check, perturb_factor)
-    rng = rng_for(9)
-    for _ in range(samples):
-        z = _sample_complex(
-            rng, (-2.5, 2.5), (-1.5, 1.5),
-            lambda w: abs(w.real - round(w.real)) < 0.1 and abs(w.imag) < 0.1,
-        )
-        lhs = rec.perturb(representations.sine_product(z, product_terms))
-        expected = (
-            math.pi * z / classical.sin_pi(z) if z != 0 else 1.0 + 0.0j
-        )
-        tol = 3.0 * (abs(z) ** 2 + 1.0) / product_terms
-        rec.compare(z, math.nan, "sine-product", lhs, expected, tol)
-    reports.append(rec.report())
+    z = _sample_complex(
+        rng, (-2.5, 2.5), (-1.5, 1.5),
+        lambda w: abs(w.real - round(w.real)) < 0.1 and abs(w.imag) < 0.1,
+    )
+    terms = pspec.n_terms
+    observed = representations.sine_product(z, terms)
+    expected = math.pi * z / classical.sin_pi(z) if z != 0 else 1.0 + 0.0j
+    tol = 3.0 * (abs(z) ** 2 + 1.0) / terms
+    return z, math.nan, "sine-product", observed, expected, tol
 
-    # degenerate beta: three expressions
-    def beta_domain(rng):
-        lam = rng.uniform(*_lambda_range(p_range, 0.2, 0.8))
-        p = DegenerateParameter(lam)
 
-        def reject(w):
-            return not _away_from_poles(w, p, 0.1)
+def _beta_domain(rng, p_range):
+    p = DegenerateParameter(rng.uniform(*_lambda_range(p_range, 0.2, 0.8)))
 
-        a = _sample_complex(rng, (0.15, 1.2), (-0.5, 0.5), reject)
-        b = _sample_complex(
-            rng, (0.15, 1.2), (-0.5, 0.5),
-            lambda w: reject(w) or not _away_from_poles(a + w, p, 0.1),
-        )
-        return a, b, p
+    def reject(w):
+        return not _away_from_poles(w, p, 0.1)
 
-    rec = _Recorder("beta-classical-mixed", perturb_check, perturb_factor)
-    rng = rng_for(10)
-    for _ in range(samples):
-        a, b, p = beta_domain(rng)
-        lhs = rec.perturb(core.degenerate_beta(a, b, p).value)
-        rhs = core.degenerate_beta_classical(a, b, p).value
-        rec.compare(a + b, p.lam, "classical-mixed", lhs, rhs, 1e-11)
-    reports.append(rec.report())
+    a = _sample_complex(rng, (0.15, 1.2), (-0.5, 0.5), reject)
+    b = _sample_complex(
+        rng, (0.15, 1.2), (-0.5, 0.5),
+        lambda w: reject(w) or not _away_from_poles(a + w, p, 0.1),
+    )
+    return a, b, p
 
-    rec = _Recorder("beta-product", perturb_check, perturb_factor)
-    rng = rng_for(11)
-    for _ in range(samples):
-        a, b, p = beta_domain(rng)
-        res = representations.degenerate_beta_product(a, b, p, pspec)
-        lhs = rec.perturb(res.value)
-        expected = core.degenerate_beta(a, b, p).value
-        tol = max(2.0 * res.abs_error_estimate / max(abs(expected), _TINY), 1e-12)
-        rec.compare(a + b, p.lam, "beta-product", lhs, expected, tol)
-    reports.append(rec.report())
 
-    rec = _Recorder("beta-integer-formula", perturb_check, perturb_factor)
+def _beta_classical_mixed(rng, p_range, pspec):
+    a, b, p = _beta_domain(rng, p_range)
+    return (a + b, p.lam, "classical-mixed", core.degenerate_beta(a, b, p).value,
+            core.degenerate_beta_classical(a, b, p).value, 1e-11)
+
+
+def _beta_product(rng, p_range, pspec):
+    a, b, p = _beta_domain(rng, p_range)
+    res = representations.degenerate_beta_product(a, b, p, pspec)
+    expected = core.degenerate_beta(a, b, p).value
+    tol = max(2.0 * res.abs_error_estimate / max(abs(expected), _TINY), 1e-12)
+    return a + b, p.lam, "beta-product", res.value, expected, tol
+
+
+def _beta_integer_formula():
     for lam in (0.07, 0.1, 0.16, 0.22):
         p = DegenerateParameter(lam)
         for m in range(1, 4):
@@ -404,56 +307,118 @@ def run_identity_suite(
                         math.factorial(m + n - 1),
                     )
                 )
-                lhs = rec.perturb(core.degenerate_beta(m, n, p).value)
-                rec.compare(complex(m, n), lam, "integer-formula",
-                            lhs, complex(float(exact)), 1e-10)
-    reports.append(rec.report())
+                yield (complex(m, n), lam, "integer-formula",
+                       core.degenerate_beta(m, n, p).value,
+                       complex(float(exact)), 1e-10)
 
-    # residues, both pole families, by the four-angle limit
-    for family, name in (
-        (PoleFamily.NON_POSITIVE, "residues-nonpositive"),
-        (PoleFamily.SHIFTED_BY_INV_LAMBDA, "residues-shifted"),
-    ):
-        rec = _Recorder(name, perturb_check, perturb_factor)
+
+def _residues(family: PoleFamily):
+    """The residues of one pole family, by the four-angle limit."""
+
+    def check():
         for lam in (0.3, 0.5, 0.7):
             p = DegenerateParameter(lam)
             for n in range(4):
                 info = core._pole_info(family, n, p)
-                observed = rec.perturb(_residue_limit(info.location, p))
-                rec.compare(info.location, lam, "four-angle-limit",
-                            observed, info.residue, 1e-6)
+                yield (info.location, lam, "four-angle-limit",
+                       _residue_limit(info.location, p), info.residue, 1e-6)
+
+    return check
+
+
+def _hankel_domain(rng, p_range):
+    p = DegenerateParameter(rng.uniform(*_lambda_range(p_range, 0.2, 0.8)))
+    s = _sample_complex(
+        rng, (0.15, p.inv_lambda - 0.5), (-1.5, 1.5),
+        lambda w: (
+            not _away_from_poles(w, p, 0.1)
+            or abs(w.real - round(w.real)) + abs(w.imag) < 0.1
+        ),
+    )
+    return s, p
+
+
+def _hankel_contour(rng, p_range, pspec):
+    s, p = _hankel_domain(rng, p_range)
+    return (s, p.lam, "hankel", quadrature.hankel_gamma(s, p).value,
+            _value(s, p), 1e-7)
+
+
+def _hankel_contour_reflected(rng, p_range, pspec):
+    s, p = _hankel_domain(rng, p_range)
+    return (s, p.lam, "hankel-reflected",
+            quadrature.hankel_gamma_reflected(s, p).value,
+            quadrature.hankel_gamma(s, p).value, 1e-10)
+
+
+# The identity checks: (name, random stream, compares logs, check).  A check
+# with a stream index draws from default_rng([seed, index]) and maps
+# (rng, p_range, product spec) to one sample (s, lambda, path, observed,
+# expected, tol); one with stream None walks a fixed grid and yields them all.
+_CHECKS = (
+    ("difference-equation", 0, False, _difference_equation),
+    ("reflection-symmetry", 1, True, _reflection_symmetry),
+    ("closed-form-beta-identity", 2, False, _closed_form_beta_identity),
+    ("lambda-shift-k0", 3, False, _lambda_shift(0)),
+    ("lambda-shift-k1", 4, False, _lambda_shift(1)),
+    ("lambda-shift-k2", 5, False, _lambda_shift(2)),
+    ("integer-values", None, False, _integer_values),
+    ("weierstrass-product-main", 6, False, _weierstrass_main),
+    ("weierstrass-product-paired", 7, False, _weierstrass_paired),
+    ("euler-limit", 8, False, _euler_limit),
+    ("sine-product", 9, False, _sine_product),
+    ("beta-classical-mixed", 10, False, _beta_classical_mixed),
+    ("beta-product", 11, False, _beta_product),
+    ("beta-integer-formula", None, False, _beta_integer_formula),
+    ("residues-nonpositive", None, False, _residues(PoleFamily.NON_POSITIVE)),
+    ("residues-shifted", None, False, _residues(PoleFamily.SHIFTED_BY_INV_LAMBDA)),
+    ("hankel-contour", 12, False, _hankel_contour),
+    ("hankel-contour-reflected", 13, False, _hankel_contour_reflected),
+)
+
+# Every identity the harness covers, by what each check does.
+CHECK_ROSTER = tuple(sorted(row[0] for row in _CHECKS))
+
+
+def run_identity_suite(
+    seed: int,
+    samples: int,
+    p_range: tuple[float, float] = (0.1, 0.9),
+    perturb_check: str | None = None,
+    perturb_factor: float = 1.0 + 1e-6,
+    product_terms: int = 100_000,
+) -> list[CheckReport]:
+    """Run every identity check; deterministic given (seed, samples, p_range).
+
+    ``perturb_check`` multiplies the observed path of the named check by
+    ``perturb_factor`` so the harness's sensitivity itself can be tested.
+    Reports come back sorted by check_name.
+    """
+    if samples < 1:
+        raise ValueError("run_identity_suite: samples must be >= 1")
+    pspec = representations.ProductSpec(n_terms=product_terms)
+    reports = []
+    for name, stream, log_space, check in _CHECKS:
+        if stream is None:
+            rows = check()
+        else:
+            rng = np.random.default_rng([seed, stream])
+            rows = (check(rng, p_range, pspec) for _ in range(samples))
+        # the perturb hook: scaling one path by a known factor proves that
+        # the harness detects disagreement
+        factor = perturb_factor if name == perturb_check else 1.0
+        rec = _Recorder(name)
+        for s, lam, path, observed, expected, tol in rows:
+            if log_space:
+                if factor != 1.0:
+                    observed += cmath.log(factor)
+                err = _log_space_gap(observed, expected)
+                observed, expected = cmath.exp(observed - expected), 1.0 + 0.0j
+            else:
+                observed *= factor
+                err = _rel(observed, expected)
+            rec.record(s, lam, path, observed, expected, err, tol)
         reports.append(rec.report())
-
-    # Hankel contour within the strip, plus its reflected realization
-    def hankel_domain(rng):
-        lam = rng.uniform(*_lambda_range(p_range, 0.2, 0.8))
-        p = DegenerateParameter(lam)
-        s = _sample_complex(
-            rng, (0.15, p.inv_lambda - 0.5), (-1.5, 1.5),
-            lambda w: (
-                not _away_from_poles(w, p, 0.1)
-                or abs(w.real - round(w.real)) + abs(w.imag) < 0.1
-            ),
-        )
-        return s, p
-
-    rec = _Recorder("hankel-contour", perturb_check, perturb_factor)
-    rng = rng_for(12)
-    for _ in range(samples):
-        s, p = hankel_domain(rng)
-        lhs = rec.perturb(quadrature.hankel_gamma(s, p, qspec).value)
-        rec.compare(s, p.lam, "hankel", lhs, _value(s, p), 1e-7)
-    reports.append(rec.report())
-
-    rec = _Recorder("hankel-contour-reflected", perturb_check, perturb_factor)
-    rng = rng_for(13)
-    for _ in range(samples):
-        s, p = hankel_domain(rng)
-        lhs = rec.perturb(quadrature.hankel_gamma_reflected(s, p, qspec).value)
-        rhs = quadrature.hankel_gamma(s, p, qspec).value
-        rec.compare(s, p.lam, "hankel-reflected", lhs, rhs, 1e-10)
-    reports.append(rec.report())
-
     reports.sort(key=lambda r: r.check_name)
     return reports
 
@@ -509,7 +474,7 @@ def run_cross_path_scan(grid: GridSpec, p: DegenerateParameter,
         "weierstrass": lambda s: representations.weierstrass_gamma(s, p, pspec),
         "euler-limit": lambda s: representations.euler_limit_gamma(s, p, pspec),
     }
-    rec = _Recorder("cross-path-scan", None, 1.0)
+    rec = _Recorder("cross-path-scan")
     per_path = {
         name: {"max_rel_err": 0.0, "evaluated": 0, "skipped": 0, "applicable": True}
         for name in paths
@@ -539,6 +504,16 @@ def run_cross_path_scan(grid: GridSpec, p: DegenerateParameter,
     return report
 
 
+# The degeneration limits: (name, path, arguments, reference function,
+# lambda at step eps, tolerance at the last step eps = 1e-6).
+_LIMITS = (
+    ("limit-lambda-to-zero", "gamma-limit", (0.5, 1.5, 2.5, 1.0 + 1.0j),
+     lambda s: classical.gamma(s), lambda eps: eps, 1e-4),
+    ("limit-lambda-to-one", "sine-limit", (0.3, 0.5 + 0.5j),
+     lambda z: math.pi / classical.sin_pi(z), lambda eps: 1.0 - eps, 1e-3),
+)
+
+
 def run_limit_checks() -> list[CheckReport]:
     """Degeneration limits: lambda -> 0 recovers Gamma, lambda -> 1 the sine form.
 
@@ -546,51 +521,26 @@ def run_limit_checks() -> list[CheckReport]:
     lambda sequence.
     """
     reports = []
-
-    rec = _Recorder("limit-lambda-to-zero", None, 1.0)
-    for s in (0.5, 1.5, 2.5, 1.0 + 1.0j):
-        devs = []
-        for lam in (1e-2, 1e-4, 1e-6):
-            p = DegenerateParameter(lam)
-            val = core.degenerate_gamma(s, p).value
-            ref = classical.gamma(s)
-            devs.append(_rel(val, ref))
-            tol = 1e-4 if lam == 1e-6 else math.inf
-            rec.record(complex(s), lam, "gamma-limit", val, ref, devs[-1], tol)
-        if not (devs[0] > devs[1] > devs[2]):
-            rec.failures.append({
-                "s_re": complex(s).real, "s_im": complex(s).imag,
-                "lambda": 1e-6, "path": "gamma-limit-monotone",
-                "observed_re": devs[0], "observed_im": devs[1],
-                "expected_re": devs[2], "expected_im": 0.0,
-                "rel_err": max(devs), "tol": 0.0,
-            })
-    report = rec.report()
-    report.passed = not report.failures
-    reports.append(report)
-
-    rec = _Recorder("limit-lambda-to-one", None, 1.0)
-    for z in (0.3, 0.5 + 0.5j):
-        devs = []
-        for eps in (1e-2, 1e-4, 1e-6):
-            p = DegenerateParameter(1.0 - eps)
-            val = core.degenerate_gamma(z, p).value
-            ref = math.pi / classical.sin_pi(z)
-            devs.append(_rel(val, ref))
-            tol = 1e-3 if eps == 1e-6 else math.inf
-            rec.record(complex(z), 1.0 - eps, "sine-limit", val, ref, devs[-1], tol)
-        if not (devs[0] > devs[1] > devs[2]):
-            rec.failures.append({
-                "s_re": complex(z).real, "s_im": complex(z).imag,
-                "lambda": 1.0 - 1e-6, "path": "sine-limit-monotone",
-                "observed_re": devs[0], "observed_im": devs[1],
-                "expected_re": devs[2], "expected_im": 0.0,
-                "rel_err": max(devs), "tol": 0.0,
-            })
-    report = rec.report()
-    report.passed = not report.failures
-    reports.append(report)
-
+    for name, path, points, reference, lam_at, final_tol in _LIMITS:
+        rec = _Recorder(name)
+        for s in points:
+            devs = []
+            for eps in (1e-2, 1e-4, 1e-6):
+                lam = lam_at(eps)
+                val = core.degenerate_gamma(s, DegenerateParameter(lam)).value
+                ref = reference(s)
+                devs.append(_rel(val, ref))
+                tol = final_tol if eps == 1e-6 else math.inf
+                rec.record(complex(s), lam, path, val, ref, devs[-1], tol)
+            if not (devs[0] > devs[1] > devs[2]):
+                rec.failures.append({
+                    "s_re": complex(s).real, "s_im": complex(s).imag,
+                    "lambda": lam, "path": f"{path}-monotone",
+                    "observed_re": devs[0], "observed_im": devs[1],
+                    "expected_re": devs[2], "expected_im": 0.0,
+                    "rel_err": max(devs), "tol": 0.0,
+                })
+        reports.append(rec.report())
     reports.sort(key=lambda r: r.check_name)
     return reports
 

@@ -150,6 +150,24 @@ class TestEval:
         code, out, err = run_cli(capsys, "eval", "--lambda", "0.5", "--s", "0.8")
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["1e-20", "nan"])
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--lambda", "0.5", "--s", "1"),
+        ("table", "--lambda", "0.5", "--s-re", "0.5:1.5:0.5"),
+    ])
+    def test_flag_tolerance_validated(self, capsys, argv, tol):
+        # even the closed form, which never reads it, rejects a bad --tol
+        code, out, err = run_cli(capsys, *argv, "--tol", tol)
+        assert code == 2
+        assert out == ""
+        assert "--tol must be >= 1e-14" in err
+
+    def test_env_tolerance_ignored_without_tol_flag(self, capsys, monkeypatch):
+        monkeypatch.setenv("DEGAMMA_DEFAULT_TOL", "bogus")
+        code, out, _ = run_cli(capsys, "poles", "--lambda", "0.5", "--n-max", "1")
+        assert code == 0
+        assert len(jsonl(out)) == 4
+
 
 class TestPoles:
     def test_n_max_zero(self, capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from degamma.classical import sin_pi
 from degamma.core import DegenerateParameter, degenerate_beta, degenerate_gamma
+from degamma.core import degenerate_beta_classical
 from degamma.errors import ConvergenceError, DomainError, PoleError
 from degamma.representations import (
     ProductSpec,
@@ -243,6 +244,29 @@ class TestBetaProduct:
         p = DegenerateParameter(0.25)
         with pytest.raises(PoleError):
             degenerate_beta_product(-1.0, 1.0, p, ProductSpec(n_terms=100))
+
+
+class TestPoleErrorsNameThePole:
+    """Every argument check reports the pole itself and the argument's name."""
+
+    LAM = 0.25  # poles at 0, -1, -2, ... and 4, 5, 6, ...
+
+    @pytest.mark.parametrize("pole", [0.0, -2.0, 4.0, 5.0])
+    @pytest.mark.parametrize("offset", [1e-9, -1e-9, 1e-9j])
+    @pytest.mark.parametrize("evaluate,name", [
+        (lambda w, p: degenerate_beta(w, 0.5, p), "alpha"),
+        (lambda w, p: degenerate_beta_classical(0.5, w, p), "beta"),
+        (lambda w, p: degenerate_beta_product(w, 0.5, p, ProductSpec(100)), "alpha"),
+        (lambda w, p: degenerate_beta_product(0.5, w, p, ProductSpec(100)), "beta"),
+        (lambda w, p: weierstrass_gamma(w, p, ProductSpec(100)), "z"),
+        (lambda w, p: euler_limit_gamma(w, p, ProductSpec(100)), "z"),
+    ])
+    def test_location_is_the_pole(self, evaluate, name, pole, offset):
+        p = DegenerateParameter(self.LAM)
+        with pytest.raises(PoleError) as exc:
+            evaluate(pole + offset, p)
+        assert exc.value.location == complex(pole, 0.0)
+        assert exc.value.argument_name == name
 
 
 class TestProductSpec:

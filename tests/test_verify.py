@@ -96,6 +96,14 @@ class TestIdentitySuite:
         by_name = {r.check_name: r for r in reports}
         assert not by_name[check].passed
 
+    @pytest.mark.parametrize("check", CHECK_ROSTER)
+    def test_perturbation_fails_exactly_its_check(self, check):
+        reports = run_identity_suite(
+            seed=1, samples=3, product_terms=10**4, perturb_check=check,
+            perturb_factor=1.05,
+        )
+        assert [r.check_name for r in reports if not r.passed] == [check]
+
     def test_samples_validated(self):
         with pytest.raises(ValueError):
             run_identity_suite(seed=0, samples=0)
