@@ -1,6 +1,6 @@
 """Self-contained complex-plane kernel: gamma, log-gamma, beta.
 
-Everything downstream funnels through :func:`log_gamma`; it is a hand-rolled
+Everything downstream funnels through one log Gamma kernel, a hand-rolled
 rational approximation (Lanczos form, g = 607/128, 15 terms) on the half-plane
 Re(z) >= 0.5, extended left by the reflection formula
 Gamma(z)Gamma(1-z) = pi/sin(pi z) with explicit branch bookkeeping so that the
@@ -19,6 +19,12 @@ zeros included, at a fraction of the cost.
 Multi-gamma formulas (beta and everything in :mod:`degamma.core`) are
 assembled as sums of log-gamma values and exponentiated once, so intermediate
 magnitudes such as Gamma(1/lambda) never have to be representable.
+
+:func:`log_gamma` is the pole test followed by ``_log_gamma_off_pole``, which
+holds the real-axis cut rule and the Gamma(1) = Gamma(2) = 1 shortcut.  The
+closed form in :mod:`degamma.core` tests each argument once, with its own
+``nearest_pole`` over both pole families, and then funnels every log-gamma
+term through ``_log_gamma_off_pole`` without a second test.
 """
 
 from __future__ import annotations
@@ -226,6 +232,17 @@ def _log_gamma_complex(z: complex) -> complex:
     )
 
 
+def _log_gamma_off_pole(z: complex) -> complex:
+    """log Gamma(z) for a z the caller has already cleared of poles."""
+    if z.imag == 0.0:
+        if z.real == 1.0 or z.real == 2.0:
+            return 0j  # Gamma(1) = Gamma(2) = 1 exactly
+        if z.real < 0.0:
+            # On the cut, take the lower-half-plane limit: Gamma(-0.5) gets arg +pi.
+            z = complex(z.real, -0.0)
+    return _log_gamma_complex(z)
+
+
 def log_gamma(z: complex) -> LogGammaResult:
     """log Gamma(z) for complex z.
 
@@ -241,13 +258,7 @@ def log_gamma(z: complex) -> LogGammaResult:
             f"log_gamma: z = {z} is within {POLE_TOLERANCE} of the pole at {-n}",
             location=complex(-n, 0.0),
         )
-    if z.imag == 0.0:
-        if z.real == 1.0 or z.real == 2.0:
-            return LogGammaResult(0.0, 0.0)  # Gamma(1) = Gamma(2) = 1 exactly
-        if z.real < 0.0:
-            # On the cut, take the lower-half-plane limit: Gamma(-0.5) gets arg +pi.
-            z = complex(z.real, -0.0)
-    val = _log_gamma_complex(z)
+    val = _log_gamma_off_pole(z)
     return LogGammaResult(val.real, val.imag)
 
 
@@ -284,11 +295,7 @@ def log_beta(a: complex, b: complex) -> complex:
     """log B(a, b) = log Gamma(a) + log Gamma(b) - log Gamma(a+b)."""
     a, b = complex(a), complex(b)
     _require_off_gamma_poles((("a", a), ("b", b), ("a+b", a + b)))
-    return (
-        log_gamma(a).as_complex()
-        + log_gamma(b).as_complex()
-        - log_gamma(a + b).as_complex()
-    )
+    return _log_gamma_off_pole(a) + _log_gamma_off_pole(b) - _log_gamma_off_pole(a + b)
 
 
 def beta(a: complex, b: complex) -> complex:
@@ -321,8 +328,6 @@ def beta_product(a: complex, b: complex, n_terms: int) -> complex:
         raise ValueError("beta_product: n_terms must be >= 1")
     a, b = complex(a), complex(b)
     _require_off_gamma_poles((("a", a), ("b", b), ("a+b", a + b)))
-    if min(abs(a), abs(b)) < POLE_TOLERANCE:
-        raise PoleError("beta_product: prefactor requires a, b != 0")
     total = 0.0 + 0.0j
     for lo, hi in _chunks(1, n_terms + 1):
         n = np.arange(lo, hi, dtype=np.float64)

@@ -96,24 +96,17 @@ def parse_range(text: str) -> list[float]:
     return values
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("value must be a positive integer")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("value must be >= 0")
-    return value
+def _int_at_least(low: int):
+    """The argparse type of an integer >= low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"value must be >= {low}")
+        return value
+    return parse
 
 
 @dataclass
@@ -200,26 +193,19 @@ class _Emitter:
 def _record_from_result(
     s: complex, lam: float, method: str, result: EvalResult
 ) -> OutputRecord:
-    if result.status is EvalStatus.AT_POLE:
-        return OutputRecord(
-            s_re=s.real, s_im=s.imag, lam=lam,
-            value_re=None, value_im=None, abs_error=None,
-            method=method, status="pole",
-            residue_re=result.pole.residue.real,
-            residue_im=result.pole.residue.imag,
-        )
-    if result.status is EvalStatus.OVERFLOW:
-        return OutputRecord(
-            s_re=s.real, s_im=s.imag, lam=lam,
-            value_re=None, value_im=None, abs_error=None,
-            method=method, status="overflow",
-        )
-    status = "near-pole" if result.status is EvalStatus.NEAR_POLE else "regular"
-    return OutputRecord(
+    """The record of one result; EvalStatus values are the wire's status strings."""
+    rec = OutputRecord(
         s_re=s.real, s_im=s.imag, lam=lam,
-        value_re=result.value.real, value_im=result.value.imag,
-        abs_error=result.abs_error_estimate, method=method, status=status,
+        value_re=None, value_im=None, abs_error=None,
+        method=method, status=result.status.value,
     )
+    if result.status is EvalStatus.AT_POLE:
+        rec.residue_re = result.pole.residue.real
+        rec.residue_im = result.pole.residue.imag
+    elif result.status is not EvalStatus.OVERFLOW:
+        rec.value_re, rec.value_im = result.value.real, result.value.imag
+        rec.abs_error = result.abs_error_estimate
+    return rec
 
 
 class _Parser(argparse.ArgumentParser):
@@ -359,7 +345,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--tol", type=float, default=tol_default,
                         help="relative tolerance for integral paths "
                              "(default 1e-10, env DEGAMMA_DEFAULT_TOL)")
-        sp.add_argument("--n-terms", type=_positive_int, default=100_000,
+        sp.add_argument("--n-terms", type=_int_at_least(1), default=100_000,
                         help="truncation level for product paths")
         sp.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
         if with_method:
@@ -374,7 +360,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("poles", help="list poles and residues")
     sp.add_argument("--lambda", dest="lam", type=float, required=True)
-    sp.add_argument("--n-max", type=_nonnegative_int, required=True)
+    sp.add_argument("--n-max", type=_int_at_least(0), required=True)
     sp.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
 
     sp = sub.add_parser("table", help="sweep s or lambda and emit a table")
@@ -391,13 +377,12 @@ def _build_parser() -> _Parser:
     sp.add_argument("--beta", type=parse_complex, required=True)
     sp.add_argument("--method", choices=("ratio", "classical-mixed", "product"),
                     default="ratio")
-    sp.add_argument("--tol", type=float, default=tol_default)
-    sp.add_argument("--n-terms", type=_positive_int, default=100_000)
+    sp.add_argument("--n-terms", type=_int_at_least(1), default=100_000)
     sp.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
 
     sp = sub.add_parser("verify", help="run the cross-representation suite")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--samples", type=_positive_int, default=100)
+    sp.add_argument("--samples", type=_int_at_least(1), default=100)
     sp.add_argument("--report-path", default="degamma-verify-report.json")
     sp.add_argument("--fault-inject", default=None, help=argparse.SUPPRESS)
 
@@ -419,7 +404,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if hasattr(args, "tol"):  # eval, table and beta
+        if hasattr(args, "tol"):  # eval and table
             args.tol = _tolerance(args.tol)
         if args.command == "verify":
             return _cmd_verify(args)

@@ -17,8 +17,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import classical
-from .classical import POLE_TOLERANCE, LOG_OVERFLOW
+from .classical import POLE_TOLERANCE, LOG_OVERFLOW, _log_gamma_off_pole
 from .errors import (
     BranchPointError,
     DomainError,
@@ -89,7 +88,8 @@ class DegenerateParameter:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "inv_lambda", inv_lambda)
         object.__setattr__(self, "log_lambda", math.log(lam))
-        object.__setattr__(self, "log_gamma_inv_lambda", _lg_real(inv_lambda))
+        object.__setattr__(self, "log_gamma_inv_lambda",
+                           _log_gamma_off_pole(inv_lambda).real)
 
 
 class PoleFamily(enum.Enum):
@@ -159,7 +159,8 @@ def _finish(log_val: complex, method: EvalMethod, rel_est: float,
         value, estimate, status = _NAN, math.inf, EvalStatus.OVERFLOW
     else:
         value = cmath.exp(log_val)
-        estimate = abs(value) * rel_est
+        # inf * 0 would be NaN where the value underflows
+        estimate = math.inf if math.isinf(rel_est) else abs(value) * rel_est
     return EvalResult(
         value=value,
         abs_error_estimate=estimate,
@@ -255,16 +256,6 @@ class GeneralizedFallingFactorial:
         return cls(complex(x), int(n), float(lam), falling_factorial(x, n, lam))
 
 
-def _lg(z: complex) -> complex:
-    """Complex log-gamma as a single complex number."""
-    return classical.log_gamma(z).as_complex()
-
-
-def _lg_real(x: float) -> float:
-    """log Gamma(x) for real x > 0."""
-    return classical.log_gamma(x).log_abs
-
-
 def pole_residue(family: PoleFamily, n: int, p: DegenerateParameter) -> complex:
     """Residue of the degenerate gamma function at the n-th pole of a family.
 
@@ -274,7 +265,8 @@ def pole_residue(family: PoleFamily, n: int, p: DegenerateParameter) -> complex:
     if n < 0:
         raise ValueError("pole_residue: n must be non-negative")
     u = p.inv_lambda
-    log_mag = _lg_real(u + n) - _lg_real(n + 1.0) - p.log_gamma_inv_lambda
+    log_mag = (_log_gamma_off_pole(u + n).real - _log_gamma_off_pole(n + 1.0).real
+               - p.log_gamma_inv_lambda)
     if family is PoleFamily.NON_POSITIVE:
         log_mag += n * p.log_lambda
         sign = -1.0 if n % 2 else 1.0
@@ -324,14 +316,33 @@ def nearest_pole(s: complex, p: DegenerateParameter) -> tuple[float, PoleFamily,
     return d2, PoleFamily.SHIFTED_BY_INV_LAMBDA, n2
 
 
+def _closed_form_log(s: complex, p: DegenerateParameter) -> tuple[complex, float]:
+    """The closed form's log value at s and the magnitude sum of its terms.
+
+    s must already be cleared by ``nearest_pole``: Gamma(s)'s poles are the
+    non-positive family and Gamma(u - s)'s the shifted one, so neither term
+    is tested again.
+    """
+    term_s = _log_gamma_off_pole(s)
+    term_us = _log_gamma_off_pole(p.inv_lambda - s)
+    term_u = p.log_gamma_inv_lambda
+    log_val = (-s) * p.log_lambda + term_s + term_us - term_u
+    mag_sum = (
+        abs(term_s) + abs(term_us) + abs(term_u) + abs(s) * abs(p.log_lambda)
+    )
+    return log_val, mag_sum
+
+
 def degenerate_gamma_log(s: complex, p: DegenerateParameter) -> complex:
     """log of the degenerate gamma function (closed form), as one complex number.
 
-    Raises PoleError within POLE_TOLERANCE of either pole family.
+    Raises PoleError within POLE_TOLERANCE of either pole family, the one
+    ``nearest_pole`` finds; its ``location`` is that pole and its
+    ``argument_name`` is "s".
     """
     s = complex(s)
-    u = p.inv_lambda
-    return (-s) * p.log_lambda + _lg(s) + _lg(u - s) - p.log_gamma_inv_lambda
+    _check_argument("s", s, p)
+    return _closed_form_log(s, p)[0]
 
 
 def degenerate_gamma(s: complex, p: DegenerateParameter) -> EvalResult:
@@ -354,14 +365,7 @@ def degenerate_gamma(s: complex, p: DegenerateParameter) -> EvalResult:
             status=EvalStatus.AT_POLE,
             pole=info,
         )
-    u = p.inv_lambda
-    term_s = _lg(s)
-    term_us = _lg(u - s)
-    term_u = p.log_gamma_inv_lambda
-    log_val = (-s) * p.log_lambda + term_s + term_us - term_u
-    mag_sum = (
-        abs(term_s) + abs(term_us) + abs(term_u) + abs(s) * abs(p.log_lambda)
-    )
+    log_val, mag_sum = _closed_form_log(s, p)
     rel_est = 1e-14 + 8e-16 * mag_sum
     if dist < NEAR_POLE_RADIUS:
         rel_est *= NEAR_POLE_RADIUS / dist
@@ -407,7 +411,7 @@ def degenerate_gamma_integer(k: int, p: DegenerateParameter) -> IntegerGammaValu
         value = complex(math.factorial(k - 1)) / falling.value
     else:
         # log-space route for factorials beyond double range
-        log_num = _lg_real(float(k))
+        log_num = _log_gamma_off_pole(float(k)).real
         value = cmath.exp(log_num - cmath.log(falling.value))
     return IntegerGammaValue(k=k, lam=p.lam, value=value, falling=falling)
 
@@ -534,9 +538,9 @@ def degenerate_beta(a: complex, b: complex, p: DegenerateParameter) -> EvalResul
     zero = _beta_guard(a, b, p, EvalMethod.CLOSED_FORM)
     if zero is not None:
         return zero
-    la = degenerate_gamma_log(a, p)
-    lb = degenerate_gamma_log(b, p)
-    lab = degenerate_gamma_log(a + b, p)
+    la = _closed_form_log(a, p)[0]
+    lb = _closed_form_log(b, p)[0]
+    lab = _closed_form_log(a + b, p)[0]
     log_val = la + lb - lab
     rel_est = 1e-14 + 8e-16 * (abs(la) + abs(lb) + abs(lab))
     return _finish(log_val, EvalMethod.CLOSED_FORM, rel_est)
@@ -557,10 +561,10 @@ def degenerate_beta_classical(
         return zero
     u = p.inv_lambda
     terms = [
-        classical.log_beta(a, b),
-        _lg(u - a),
-        _lg(u - b),
-        -_lg(u - a - b),
+        _log_gamma_off_pole(a) + _log_gamma_off_pole(b) - _log_gamma_off_pole(a + b),
+        _log_gamma_off_pole(u - a),
+        _log_gamma_off_pole(u - b),
+        -_log_gamma_off_pole(u - a - b),
         -p.log_gamma_inv_lambda,
     ]
     log_val = sum(terms)

@@ -296,6 +296,11 @@ class TestBetaProduct:
         with pytest.raises(ValueError):
             beta_product(1, 1, 0)
 
+    def test_zero_argument_is_a_gamma_pole(self):
+        with pytest.raises(PoleError) as exc:
+            beta_product(0, 1, 10)
+        assert exc.value.argument_name == "a"
+
 
 class TestSinPi:
     def test_huge_argument_reduction(self):

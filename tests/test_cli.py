@@ -368,6 +368,13 @@ class TestBeta:
         assert code == 2
         assert "alpha" in err
 
+    def test_tol_flag_is_a_usage_error(self, capsys):
+        # no beta method reads a tolerance, so the flag does not exist
+        with pytest.raises(SystemExit) as exc:
+            main(["beta", "--lambda", "0.1", "--alpha", "2", "--beta", "1",
+                  "--method", "product", "--tol", "1e-3"])
+        assert exc.value.code == 64
+
 
 class TestVerifyCommand:
     def test_small_verify_passes(self, capsys, tmp_path):

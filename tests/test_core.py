@@ -243,6 +243,38 @@ class TestClosedForm:
         ) <= 1e-14
 
 
+class TestSinglePoleDecision:
+    """degenerate_gamma and degenerate_gamma_log make one pole decision.
+
+    Real s is swept over 81 ulps around both edges of the 1e-8 band of each
+    pole, where two differently rounded distance tests could disagree.
+    """
+
+    @pytest.mark.parametrize("family", list(PoleFamily))
+    @pytest.mark.parametrize("lam", [0.3, 0.7, 0.19015])
+    def test_log_raises_exactly_at_pole_status(self, lam, family):
+        p = DegenerateParameter(lam)
+        seen = set()
+        for n in range(20):
+            if family is PoleFamily.NON_POSITIVE:
+                pole = float(-n)
+            else:
+                pole = p.inv_lambda + n
+            for edge in (pole - 1e-8, pole + 1e-8):
+                for k in range(-40, 41):
+                    s = complex(edge + k * math.ulp(edge), 0.0)
+                    res = degenerate_gamma(s, p)
+                    seen.add(res.status)
+                    if res.status is not EvalStatus.AT_POLE:
+                        degenerate_gamma_log(s, p)
+                        continue
+                    with pytest.raises(PoleError) as exc:
+                        degenerate_gamma_log(s, p)
+                    assert exc.value.location == res.pole.location
+                    assert exc.value.argument_name == "s"
+        assert seen == {EvalStatus.AT_POLE, EvalStatus.NEAR_POLE}
+
+
 class TestIntegerValues:
     def test_k1(self):
         assert rel(

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -214,6 +215,18 @@ class TestWeierstrassRoundingFloor:
         spec = ProductSpec(n_terms=n_terms, use_tail_correction=corrected)
         res = weierstrass_gamma(z, p, spec)
         assert abs(res.value - closed(z, p)) <= res.abs_error_estimate
+
+
+class TestUnderflowedValueEstimate:
+    def test_infinite_relative_estimate_stays_infinite(self):
+        # the value underflows to 0 and one term leaves the tail bound infinite
+        p = DegenerateParameter(0.19015)
+        spec = ProductSpec(n_terms=1, use_tail_correction=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = weierstrass_gamma(54.9 - 0.21j, p, spec)
+        assert res.value == 0.0
+        assert res.abs_error_estimate == math.inf
 
 
 class TestBetaProduct:
