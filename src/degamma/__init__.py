@@ -31,7 +31,6 @@ from .core import (
     EvalMethod,
     EvalResult,
     EvalStatus,
-    GeneralizedFallingFactorial,
     IntegerGammaValue,
     PoleFamily,
     PoleInfo,

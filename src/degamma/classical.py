@@ -167,6 +167,14 @@ def _nonpositive_integer_distance(z: complex) -> tuple[float, int]:
     return abs(z + n), n
 
 
+def _integer_distance(name: str, arg: str, z: complex) -> tuple[float, int]:
+    """Distance from z to the nearest integer n, and n; DomainError for non-finite z."""
+    if not cmath.isfinite(z):
+        raise DomainError(f"{name}: {arg} = {z} is not finite")
+    n = round(z.real)
+    return math.hypot(z.real - n, z.imag), n
+
+
 def _log_positive(a: float) -> float:
     """log(a) for a > 0, rounded as the real part of ``cmath.log(complex(a, 0.0))``.
 
@@ -304,13 +312,16 @@ def beta(a: complex, b: complex) -> complex:
 
 
 def reflection_product(z: complex) -> complex:
-    """pi / sin(pi*z), computed directly (equals Gamma(z)Gamma(1-z))."""
+    """pi / sin(pi*z), computed directly (equals Gamma(z)Gamma(1-z)).
+
+    Raises DomainError if z is not finite.
+    """
     z = complex(z)
-    dist = math.hypot(z.real - round(z.real), z.imag)
+    dist, n = _integer_distance("reflection_product", "z", z)
     if dist < POLE_TOLERANCE:
         raise PoleError(
             f"reflection_product: z = {z} is within {POLE_TOLERANCE} of an integer",
-            location=complex(round(z.real), 0.0),
+            location=complex(n, 0.0),
         )
     return math.pi / sin_pi(z)
 

@@ -309,9 +309,8 @@ def _cmd_beta(args, emitter) -> int:
 
 
 def _cmd_verify(args) -> int:
-    fault = args.fault_inject or os.environ.get("DEGAMMA_FAULT_INJECT")
     reports = verify.run_identity_suite(
-        seed=args.seed, samples=args.samples, perturb_check=fault,
+        seed=args.seed, samples=args.samples, perturb_check=args.fault_inject,
     )
     reports += verify.run_limit_checks()
     reports += [verify.run_cross_path_scan(

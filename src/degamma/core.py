@@ -33,7 +33,6 @@ __all__ = [
     "EvalMethod",
     "EvalStatus",
     "EvalResult",
-    "GeneralizedFallingFactorial",
     "IntegerGammaValue",
     "ShiftStep",
     "degenerate_exp",
@@ -242,20 +241,6 @@ def falling_factorial_exact(x, n: int, lam) -> Fraction:
     return out
 
 
-@dataclass(frozen=True)
-class GeneralizedFallingFactorial:
-    """A falling-factorial product together with the inputs that formed it."""
-
-    x: complex
-    n: int
-    lam: float
-    value: complex
-
-    @classmethod
-    def compute(cls, x: complex, n: int, lam: float) -> "GeneralizedFallingFactorial":
-        return cls(complex(x), int(n), float(lam), falling_factorial(x, n, lam))
-
-
 def pole_residue(family: PoleFamily, n: int, p: DegenerateParameter) -> complex:
     """Residue of the degenerate gamma function at the n-th pole of a family.
 
@@ -381,7 +366,6 @@ class IntegerGammaValue:
     k: int
     lam: float
     value: complex
-    falling: GeneralizedFallingFactorial
 
     def exact(self) -> Fraction:
         """The same quantity in exact rational arithmetic (lambda as a binary rational)."""
@@ -395,7 +379,8 @@ def degenerate_gamma_integer(k: int, p: DegenerateParameter) -> IntegerGammaValu
 
     Raises SingularParameterError when lambda collides with 1/j for some
     2 <= j <= k (the product (1)_{k+1,lambda} vanishes there; the closed form
-    correctly reports those points as poles instead).
+    correctly reports those points as poles instead), and OverflowError when
+    the value exceeds double range.
     """
     k = int(k)
     if k < 1:
@@ -406,14 +391,19 @@ def degenerate_gamma_integer(k: int, p: DegenerateParameter) -> IntegerGammaValu
                 f"lambda = {p.lam} collides with 1/{j}; the integer-argument "
                 f"product (1)_(k+1,lambda) vanishes for k = {k}"
             )
-    falling = GeneralizedFallingFactorial.compute(1.0, k + 1, p.lam)
+    falling = falling_factorial(1.0, k + 1, p.lam)
     if k <= 170:
-        value = complex(math.factorial(k - 1)) / falling.value
+        value = complex(math.factorial(k - 1)) / falling
     else:
         # log-space route for factorials beyond double range
-        log_num = _log_gamma_off_pole(float(k)).real
-        value = cmath.exp(log_num - cmath.log(falling.value))
-    return IntegerGammaValue(k=k, lam=p.lam, value=value, falling=falling)
+        log_val = _log_gamma_off_pole(float(k)).real - cmath.log(falling)
+        if log_val.real > LOG_OVERFLOW:
+            raise OverflowError(
+                f"degenerate_gamma_integer: |dgamma({k})| = "
+                f"exp({log_val.real:.6g}) overflows double precision"
+            )
+        value = cmath.exp(log_val)
+    return IntegerGammaValue(k=k, lam=p.lam, value=value)
 
 
 def difference_step(s: complex, p: DegenerateParameter) -> complex:

@@ -4,28 +4,30 @@ The engine is a double-exponential (tanh-sinh) rule on (0, 1) with level
 doubling and node reuse.  Integrands receive both the node x and the distance
 1-x computed without cancellation, so algebraic singularities at either
 endpoint keep full relative accuracy.  The convergence test cannot pass before
-level 3, so levels 0-3 (195 nodes) are evaluated in one integrand call on
-cached concatenated nodes, and each level's sum is taken from its slice;
-deeper levels are then added one at a time.
+level 3, so ``QuadratureSpec`` requires ``max_level >= 3``; levels 0-3 (195
+nodes) are evaluated in one integrand call on cached concatenated nodes, and
+each level's sum is taken from its slice; deeper levels are then added one at
+a time.
 
 The Hankel path realizes the loop around the origin as two straight edges
 along the negative axis (phases exp(+-i*pi*s)) plus a circle of radius delta,
 the circle by a doubling trapezoid rule; together with the 1/(2i sin(pi s))
 prefactor this continues the degenerate gamma function left of the validity
-strip.  The circle's geometry does not depend on s or lambda: for each
-realization and radius, the nodes of the trapezoid ladder up to 1024
-intervals and log(1 -+ delta e^{it}) at them are cached, for the last eight
-(realization, radius) pairs used; deeper rows are formed per call.  The nodes
-up to 256 intervals (257), before which the ladder hardly ever converges, are
-evaluated in one integrand call; the Romberg test still runs row by row and
-stops at the first converged row.
+strip.  The edges are truncated at the radius R where the analytic tail bound
+meets the tolerance.  The circle's geometry does not depend on s or lambda:
+for each realization and radius, the nodes of the trapezoid ladder up to 1024
+intervals and log(1 -+ delta e^{it}) at them are kept in an LRU cache of the
+last eight (realization, radius) pairs used; deeper rows are formed per call.
+The nodes up to 256 intervals (257), before which the ladder hardly ever
+converges, are evaluated in one integrand call; the Romberg test still runs
+row by row and stops at the first converged row.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,44 +52,40 @@ HANKEL_MARGIN = 0.1
 
 _T_MAX = 6.1  # |t| beyond this, double-exponential weights underflow usefully
 _BASE_STEP = 0.5
+# The convergence test in de_quadrature cannot pass before this level.
+_FIRST_TEST_LEVEL = 3
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tolerances and contour geometry for the integral paths.
 
-    ``hankel_cutoff`` of None selects the truncation radius R automatically
-    from the analytic tail bound R**(Re s - 1/lambda)/(1/lambda - Re s).
+    ``max_level`` is the deepest tanh-sinh level tried; it must be at least 3,
+    the first level at which the convergence test can pass.  The contour's
+    truncation radius R is not set here: it is chosen so that the analytic
+    tail bound R**(Re s - 1/lambda)/(1/lambda - Re s) meets the tolerance.
     """
 
     rel_tolerance: float = 1e-10
     max_level: int = 10
     hankel_radius: float = 0.3
-    hankel_cutoff: float | None = None
 
     def __post_init__(self):
         if not self.rel_tolerance >= 1e-14:
             raise ValueError("QuadratureSpec: rel_tolerance must be >= 1e-14")
         if not 0.0 < self.hankel_radius < 1.0:
             raise ValueError("QuadratureSpec: hankel_radius must be in (0, 1)")
-        if self.max_level < 1:
-            raise ValueError("QuadratureSpec: max_level must be >= 1")
-        if self.hankel_cutoff is not None and self.hankel_cutoff <= 1.0:
-            raise ValueError("QuadratureSpec: hankel_cutoff must exceed 1")
+        if self.max_level < _FIRST_TEST_LEVEL:
+            raise ValueError("QuadratureSpec: max_level must be >= 3")
 
 
-_node_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(x, 1-x, weight) for the new nodes introduced at a refinement level.
 
     Level 0 holds every node of the base step; level m > 0 holds only the odd
     multiples of the halved step, so a running sum can reuse earlier levels.
     """
-    cached = _node_cache.get(level)
-    if cached is not None:
-        return cached
     h = _BASE_STEP / (1 << level) if level else _BASE_STEP
     if level == 0:
         k = np.arange(-int(_T_MAX / h), int(_T_MAX / h) + 1)
@@ -100,25 +98,15 @@ def _nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     one_minus_x = 1.0 / (1.0 + np.exp(2.0 * u))
     w = 0.5 * math.pi * np.cosh(t) / (2.0 * np.cosh(u) ** 2)
     keep = (w > 0.0) & (x > 0.0) & (one_minus_x > 0.0)
-    entry = (x[keep], one_minus_x[keep], w[keep])
-    _node_cache[level] = entry
-    return entry
+    return x[keep], one_minus_x[keep], w[keep]
 
 
-# The convergence test in de_quadrature cannot pass before this level.
-_FIRST_TEST_LEVEL = 3
-_head_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]] = {}
-
-
-def _head_nodes(top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-    """Levels 0..top concatenated as (x, 1-x, weight, end index of each level)."""
-    cached = _head_cache.get(top)
-    if cached is None:
-        levels = [_nodes(level) for level in range(top + 1)]
-        ends = np.cumsum([len(x) for x, _, _ in levels]).tolist()
-        cached = tuple(np.concatenate(parts) for parts in zip(*levels)) + (ends,)
-        _head_cache[top] = cached
-    return cached
+@functools.cache
+def _head_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """Levels 0..3 concatenated as (x, 1-x, weight, end index of each level)."""
+    levels = [_nodes(level) for level in range(_FIRST_TEST_LEVEL + 1)]
+    ends = np.cumsum([len(x) for x, _, _ in levels]).tolist()
+    return tuple(np.concatenate(parts) for parts in zip(*levels)) + (ends,)
 
 
 def de_quadrature(f, spec: QuadratureSpec | None = None) -> tuple[complex, float]:
@@ -138,8 +126,7 @@ def de_quadrature(f, spec: QuadratureSpec | None = None) -> tuple[complex, float
         rel_tolerance of each other.
     """
     spec = spec or QuadratureSpec()
-    top = min(_FIRST_TEST_LEVEL, spec.max_level)
-    x, omx, w, ends = _head_nodes(top)
+    x, omx, w, ends = _head_nodes()
     head = f(x, omx) * w
     h = _BASE_STEP
     total = complex(head[: ends[0]].sum()) * h
@@ -147,7 +134,7 @@ def de_quadrature(f, spec: QuadratureSpec | None = None) -> tuple[complex, float
     err = math.inf
     for level in range(1, spec.max_level + 1):
         h *= 0.5
-        if level <= top:
+        if level <= _FIRST_TEST_LEVEL:
             terms = head[ends[level - 1] : ends[level]]
         else:
             x, omx, w = _nodes(level)
@@ -231,10 +218,9 @@ def _hankel_edges(
     (1+t)**(-1/lambda) dt, taken in y = log t, and the analytic bound on the
     part beyond the cutoff R, R**(Re s - 1/lambda)/(1/lambda - Re s).
     """
-    if not cmath.isfinite(s):  # before round() and the strip test see it
-        raise DomainError(f"{name}: s = {s} is not finite")
-    nearest = round(s.real)
-    if math.hypot(s.real - nearest, s.imag) < POLE_TOLERANCE:
+    # raises DomainError for a non-finite s before the strip test sees it
+    dist, nearest = classical._integer_distance(name, "s", s)
+    if dist < POLE_TOLERANCE:
         raise IntegerArgumentError(
             f"{name}: s = {s} is within {POLE_TOLERANCE} of the integer "
             f"{nearest}, where the sine prefactor vanishes"
@@ -247,9 +233,7 @@ def _hankel_edges(
             f"contour tail to converge"
         )
     gap = u_max - s.real
-    cutoff = spec.hankel_cutoff
-    if cutoff is None:
-        cutoff = max(10.0, (spec.rel_tolerance * gap) ** (-1.0 / gap))
+    cutoff = max(10.0, (spec.rel_tolerance * gap) ** (-1.0 / gap))
     tail = cutoff ** (-gap) / gap
 
     a = math.log(spec.hankel_radius)
@@ -284,15 +268,13 @@ def _hankel_result(
 # intervals; each further row adds the midpoints that halve the step.  The
 # first _CIRCLE_HEAD nodes (256 intervals), which the ladder almost always
 # reaches, go to the integrand in one call.  The nodes up to
-# _CIRCLE_CACHED_INTERVALS and the circle's log term at them are cached for
-# the last _CIRCLE_CACHE_SIZE (realization, radius) pairs; deeper rows are
-# formed per call.
+# _CIRCLE_CACHED_INTERVALS and the circle's log term at them are kept in an
+# LRU cache of the last _CIRCLE_CACHE_SIZE (realization, radius) pairs;
+# deeper rows are formed per call.
 _CIRCLE_N0 = 16
 _CIRCLE_HEAD = 257
 _CIRCLE_CACHED_INTERVALS = 1024
 _CIRCLE_CACHE_SIZE = 8
-_circle_cache: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-_circle_cache_lock = threading.Lock()
 
 
 def _loop_circle_log(theta, delta):
@@ -305,27 +287,20 @@ def _reflected_circle_log(phi, delta):
     return np.log(1.0 + delta * np.exp(1j * phi))
 
 
+@functools.lru_cache(maxsize=_CIRCLE_CACHE_SIZE)
 def _circle_geometry(
     circle_log, a: float, b: float, delta: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Ladder nodes on [a, b] in row order, and circle_log(t, delta) at them."""
-    key = (circle_log, a, b, delta)
-    entry = _circle_cache.get(key)
-    if entry is None:
-        n = _CIRCLE_N0
-        h = (b - a) / n
-        parts = [np.array([a, b]), a + h * np.arange(1, n)]
-        while n < _CIRCLE_CACHED_INTERVALS:
-            parts.append(a + 0.5 * h + h * np.arange(n))
-            h *= 0.5
-            n *= 2
-        t = np.concatenate(parts)
-        entry = (t, circle_log(t, delta))
-        with _circle_cache_lock:
-            while len(_circle_cache) >= _CIRCLE_CACHE_SIZE:
-                del _circle_cache[next(iter(_circle_cache))]
-            _circle_cache[key] = entry
-    return entry
+    n = _CIRCLE_N0
+    h = (b - a) / n
+    parts = [np.array([a, b]), a + h * np.arange(1, n)]
+    while n < _CIRCLE_CACHED_INTERVALS:
+        parts.append(a + 0.5 * h + h * np.arange(n))
+        h *= 0.5
+        n *= 2
+    t = np.concatenate(parts)
+    return t, circle_log(t, delta)
 
 
 def _circle_trapezoid(

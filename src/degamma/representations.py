@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import EULER_GAMMA, POLE_TOLERANCE, _chunks
+from .classical import EULER_GAMMA, POLE_TOLERANCE, _chunks, _integer_distance
 from .core import (
     DegenerateParameter,
     EvalMethod,
@@ -48,7 +48,7 @@ from .core import (
     _check_argument,
     _finish,
 )
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import ConvergenceError, PoleError
 
 __all__ = [
     "ProductSpec",
@@ -214,7 +214,9 @@ def _corrected_tail(z: complex, w: complex, p: DegenerateParameter,
 
 
 def _finish_product(log_val: complex, method: EvalMethod, rel_est: float,
-                    tolerance: float | None) -> EvalResult:
+                    magnitude: float, tolerance: float | None) -> EvalResult:
+    """A product's result; the estimate gains a few ulps of the terms' ``magnitude``."""
+    rel_est += 4e-16 * magnitude
     if tolerance is not None and not rel_est <= tolerance:
         raise ConvergenceError(
             f"truncation error estimate {rel_est:.3g} exceeds requested "
@@ -267,10 +269,9 @@ def weierstrass_gamma(
         log_prod += correction
     else:
         rel_est = _weierstrass_tail_bound(z, w, p, spec.n_terms)
-    # rounding floor: a few ulps of each magnitude the log value carries
-    rel_est += 4e-16 * (abs(log_pre) + log_growth + abs(log_sum))
     return _finish_product(
-        log_pre + log_prod, EvalMethod.WEIERSTRASS_PRODUCT, rel_est, spec.tolerance
+        log_pre + log_prod, EvalMethod.WEIERSTRASS_PRODUCT, rel_est,
+        abs(log_pre) + log_growth + abs(log_sum), spec.tolerance,
     )
 
 
@@ -306,17 +307,19 @@ def euler_limit_gamma(
     half = max(n // 2, 1)
     sum_half = _paired_log_sum(z, u, 1, half)
     sum_full = sum_half + _paired_log_sum(z, u, half, n)
-    log_val = base + u * math.log(n) - sum_full
-    # rounding floor: a few ulps of each magnitude the log value carries
-    fp_floor = 4e-16 * (abs(base) + u * math.log(n) + abs(sum_full))
+    log_growth = u * math.log(n)
+    log_val = base + log_growth - sum_full
     if n >= 2:
         log_half = base + u * math.log(half) - sum_half
         # first-order convergence makes the level gap equal the remaining
         # error asymptotically; the 1.25 cushion covers the next order
-        rel_est = 1.25 * abs(log_val - log_half) + fp_floor
+        rel_est = 1.25 * abs(log_val - log_half)
     else:
         rel_est = math.inf
-    return _finish_product(log_val, EvalMethod.EULER_LIMIT, rel_est, spec.tolerance)
+    return _finish_product(
+        log_val, EvalMethod.EULER_LIMIT, rel_est,
+        abs(base) + log_growth + abs(sum_full), spec.tolerance,
+    )
 
 
 def sine_product(z: complex, n_terms: int) -> complex:
@@ -327,10 +330,8 @@ def sine_product(z: complex, n_terms: int) -> complex:
     if n_terms < 1:
         raise ValueError("sine_product: n_terms must be >= 1")
     z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"sine_product: z = {z} is not finite")
-    nearest = round(z.real)
-    if nearest != 0 and math.hypot(z.real - nearest, z.imag) < POLE_TOLERANCE:
+    dist, nearest = _integer_distance("sine_product", "z", z)
+    if nearest != 0 and dist < POLE_TOLERANCE:
         raise PoleError(
             f"sine_product: z = {z} is within {POLE_TOLERANCE} of the integer "
             f"{nearest}, where a factor vanishes",
@@ -356,7 +357,8 @@ def degenerate_beta_product(
     directly in the prefactor; the exponential factors combine to
     exp(u*(H_N - gamma)) and the rest is three paired sums.  When a+b sits at
     a pole the product contains a vanishing numerator factor and the value is
-    exactly 0 (with a note), in agreement with the ratio path's limit.
+    exactly 0 (with a note), in agreement with the ratio path's limit.  The
+    estimate is the O(1/N) tail bound plus a rounding floor.
     """
     spec = spec or ProductSpec()
     a, b = complex(a), complex(b)
@@ -378,11 +380,9 @@ def degenerate_beta_product(
         - cmath.log(u - b)
     )
     end = spec.n_terms + 1
-    total = (
-        _paired_log_sum(ab, u, 1, end)
-        - _paired_log_sum(a, u, 1, end)
-        - _paired_log_sum(b, u, 1, end)
-    )
+    sum_ab = _paired_log_sum(ab, u, 1, end)
+    sum_a = _paired_log_sum(a, u, 1, end)
+    sum_b = _paired_log_sum(b, u, 1, end)
     sq = (
         abs(ab) ** 2
         + abs(uab) ** 2
@@ -394,5 +394,6 @@ def degenerate_beta_product(
     n0 = 2.0 * max(abs(ab), abs(uab), abs(a), abs(b), abs(u - a), abs(u - b), 1.0)
     rel_est = sq / spec.n_terms if spec.n_terms >= n0 else math.inf
     return _finish_product(
-        log_pre + total, EvalMethod.BETA_PRODUCT, rel_est, spec.tolerance
+        log_pre + (sum_ab - sum_a - sum_b), EvalMethod.BETA_PRODUCT, rel_est,
+        abs(log_pre) + abs(sum_ab) + abs(sum_a) + abs(sum_b), spec.tolerance,
     )

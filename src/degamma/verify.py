@@ -7,10 +7,12 @@ others are judged against it.
 
 Each identity is one row of the table ``_CHECKS``: its name, the index of its
 random stream (None for a fixed grid), whether it compares logs, and a
-function that produces the samples.  ``CHECK_ROSTER`` is the table's names,
-and :func:`run_identity_suite` is one loop over it.  The perturb hook applies
-in that loop only, to each sample's observed value: it multiplies the value by
-the factor, or for the log-space check adds the factor's log.
+function that produces the samples, drawing lambda from a fixed range of its
+own.  ``CHECK_ROSTER`` is the table's names, and :func:`run_identity_suite` is
+one loop over it.  The perturb hook applies in that loop only, to each
+sample's observed value: it multiplies the value by the factor, or for the
+log-space check adds the factor's log.  Every report, the limit checks' and
+the cross-path scan's too, is filled by ``CheckReport.record`` and ``fail``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -48,22 +50,33 @@ class CheckReport:
     """Outcome of one identity check over its sample set."""
 
     check_name: str
-    sample_count: int
-    max_rel_err: float
+    sample_count: int = 0
+    max_rel_err: float = 0.0
     failures: list = field(default_factory=list)
     passed: bool = True
     per_path: dict | None = None
 
+    def record(self, s, lam, path, observed, expected, err, tol) -> None:
+        """Count one compared sample; it fails unless err <= tol."""
+        self.sample_count += 1
+        self.max_rel_err = max(self.max_rel_err, err)
+        if not err <= tol:
+            self.fail(s, lam, path, observed, expected, err, tol)
+
+    def fail(self, s, lam, path, observed, expected, err, tol) -> None:
+        """Add one failure, without counting a sample."""
+        self.failures.append({
+            "s_re": s.real, "s_im": s.imag, "lambda": lam, "path": path,
+            "observed_re": observed.real, "observed_im": observed.imag,
+            "expected_re": expected.real, "expected_im": expected.imag,
+            "rel_err": err, "tol": tol,
+        })
+        self.passed = False
+
     def to_dict(self) -> dict:
-        out = {
-            "check_name": self.check_name,
-            "sample_count": self.sample_count,
-            "max_rel_err": self.max_rel_err,
-            "failures": self.failures,
-            "passed": self.passed,
-        }
-        if self.per_path is not None:
-            out["per_path"] = self.per_path
+        out = asdict(self)
+        if self.per_path is None:
+            del out["per_path"]
         return out
 
 
@@ -74,17 +87,12 @@ class GridSpec:
     re_start: float
     re_stop: float
     re_step: float
-    im_values: tuple[float, ...] = (0.0,)
 
     def points(self) -> list[complex]:
         n = int(round((self.re_stop - self.re_start) / self.re_step)) + 1
         if n < 1:
             raise ValueError("GridSpec: empty grid")
-        return [
-            complex(self.re_start + k * self.re_step, im)
-            for im in self.im_values
-            for k in range(n)
-        ]
+        return [complex(self.re_start + k * self.re_step, 0.0) for k in range(n)]
 
 
 def _rel(a: complex, b: complex) -> float:
@@ -111,47 +119,13 @@ def _away_from_poles(s: complex, p: DegenerateParameter,
     return dist >= radius
 
 
-class _Recorder:
-    """Accumulates per-sample comparisons into a CheckReport."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.max_rel_err = 0.0
-        self.failures: list = []
-        self.count = 0
-
-    def record(self, s, lam, path, observed, expected, err, tol) -> None:
-        self.count += 1
-        self.max_rel_err = max(self.max_rel_err, err)
-        if not err <= tol:
-            self.failures.append({
-                "s_re": s.real, "s_im": s.imag, "lambda": lam, "path": path,
-                "observed_re": observed.real, "observed_im": observed.imag,
-                "expected_re": expected.real, "expected_im": expected.imag,
-                "rel_err": err, "tol": tol,
-            })
-
-    def report(self, sample_count: int | None = None) -> CheckReport:
-        return CheckReport(
-            check_name=self.name,
-            sample_count=self.count if sample_count is None else sample_count,
-            max_rel_err=self.max_rel_err,
-            failures=self.failures,
-            passed=not self.failures,
-        )
-
-
-def _lambda_range(p_range, lo: float, hi: float) -> tuple[float, float]:
-    return max(p_range[0], lo), min(p_range[1], hi)
-
-
 def _value(s: complex, p: DegenerateParameter) -> complex:
     return core.degenerate_gamma(s, p).value
 
 
-def _draw_pair(rng, p_range, shifted: bool = False):
+def _draw_pair(rng, shifted: bool = False):
     """lambda and s over the strip, s (and s + 1 when ``shifted``) off the poles."""
-    p = DegenerateParameter(rng.uniform(*_lambda_range(p_range, 0.05, 0.95)))
+    p = DegenerateParameter(rng.uniform(0.1, 0.9))
     s = _sample_complex(
         rng, (-2.5, p.inv_lambda - 1.5), (-5.0, 5.0),
         lambda s: not _away_from_poles(s, p)
@@ -160,25 +134,25 @@ def _draw_pair(rng, p_range, shifted: bool = False):
     return s, p
 
 
-def _difference_equation(rng, p_range, pspec):
+def _difference_equation(rng, pspec):
     # dgamma(s+1) = s/(1 - lam*(s+1)) * dgamma(s)
-    s, p = _draw_pair(rng, p_range, shifted=True)
+    s, p = _draw_pair(rng, shifted=True)
     return (s, p.lam, "difference-step", _value(s + 1.0, p),
             core.difference_step(s, p) * _value(s, p), 1e-10)
 
 
-def _reflection_symmetry(rng, p_range, pspec):
+def _reflection_symmetry(rng, pspec):
     # lam^s dgamma(s) = lam^(u-s) dgamma(u-s), as the two logs
-    s, p = _draw_pair(rng, p_range)
+    s, p = _draw_pair(rng)
     partner = core.symmetry_partner(s, p)
     l1 = s * p.log_lambda + core.degenerate_gamma_log(s, p)
     l2 = partner * p.log_lambda + core.degenerate_gamma_log(partner, p)
     return s, p.lam, "symmetry", l1, l2, 1e-10
 
 
-def _closed_form_beta_identity(rng, p_range, pspec):
+def _closed_form_beta_identity(rng, pspec):
     # closed form against the classical-beta grouping lam^{-s} B(s, u-s)
-    s, p = _draw_pair(rng, p_range)
+    s, p = _draw_pair(rng)
     return (s, p.lam, "beta-grouping", _value(s, p),
             cmath.exp(-s * p.log_lambda + classical.log_beta(s, p.inv_lambda - s)),
             1e-12)
@@ -187,8 +161,8 @@ def _closed_form_beta_identity(rng, p_range, pspec):
 def _lambda_shift(k: int):
     """The lambda-shift recurrence by k + 1 steps."""
 
-    def check(rng, p_range, pspec):
-        lam = rng.uniform(*_lambda_range(p_range, 0.02, 1.0 / (k + 2) - 0.02))
+    def check(rng, pspec):
+        lam = rng.uniform(0.1, 1.0 / (k + 2) - 0.02)
         p = DegenerateParameter(lam)
         p_shift = DegenerateParameter(lam / (1.0 - (k + 1) * lam))
         s = _sample_complex(
@@ -215,8 +189,8 @@ def _integer_values():
                    complex(float(exact)), 1e-12)
 
 
-def _product_domain(rng, p_range):
-    p = DegenerateParameter(rng.uniform(*_lambda_range(p_range, 0.45, 0.9)))
+def _product_domain(rng):
+    p = DegenerateParameter(rng.uniform(0.45, 0.9))
     s = _sample_complex(
         rng, (0.2, 1.4), (-0.6, 0.6),
         lambda z: not _away_from_poles(z, p, 0.1),
@@ -224,17 +198,17 @@ def _product_domain(rng, p_range):
     return s, p
 
 
-def _weierstrass_main(rng, p_range, pspec):
-    s, p = _product_domain(rng, p_range)
+def _weierstrass_main(rng, pspec):
+    s, p = _product_domain(rng)
     res = representations.weierstrass_gamma(s, p, pspec)
     expected = _value(s, p)
     tol = max(res.abs_error_estimate / max(abs(expected), _TINY), 5e-13)
     return s, p.lam, "weierstrass", res.value, expected, tol
 
 
-def _weierstrass_paired(rng, p_range, pspec):
+def _weierstrass_paired(rng, pspec):
     # the directly summed product against the Euler-Maclaurin one
-    s, p = _product_domain(rng, p_range)
+    s, p = _product_domain(rng)
     main = representations.weierstrass_gamma(s, p, pspec)
     paired = representations.weierstrass_gamma(
         s, p, pspec, euler_constant_form=True
@@ -242,15 +216,15 @@ def _weierstrass_paired(rng, p_range, pspec):
     return s, p.lam, "paired-form", paired.value, main.value, 1e-12
 
 
-def _euler_limit(rng, p_range, pspec):
-    s, p = _product_domain(rng, p_range)
+def _euler_limit(rng, pspec):
+    s, p = _product_domain(rng)
     res = representations.euler_limit_gamma(s, p, pspec)
     expected = _value(s, p)
     tol = max(2.0 * res.abs_error_estimate / max(abs(expected), _TINY), 1e-12)
     return s, p.lam, "euler-limit", res.value, expected, tol
 
 
-def _sine_product(rng, p_range, pspec):
+def _sine_product(rng, pspec):
     # sine product against pi z / sin(pi z)
     z = _sample_complex(
         rng, (-2.5, 2.5), (-1.5, 1.5),
@@ -263,8 +237,8 @@ def _sine_product(rng, p_range, pspec):
     return z, math.nan, "sine-product", observed, expected, tol
 
 
-def _beta_domain(rng, p_range):
-    p = DegenerateParameter(rng.uniform(*_lambda_range(p_range, 0.2, 0.8)))
+def _beta_domain(rng):
+    p = DegenerateParameter(rng.uniform(0.2, 0.8))
 
     def reject(w):
         return not _away_from_poles(w, p, 0.1)
@@ -277,14 +251,14 @@ def _beta_domain(rng, p_range):
     return a, b, p
 
 
-def _beta_classical_mixed(rng, p_range, pspec):
-    a, b, p = _beta_domain(rng, p_range)
+def _beta_classical_mixed(rng, pspec):
+    a, b, p = _beta_domain(rng)
     return (a + b, p.lam, "classical-mixed", core.degenerate_beta(a, b, p).value,
             core.degenerate_beta_classical(a, b, p).value, 1e-11)
 
 
-def _beta_product(rng, p_range, pspec):
-    a, b, p = _beta_domain(rng, p_range)
+def _beta_product(rng, pspec):
+    a, b, p = _beta_domain(rng)
     res = representations.degenerate_beta_product(a, b, p, pspec)
     expected = core.degenerate_beta(a, b, p).value
     tol = max(2.0 * res.abs_error_estimate / max(abs(expected), _TINY), 1e-12)
@@ -326,8 +300,8 @@ def _residues(family: PoleFamily):
     return check
 
 
-def _hankel_domain(rng, p_range):
-    p = DegenerateParameter(rng.uniform(*_lambda_range(p_range, 0.2, 0.8)))
+def _hankel_domain(rng):
+    p = DegenerateParameter(rng.uniform(0.2, 0.8))
     s = _sample_complex(
         rng, (0.15, p.inv_lambda - 0.5), (-1.5, 1.5),
         lambda w: (
@@ -338,14 +312,14 @@ def _hankel_domain(rng, p_range):
     return s, p
 
 
-def _hankel_contour(rng, p_range, pspec):
-    s, p = _hankel_domain(rng, p_range)
+def _hankel_contour(rng, pspec):
+    s, p = _hankel_domain(rng)
     return (s, p.lam, "hankel", quadrature.hankel_gamma(s, p).value,
             _value(s, p), 1e-7)
 
 
-def _hankel_contour_reflected(rng, p_range, pspec):
-    s, p = _hankel_domain(rng, p_range)
+def _hankel_contour_reflected(rng, pspec):
+    s, p = _hankel_domain(rng)
     return (s, p.lam, "hankel-reflected",
             quadrature.hankel_gamma_reflected(s, p).value,
             quadrature.hankel_gamma(s, p).value, 1e-10)
@@ -353,7 +327,7 @@ def _hankel_contour_reflected(rng, p_range, pspec):
 
 # The identity checks: (name, random stream, compares logs, check).  A check
 # with a stream index draws from default_rng([seed, index]) and maps
-# (rng, p_range, product spec) to one sample (s, lambda, path, observed,
+# (rng, product spec) to one sample (s, lambda, path, observed,
 # expected, tol); one with stream None walks a fixed grid and yields them all.
 _CHECKS = (
     ("difference-equation", 0, False, _difference_equation),
@@ -383,12 +357,11 @@ CHECK_ROSTER = tuple(sorted(row[0] for row in _CHECKS))
 def run_identity_suite(
     seed: int,
     samples: int,
-    p_range: tuple[float, float] = (0.1, 0.9),
     perturb_check: str | None = None,
     perturb_factor: float = 1.0 + 1e-6,
     product_terms: int = 100_000,
 ) -> list[CheckReport]:
-    """Run every identity check; deterministic given (seed, samples, p_range).
+    """Run every identity check; deterministic given (seed, samples).
 
     ``perturb_check`` multiplies the observed path of the named check by
     ``perturb_factor`` so the harness's sensitivity itself can be tested.
@@ -403,11 +376,11 @@ def run_identity_suite(
             rows = check()
         else:
             rng = np.random.default_rng([seed, stream])
-            rows = (check(rng, p_range, pspec) for _ in range(samples))
+            rows = (check(rng, pspec) for _ in range(samples))
         # the perturb hook: scaling one path by a known factor proves that
         # the harness detects disagreement
         factor = perturb_factor if name == perturb_check else 1.0
-        rec = _Recorder(name)
+        report = CheckReport(name)
         for s, lam, path, observed, expected, tol in rows:
             if log_space:
                 if factor != 1.0:
@@ -417,8 +390,8 @@ def run_identity_suite(
             else:
                 observed *= factor
                 err = _rel(observed, expected)
-            rec.record(s, lam, path, observed, expected, err, tol)
-        reports.append(rec.report())
+            report.record(s, lam, path, observed, expected, err, tol)
+        reports.append(report)
     reports.sort(key=lambda r: r.check_name)
     return reports
 
@@ -474,11 +447,11 @@ def run_cross_path_scan(grid: GridSpec, p: DegenerateParameter,
         "weierstrass": lambda s: representations.weierstrass_gamma(s, p, pspec),
         "euler-limit": lambda s: representations.euler_limit_gamma(s, p, pspec),
     }
-    rec = _Recorder("cross-path-scan")
     per_path = {
         name: {"max_rel_err": 0.0, "evaluated": 0, "skipped": 0, "applicable": True}
         for name in paths
     }
+    report = CheckReport("cross-path-scan", per_path=per_path)
     for s in points:
         ref = core.degenerate_gamma(s, p)
         if ref.status in (EvalStatus.AT_POLE, EvalStatus.OVERFLOW):
@@ -495,12 +468,11 @@ def run_cross_path_scan(grid: GridSpec, p: DegenerateParameter,
             stats["evaluated"] += 1
             err = _rel(res.value, ref.value)
             stats["max_rel_err"] = max(stats["max_rel_err"], err)
-            rec.record(s, p.lam, name, res.value, ref.value,
-                       err, _scan_tolerance(name, product_terms))
+            report.record(s, p.lam, name, res.value, ref.value,
+                          err, _scan_tolerance(name, product_terms))
     for stats in per_path.values():
         stats["applicable"] = stats["evaluated"] > 0
-    report = rec.report(sample_count=len(points))
-    report.per_path = per_path
+    report.sample_count = len(points)
     return report
 
 
@@ -522,7 +494,7 @@ def run_limit_checks() -> list[CheckReport]:
     """
     reports = []
     for name, path, points, reference, lam_at, final_tol in _LIMITS:
-        rec = _Recorder(name)
+        report = CheckReport(name)
         for s in points:
             devs = []
             for eps in (1e-2, 1e-4, 1e-6):
@@ -531,16 +503,12 @@ def run_limit_checks() -> list[CheckReport]:
                 ref = reference(s)
                 devs.append(_rel(val, ref))
                 tol = final_tol if eps == 1e-6 else math.inf
-                rec.record(complex(s), lam, path, val, ref, devs[-1], tol)
+                report.record(complex(s), lam, path, val, ref, devs[-1], tol)
             if not (devs[0] > devs[1] > devs[2]):
-                rec.failures.append({
-                    "s_re": complex(s).real, "s_im": complex(s).imag,
-                    "lambda": lam, "path": f"{path}-monotone",
-                    "observed_re": devs[0], "observed_im": devs[1],
-                    "expected_re": devs[2], "expected_im": 0.0,
-                    "rel_err": max(devs), "tol": 0.0,
-                })
-        reports.append(rec.report())
+                report.fail(complex(s), lam, f"{path}-monotone",
+                            complex(devs[0], devs[1]), complex(devs[2], 0.0),
+                            max(devs), 0.0)
+        reports.append(report)
     reports.sort(key=lambda r: r.check_name)
     return reports
 

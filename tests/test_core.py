@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degamma.classical import gamma, log_gamma, sin_pi
+from degamma.classical import gamma, log_gamma, reflection_product, sin_pi
 from degamma.core import (
     DegenerateParameter,
     EvalStatus,
@@ -104,9 +104,10 @@ _NON_FINITE = [
         lambda s, p: degenerate_beta(0.5, s, p),
         lambda s, p: log_gamma(s),
         weierstrass_gamma,
+        lambda s, p: reflection_product(s),
     ],
     ids=["degenerate_gamma", "degenerate_beta_a", "degenerate_beta_b",
-         "log_gamma", "weierstrass_gamma"],
+         "log_gamma", "weierstrass_gamma", "reflection_product"],
 )
 def test_non_finite_argument_raises_domain_error(evaluate, s):
     with pytest.raises(DomainError):
@@ -298,6 +299,11 @@ class TestIntegerValues:
             degenerate_gamma_integer(2, DegenerateParameter(0.5))
         with pytest.raises(SingularParameterError):
             degenerate_gamma_integer(5, DegenerateParameter(1.0 / 3.0))
+
+    @pytest.mark.parametrize("k", [171, 200, 400])
+    def test_log_space_overflow_is_reported(self, k):
+        with pytest.raises(OverflowError, match="overflows double precision"):
+            degenerate_gamma_integer(k, DegenerateParameter(1e-3))
 
     def test_closed_form_marks_singular_cases_as_poles(self):
         res = degenerate_gamma(2, DegenerateParameter(0.5))

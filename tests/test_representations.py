@@ -259,6 +259,21 @@ class TestBetaProduct:
             degenerate_beta_product(-1.0, 1.0, p, ProductSpec(n_terms=100))
 
 
+class TestBetaProductRoundingFloor:
+    """At N = 1e18 the truncation bound is far below rounding; the floor is not."""
+
+    @pytest.mark.parametrize("lam", [0.05, 0.1, 0.3])
+    @pytest.mark.parametrize(
+        "a,b", [(0.7 + 0.3j, 1.2 - 0.5j), (0.4 + 0.8j, 0.9 + 0.2j), (2.5 + 1j, 1.5 - 0.7j)]
+    )
+    def test_estimates_cover_the_gap_to_the_ratio(self, a, b, lam):
+        p = DegenerateParameter(lam)
+        res = degenerate_beta_product(a, b, p, ProductSpec(n_terms=10**18))
+        ref = degenerate_beta(a, b, p)
+        gap = abs(res.value - ref.value)
+        assert gap <= res.abs_error_estimate + ref.abs_error_estimate
+
+
 class TestPoleErrorsNameThePole:
     """Every argument check reports the pole itself and the argument's name."""
 
