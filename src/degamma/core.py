@@ -146,18 +146,23 @@ _NAN = complex(math.nan, math.nan)
 
 
 def _finish(log_val: complex, method: EvalMethod, rel_est: float,
-            status: EvalStatus = EvalStatus.REGULAR,
+            real: bool = False, status: EvalStatus = EvalStatus.REGULAR,
             pole: PoleInfo | None = None) -> EvalResult:
     """The EvalResult of a value computed in log space.
 
     Exponentiates once; past LOG_OVERFLOW the value is NaN-encoded, the
     status is OVERFLOW and only ``log_value`` carries the result.
-    ``rel_est`` is the relative error estimate of the value.
+    ``rel_est`` is the relative error estimate of the value.  A ``real``
+    value keeps only the real part, +-exp(Re log) with the sign of
+    cos(Im log): Im log is a multiple of pi, and its rounding would leave
+    an imaginary part.
     """
     if log_val.real > LOG_OVERFLOW:
         value, estimate, status = _NAN, math.inf, EvalStatus.OVERFLOW
     else:
         value = cmath.exp(log_val)
+        if real:
+            value = value.real + 0j
         # inf * 0 would be NaN where the value underflows
         estimate = math.inf if math.isinf(rel_est) else abs(value) * rel_est
     return EvalResult(
@@ -231,14 +236,19 @@ def falling_factorial(x: complex, n: int, lam: float) -> complex:
 
 
 def falling_factorial_exact(x, n: int, lam) -> Fraction:
-    """Exact-rational falling factorial; floats convert exactly to Fractions."""
+    """Exact-rational falling factorial; floats convert exactly to Fractions.
+
+    With x = a/d and lambda = b/e, each factor is (a e - j b d) / (d e): the
+    integer numerators are multiplied, and one Fraction is reduced at the end.
+    """
     if n < 0:
         raise ValueError("falling_factorial_exact: n must be non-negative")
     xf, lf = Fraction(x), Fraction(lam)
-    out = Fraction(1)
+    a, b = xf.numerator * lf.denominator, lf.numerator * xf.denominator
+    num = 1
     for j in range(n):
-        out *= xf - j * lf
-    return out
+        num *= a - j * b
+    return Fraction(num, (xf.denominator * lf.denominator) ** n)
 
 
 def pole_residue(family: PoleFamily, n: int, p: DegenerateParameter) -> complex:
@@ -334,7 +344,8 @@ def degenerate_gamma(s: complex, p: DegenerateParameter) -> EvalResult:
     """Degenerate gamma at s via the closed form, with pole handling in status.
 
     Away from poles the relative accuracy is at the 1e-13 level (the error
-    estimate is derived from the magnitudes of the log-gamma terms).  Within
+    estimate is derived from the magnitudes of the log-gamma terms).  For
+    real s the value is real: its imaginary part is exactly 0.  Within
     POLE_TOLERANCE of a pole the status is AT_POLE and the PoleInfo carries
     the residue; in the band up to NEAR_POLE_RADIUS the status is NEAR_POLE
     and the estimate is inflated to reflect cancellation.
@@ -354,9 +365,9 @@ def degenerate_gamma(s: complex, p: DegenerateParameter) -> EvalResult:
     rel_est = 1e-14 + 8e-16 * mag_sum
     if dist < NEAR_POLE_RADIUS:
         rel_est *= NEAR_POLE_RADIUS / dist
-        return _finish(log_val, EvalMethod.CLOSED_FORM, rel_est,
+        return _finish(log_val, EvalMethod.CLOSED_FORM, rel_est, not s.imag,
                        EvalStatus.NEAR_POLE, _pole_info(family, n, p))
-    return _finish(log_val, EvalMethod.CLOSED_FORM, rel_est)
+    return _finish(log_val, EvalMethod.CLOSED_FORM, rel_est, not s.imag)
 
 
 @dataclass(frozen=True)
@@ -394,8 +405,8 @@ def degenerate_gamma_integer(k: int, p: DegenerateParameter) -> IntegerGammaValu
     falling = falling_factorial(1.0, k + 1, p.lam)
     if k <= 170:
         value = complex(math.factorial(k - 1)) / falling
-    else:
-        # log-space route for factorials beyond double range
+    if k > 170 or not cmath.isfinite(value):
+        # log-space route for factorials or values beyond double range
         log_val = _log_gamma_off_pole(float(k)).real - cmath.log(falling)
         if log_val.real > LOG_OVERFLOW:
             raise OverflowError(

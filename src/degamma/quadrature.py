@@ -1,26 +1,21 @@
 """Numerical-integration paths: the defining integral and the Hankel contour.
 
-The engine is a double-exponential (tanh-sinh) rule on (0, 1) with level
-doubling and node reuse.  Integrands receive both the node x and the distance
-1-x computed without cancellation, so algebraic singularities at either
-endpoint keep full relative accuracy.  The convergence test cannot pass before
-level 3, so ``QuadratureSpec`` requires ``max_level >= 3``; levels 0-3 (195
-nodes) are evaluated in one integrand call on cached concatenated nodes, and
-each level's sum is taken from its slice; deeper levels are then added one at
-a time.
+The defining integral runs on a double-exponential (tanh-sinh) rule on (0, 1)
+with level doubling and node reuse.  Integrands receive both the node x and
+the distance 1-x computed without cancellation, so algebraic singularities at
+either endpoint keep full relative accuracy.  Levels 0-3 (195 nodes), before
+which the convergence test cannot pass, go to the integrand in one call.
 
 The Hankel path realizes the loop around the origin as two straight edges
-along the negative axis (phases exp(+-i*pi*s)) plus a circle of radius delta,
-the circle by a doubling trapezoid rule; together with the 1/(2i sin(pi s))
-prefactor this continues the degenerate gamma function left of the validity
-strip.  The edges are truncated at the radius R where the analytic tail bound
-meets the tolerance.  The circle's geometry does not depend on s or lambda:
-for each realization and radius, the nodes of the trapezoid ladder up to 1024
-intervals and log(1 -+ delta e^{it}) at them are kept in an LRU cache of the
-last eight (realization, radius) pairs used; deeper rows are formed per call.
-The nodes up to 256 intervals (257), before which the ladder hardly ever
-converges, are evaluated in one integrand call; the Romberg test still runs
-row by row and stops at the first converged row.
+along the negative axis (phases exp(+-i*pi*s)) plus a circle of radius delta;
+together with the 1/(2i sin(pi s)) prefactor this continues the degenerate
+gamma function left of the validity strip.  The edges are truncated at the
+radius R where the analytic tail bound meets the tolerance.  Both integrands
+are analytic on finite intervals, so both run on one nested Clenshaw-Curtis
+ladder: its first three rungs (65 nodes) go to the integrand in one call and
+each deeper rung evaluates only its new nodes.  The circle's geometry does
+not depend on s or lambda, so its nodes and log(1 -+ delta e^{it}) at them
+are cached per (realization, radius).
 """
 
 from __future__ import annotations
@@ -33,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical
-from .classical import POLE_TOLERANCE
+from .classical import LOG_OVERFLOW, POLE_TOLERANCE
 from .core import DegenerateParameter, EvalMethod, EvalResult, EvalStatus
 from .errors import ConvergenceError, DomainError, IntegerArgumentError, StripError
 
@@ -54,16 +49,20 @@ _T_MAX = 6.1  # |t| beyond this, double-exponential weights underflow usefully
 _BASE_STEP = 0.5
 # The convergence test in de_quadrature cannot pass before this level.
 _FIRST_TEST_LEVEL = 3
+_EPS = math.ulp(1.0)
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tolerances and contour geometry for the integral paths.
 
-    ``max_level`` is the deepest tanh-sinh level tried; it must be at least 3,
-    the first level at which the convergence test can pass.  The contour's
-    truncation radius R is not set here: it is chosen so that the analytic
-    tail bound R**(Re s - 1/lambda)/(1/lambda - Re s) meets the tolerance.
+    ``max_level`` bounds both ladders: the defining integral's deepest
+    tanh-sinh level, and the contour's deepest Clenshaw-Curtis rung, which
+    has 16 * 2**max_level intervals.  It must be at least 3, the first
+    tanh-sinh level at which the convergence test can pass.  The contour's
+    circle is held to min(rel_tolerance, 1e-11).  The contour's truncation
+    radius R is not set here: it is chosen so that the analytic tail bound
+    R**(Re s - 1/lambda)/(1/lambda - Re s) meets the tolerance.
     """
 
     rel_tolerance: float = 1e-10
@@ -199,13 +198,104 @@ def direct_integral_gamma(
         v1, e1 = de_quadrature(near_piece, spec)
         v2, e2 = de_quadrature(far_piece, spec)
     value = v1 + v2
-    err = e1 + e2 + abs(value) * 1e-15
+    # Rounding floor: eps times integral_0^inf |integrand|, which is the
+    # function at Re(s), a positive real closed form; twice for the
+    # roundings of each node's value, and u/|u - s| more for the rounding
+    # of u = 1/lambda, which the value feels near the strip's upper edge.
+    sigma = s.real
+    log_mass = (math.lgamma(sigma) + math.lgamma(u_max - sigma)
+                - p.log_gamma_inv_lambda - sigma * p.log_lambda)
+    floor = _EPS * (2.0 + u_max / abs(u_max - s)) * math.exp(min(log_mass, LOG_OVERFLOW))
+    err = e1 + e2 + abs(value) * 1e-15 + floor
     return EvalResult(
         value=value,
         abs_error_estimate=err,
         method=EvalMethod.DIRECT_INTEGRAL,
         status=EvalStatus.REGULAR,
         log_value=cmath.log(value) if value != 0 else None,
+    )
+
+
+# The Clenshaw-Curtis ladder on [-1, 1]: rung m has n = _CC_N0 * 2**m
+# intervals.  Nodes are kept in ladder order (rung 0's, then each deeper
+# rung's new odd-index nodes), so every rung's nodes are the first n + 1 of
+# each deeper rung's.  Rungs 0.._CC_HEAD_RUNG go to the integrand in one call.
+_CC_N0 = 16
+_CC_HEAD_RUNG = 2
+
+
+def _dft(d: np.ndarray) -> np.ndarray:
+    """Radix-2 discrete Fourier transform; numpy.fft is not imported."""
+    y = d.reshape(1, -1).astype(complex)
+    while y.shape[1] > 1:
+        m, half = y.shape[0], y.shape[1] // 2
+        odd = np.exp(-1j * np.pi / m * np.arange(m))[:, None] * y[:, half:]
+        y = np.vstack([y[:, :half] + odd, y[:, :half] - odd])
+    return y.ravel()
+
+
+@functools.cache
+def _cc_rung(rung: int) -> tuple[np.ndarray, np.ndarray]:
+    """A rung's nodes and weights on [-1, 1], in ladder order.
+
+    Node j is cos(j pi / n), taken as sin(pi (n - 2j) / 2n): exactly odd,
+    and bit for bit the same in every deeper rung.  Its weight is
+    (c_j / n) (1 - sum_{k=1}^{n/2} b_k cos(2 k j pi / n) / (4k^2 - 1)),
+    c_j = 1 at the ends and 2 inside, b_k = 1 at k = n/2 and 2 below; the
+    sum is one length-n transform (Waldvogel, BIT 2006).
+    """
+    n = _CC_N0 << rung
+    # rung 0's nodes, then each rung r's new ones: odd multiples of n / n_r
+    j = np.concatenate([np.arange(0, n + 1, n // _CC_N0)] + [
+        np.arange(step, n, 2 * step)
+        for step in (n // (_CC_N0 << r) for r in range(1, rung + 1))
+    ])
+    k = np.arange(n // 2 + 1)
+    d = 1.0 / (4.0 * k * k - 1.0)
+    d[0] = 0.0
+    v = 1.0 - _dft(np.concatenate([d, d[-2:0:-1]])).real[: n // 2 + 1]
+    v[0] *= 0.5
+    w = 2.0 / n * np.concatenate([v, v[-2::-1]])
+    return np.sin(np.pi * (n - 2 * j) / (2 * n)), w[j]
+
+
+@functools.cache
+def _cc_head_weights() -> np.ndarray:
+    """Rungs 0.._CC_HEAD_RUNG's weights over the head's nodes, one row each."""
+    size = (_CC_N0 << _CC_HEAD_RUNG) + 1
+    return np.array([np.pad(_cc_rung(rung)[1], (0, size - (_CC_N0 << rung) - 1))
+                     for rung in range(_CC_HEAD_RUNG + 1)])
+
+
+def _cc_ladder(f, tol: float, max_level: int) -> tuple[complex, float]:
+    """Integrate over [-1, 1] on the nested Clenshaw-Curtis ladder.
+
+    f(x, lo) returns the integrand at the ladder's nodes x, which start at
+    ladder position lo.  The ladder stops at the first rung whose sum Q is
+    within max(tol |Q|, 1e-14 M) of the rung before, where the rung's
+    M = sum |w_i f(x_i)| sets the rounding floor, and returns Q and that
+    difference plus eps M.  Raises ConvergenceError if rung max_level does
+    not.
+    """
+    vals = f(_cc_rung(_CC_HEAD_RUNG)[0], 0)
+    terms = _cc_head_weights() * vals
+    sums, masses = terms.sum(axis=1).tolist(), np.abs(terms).sum(axis=1).tolist()
+    err = math.inf
+    for rung in range(1, max_level + 1):
+        if rung > _CC_HEAD_RUNG:
+            lo = (_CC_N0 << (rung - 1)) + 1
+            x, w = _cc_rung(rung)
+            vals = np.concatenate([vals, f(x[lo:], lo)])
+            terms = w * vals
+            sums.append(complex(terms.sum()))
+            masses.append(float(np.abs(terms).sum()))
+        total, mass = sums[rung], masses[rung]
+        err = abs(total - sums[rung - 1])
+        if err <= max(tol * abs(total), 1e-14 * mass, 1e-300):
+            return total, err + _EPS * mass
+    raise ConvergenceError(
+        f"Clenshaw-Curtis ladder: difference {err:.3g} still above tolerance "
+        f"{tol:.3g} at {_CC_N0 << max_level} intervals"
     )
 
 
@@ -237,14 +327,15 @@ def _hankel_edges(
     tail = cutoff ** (-gap) / gap
 
     a = math.log(spec.hankel_radius)
-    span = math.log(cutoff) - a
+    half = 0.5 * (math.log(cutoff) - a)
+    mid = a + half
 
     def integrand(x, _):
-        y = a + span * x
-        return span * np.exp(s * y - u_max * np.logaddexp(0.0, y))
+        y = mid + half * x
+        return half * np.exp(s * y - u_max * np.logaddexp(0.0, y))
 
     with np.errstate(under="ignore"):
-        edge, edge_err = de_quadrature(integrand, spec)
+        edge, edge_err = _cc_ladder(integrand, spec.rel_tolerance, spec.max_level)
     return edge, edge_err, tail
 
 
@@ -264,16 +355,11 @@ def _hankel_result(
     )
 
 
-# The circle's trapezoid ladder starts from the rule with _CIRCLE_N0
-# intervals; each further row adds the midpoints that halve the step.  The
-# first _CIRCLE_HEAD nodes (256 intervals), which the ladder almost always
-# reaches, go to the integrand in one call.  The nodes up to
-# _CIRCLE_CACHED_INTERVALS and the circle's log term at them are kept in an
-# LRU cache of the last _CIRCLE_CACHE_SIZE (realization, radius) pairs;
-# deeper rows are formed per call.
-_CIRCLE_N0 = 16
-_CIRCLE_HEAD = 257
-_CIRCLE_CACHED_INTERVALS = 1024
+# The circle's ladder nodes up to _CIRCLE_CACHED_RUNG (1024 intervals) and
+# the circle's log term at them are kept in an LRU cache of the last
+# _CIRCLE_CACHE_SIZE (realization, radius) pairs; deeper rungs are formed
+# per call.
+_CIRCLE_CACHED_RUNG = 6
 _CIRCLE_CACHE_SIZE = 8
 
 
@@ -291,67 +377,31 @@ def _reflected_circle_log(phi, delta):
 def _circle_geometry(
     circle_log, a: float, b: float, delta: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Ladder nodes on [a, b] in row order, and circle_log(t, delta) at them."""
-    n = _CIRCLE_N0
-    h = (b - a) / n
-    parts = [np.array([a, b]), a + h * np.arange(1, n)]
-    while n < _CIRCLE_CACHED_INTERVALS:
-        parts.append(a + 0.5 * h + h * np.arange(n))
-        h *= 0.5
-        n *= 2
-    t = np.concatenate(parts)
+    """Ladder nodes on [a, b] in ladder order, and circle_log(t, delta) at them."""
+    t = 0.5 * (a + b) + 0.5 * (b - a) * _cc_rung(_CIRCLE_CACHED_RUNG)[0]
     return t, circle_log(t, delta)
 
 
-def _circle_trapezoid(
-    g, circle_log, a: float, b: float, delta: float, tol: float
+def _circle_integral(
+    g, circle_log, a: float, b: float, delta: float, spec: QuadratureSpec
 ) -> tuple[complex, float]:
-    """Trapezoid rule on [a, b], step-doubled with Romberg extrapolation.
+    """Integral of g over [a, b] on the Clenshaw-Curtis ladder.
 
     g(t, log_t) takes numpy arrays of parameter values and of
     circle_log(t, delta) at them.  The circle integrand is analytic but not
-    periodic (the e^{i s theta} factor), so the raw trapezoid ladder is only
-    second order; the Romberg columns restore fast convergence while the 2^m
-    doubling remains the control loop.
+    periodic (the e^{i s theta} factor), which a Chebyshev rule does not need.
     """
     t, log_t = _circle_geometry(circle_log, a, b, delta)
-    head_vals = g(t[:_CIRCLE_HEAD], log_t[:_CIRCLE_HEAD])
-    n = _CIRCLE_N0
-    h = (b - a) / n
-    end_vals = head_vals[:2]
-    interior = head_vals[2 : n + 1]
-    total = h * (complex(end_vals.sum()) * 0.5 + complex(interior.sum()))
-    abs_mass = h * float(np.abs(end_vals).sum() * 0.5 + np.abs(interior).sum())
-    start = n + 1
-    rows = [[total]]
-    err = math.inf
-    for _ in range(14):  # up to ~260k nodes
-        stop = start + n
-        if stop <= _CIRCLE_HEAD:
-            mid_vals = head_vals[start:stop]
-        elif stop <= len(t):
-            mid_vals = g(t[start:stop], log_t[start:stop])
-        else:
-            mids = a + 0.5 * h + h * np.arange(n)
-            mid_vals = g(mids, circle_log(mids, delta))
-        start = stop
-        total = 0.5 * rows[-1][0] + 0.5 * h * complex(mid_vals.sum())
-        abs_mass = 0.5 * abs_mass + 0.5 * h * float(np.abs(mid_vals).sum())
-        row = [total]
-        for j in range(1, min(len(rows[-1]) + 1, 7)):
-            weight = 4.0**j
-            row.append((weight * row[j - 1] - rows[-1][j - 1]) / (weight - 1.0))
-        err = abs(row[-1] - rows[-1][-1])
-        rows = [rows[-1], row]  # only the last two ladder rows matter
-        h *= 0.5
-        n *= 2
-        best = row[-1]
-        # the rounding floor of the running sums bounds what refinement can resolve
-        if err <= max(tol * abs(best), 1e-14 * abs_mass, 1e-300):
-            return best, err
-    raise ConvergenceError(
-        f"circle integral: trapezoid doubling stalled at difference {err:.3g}"
-    )
+    half = 0.5 * (b - a)
+
+    def values(x, lo):
+        if lo + len(x) <= len(t):
+            return g(t[lo : lo + len(x)], log_t[lo : lo + len(x)])
+        x = 0.5 * (a + b) + half * x
+        return g(x, circle_log(x, delta))
+
+    total, err = _cc_ladder(values, min(spec.rel_tolerance, 1e-11), spec.max_level)
+    return half * total, half * err
 
 
 def hankel_gamma(
@@ -379,9 +429,8 @@ def hankel_gamma(
     def circle(theta, log_circle):
         return 1j * delta_pow * np.exp(1j * s * theta - u_max * log_circle)
 
-    circle_val, circle_err = _circle_trapezoid(
-        circle, _loop_circle_log, -math.pi, math.pi, delta,
-        min(spec.rel_tolerance, 1e-11),
+    circle_val, circle_err = _circle_integral(
+        circle, _loop_circle_log, -math.pi, math.pi, delta, spec
     )
     two_i_sin = 2j * classical.sin_pi(s)
     return _hankel_result(
@@ -420,9 +469,8 @@ def hankel_gamma_reflected(
                      - u_max * log_circle)
         )
 
-    circle_val, circle_err = _circle_trapezoid(
-        circle, _reflected_circle_log, 0.0, 2.0 * math.pi, delta,
-        min(spec.rel_tolerance, 1e-11),
+    circle_val, circle_err = _circle_integral(
+        circle, _reflected_circle_log, 0.0, 2.0 * math.pi, delta, spec
     )
     prefactor = 1j / (2.0 * classical.sin_pi(s))
     return _hankel_result(

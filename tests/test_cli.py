@@ -421,3 +421,17 @@ class TestEmitterFormats:
         rec = jsonl(out)[0]
         assert math.isfinite(rec["value_re"])
         assert math.isfinite(rec["abs_error"])
+
+
+def test_eval_at_real_s_prints_a_zero_imaginary_part(capsys):
+    code, out, _ = run_cli(capsys, "eval", "--lambda", "0.5", "--s", "-1.00001")
+    assert code == 0
+    rec = jsonl(out)[0]
+    assert rec["status"] == "near-pole"
+    assert rec["value_im"] == 0.0
+    assert rec["value_re"] == pytest.approx(99999.80686755024, rel=1e-12)
+    code, out, _ = run_cli(capsys, "eval", "--lambda", "0.3", "--s", "16.5",
+                           "--format", "csv")
+    row = list(csv.DictReader(io.StringIO(out)))[0]
+    assert float(row["value_im"]) == 0.0
+    assert float(row["value_re"]) == pytest.approx(517557719921.6783, rel=1e-12)

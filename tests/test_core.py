@@ -543,3 +543,65 @@ class TestDegenerateBeta:
                 degenerate_beta(a, b, p).value,
                 degenerate_beta_classical(a, b, p).value,
             ) <= 1e-11
+
+
+@pytest.mark.parametrize("k", range(160, 171))
+def test_integer_values_below_171_overflow_as_described(k):
+    # lambda = 1e-3: the direct route's k!/(1)_{k+1} overflows from k = 169 on
+    p = DegenerateParameter(1e-3)
+    closed = degenerate_gamma(k, p)
+    if closed.status is EvalStatus.OVERFLOW:
+        with pytest.raises(OverflowError, match=rf"\|dgamma\({k}\)\| = exp"):
+            degenerate_gamma_integer(k, p)
+    else:
+        value = degenerate_gamma_integer(k, p).value
+        assert cmath.isfinite(value)
+        assert abs(value - closed.value) <= closed.abs_error_estimate
+    assert k < 169 or closed.status is EvalStatus.OVERFLOW
+
+
+def _stepwise_falling_exact(x, n, lam):
+    out = Fraction(1)
+    for j in range(n):
+        out *= Fraction(x) - j * Fraction(lam)
+    return out
+
+
+@pytest.mark.parametrize("x, n, lam", [
+    (1, 0, 0.3), (1, 11, 0.07), (1, 7, 0.1), (-2.5, 9, 0.3),
+    (0.1, 13, 1.0 / 3.0), (Fraction(7, 3), 6, Fraction(1, 5)), (3, 5, 0.75),
+])
+def test_falling_factorial_exact_is_the_stepwise_product(x, n, lam):
+    got = falling_factorial_exact(x, n, lam)
+    want = _stepwise_falling_exact(x, n, lam)
+    assert isinstance(got, Fraction)
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+
+
+@pytest.mark.parametrize("s, lam", [
+    (16.5, 0.3),  # right of the shifted poles, the parent's value had -8.9e-4i
+    (-1.00001, 0.5),  # near-pole band, next to s = -1
+    (-2.7, 0.3), (0.4, 0.3), (2.9, 0.3), (4.2, 0.3), (1e-7, 0.5), (-0.5, 0.9),
+])
+def test_real_argument_gives_a_real_value(s, lam):
+    p = DegenerateParameter(lam)
+    for arg in (s, complex(s, 0.0), complex(s, -0.0)):
+        res = degenerate_gamma(arg, p)
+        assert res.value.imag == 0.0
+        reference = cmath.exp(res.log_value)
+        assert abs(res.value.real - reference.real) <= 1e-14 * abs(reference)
+        assert res.abs_error_estimate <= 1e-9 * abs(res.value)
+
+
+def test_real_value_matches_the_real_closed_form():
+    # lambda**(-s) Gamma(s) Gamma(u-s) / Gamma(u) with math.gamma, signs included
+    for lam in (0.3, 0.5, 0.7):
+        p = DegenerateParameter(lam)
+        for s in np.linspace(-3.95, 1.0 / lam + 3.95, 57):
+            if nearest_pole(s, p)[0] < 0.02:
+                continue
+            u = p.inv_lambda
+            want = lam ** (-s) * math.gamma(s) * math.gamma(u - s) / math.gamma(u)
+            got = degenerate_gamma(float(s), p).value
+            assert got.imag == 0.0
+            assert rel(got.real, want) <= 1e-12

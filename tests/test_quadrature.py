@@ -1,8 +1,11 @@
 """Tests for the tanh-sinh engine, the defining integral, and the Hankel loop."""
 
 import math
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,3 +332,166 @@ class TestCircleCache:
         assert not any(t.is_alive() for t in threads)
         assert mismatches == []
         assert quadrature._circle_geometry.cache_info().currsize <= quadrature._CIRCLE_CACHE_SIZE
+
+
+class TestClenshawCurtisLadder:
+    """The nested Clenshaw-Curtis ladder behind the loop contour."""
+
+    @staticmethod
+    def ladder(g, tol=1e-13, max_level=10):
+        return quadrature._cc_ladder(lambda x, lo: g(x), tol, max_level)
+
+    @pytest.mark.parametrize("rung", range(6))
+    def test_rung_integrates_polynomials_up_to_its_degree(self, rung):
+        x, w = quadrature._cc_rung(rung)
+        n = 16 << rung
+        assert len(x) == len(w) == n + 1
+        assert np.all(w > 0.0)
+        for degree in range(n + 1):
+            exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+            assert abs(w @ x**degree - exact) <= 1e-14
+
+    def test_rungs_are_nested_in_ladder_order(self):
+        for rung in range(1, 9):
+            coarse, _ = quadrature._cc_rung(rung - 1)
+            fine, _ = quadrature._cc_rung(rung)
+            assert np.array_equal(fine[: len(coarse)], coarse)
+            assert len(np.unique(fine)) == len(fine)
+
+    @pytest.mark.parametrize("degree", [0, 3, 8, 16])
+    def test_low_degree_polynomial_is_exact_in_one_call(self, degree):
+        calls = []
+
+        def g(x, lo):
+            calls.append((lo, len(x)))
+            return (1.0 + 0.5j) * x**degree + x
+
+        value, err = quadrature._cc_ladder(g, 1e-13, 10)
+        exact = (1.0 + 0.5j) * (2.0 / (degree + 1) if degree % 2 == 0 else 0.0)
+        assert abs(value - exact) <= 1e-15
+        assert err <= 1e-14
+        assert calls == [(0, 65)]
+
+    @pytest.mark.parametrize("g, exact", [
+        (np.exp, math.e - 1.0 / math.e),
+        (lambda x: 1.0 / (1.0 + x * x), math.pi / 2.0),
+        (lambda x: np.cos(40.0 * x), math.sin(40.0) / 20.0),
+        (lambda x: np.exp(3j * x), 2.0 * math.sin(3.0) / 3.0),
+        (lambda x: 1.0 / (1.02 - x), math.log(2.02 / 0.02)),
+    ], ids=["exp", "runge", "cos40", "exp3i", "near-pole"])
+    def test_matches_closed_form_integrals(self, g, exact):
+        value, err = self.ladder(g)
+        assert abs(value - exact) <= max(err, 1e-14 * abs(exact))
+        assert abs(value - exact) <= 1e-12 * abs(exact)
+
+    def test_deeper_rungs_evaluate_only_new_nodes(self):
+        calls = []
+
+        def g(x, lo):
+            calls.append((lo, len(x)))
+            return np.exp(1j * 90.0 * x)
+
+        value, _ = quadrature._cc_ladder(g, 1e-12, 10)
+        assert value == pytest.approx(2.0 * math.sin(90.0) / 90.0, abs=1e-13)
+        assert calls[0] == (0, 65)
+        for (lo, count), (prev_lo, prev_count) in zip(calls[1:], calls):
+            assert lo == prev_lo + prev_count
+            assert count == lo - 1
+
+    def test_convergence_error_at_cap(self):
+        # 128 intervals cannot resolve 160 oscillations
+        with pytest.raises(ConvergenceError):
+            self.ladder(lambda x: np.exp(1000j * x), max_level=3)
+        value, _ = self.ladder(lambda x: np.exp(1000j * x), max_level=8)
+        assert value == pytest.approx(2.0 * math.sin(1000.0) / 1000.0, abs=1e-12)
+
+    def test_max_level_bounds_the_contour(self):
+        # 0.5 from the strip's edge, the edges need 512 intervals
+        p = DegenerateParameter(0.2)
+        s = 4.5 + 5.0j
+        res = hankel_gamma(s, p)
+        assert abs(res.value - closed(s, p)) <= res.abs_error_estimate
+        with pytest.raises(ConvergenceError):
+            hankel_gamma(s, p, QuadratureSpec(max_level=4))
+        assert hankel_gamma(s, p, QuadratureSpec(max_level=5)).value == res.value
+
+    def test_numpy_fft_is_not_imported(self):
+        code = (
+            "import sys, degamma\n"
+            "from degamma import quadrature as q\n"
+            "p = degamma.DegenerateParameter(0.3)\n"
+            "q.hankel_gamma(-0.5 + 1j, p)\n"
+            "q.hankel_gamma_reflected(-0.5 + 1j, p)\n"
+            "q._cc_rung(10)\n"
+            "assert 'numpy.fft' not in sys.modules, 'numpy.fft imported'\n"
+        )
+        src = Path(quadrature.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 0, done.stderr
+
+
+@pytest.fixture
+def mp():
+    """mpmath at 40 digits; the tests using it skip when it is missing."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        yield mpmath
+
+
+def _mp_dgamma(mp, s, lam):
+    s, lam = mp.mpc(s), mp.mpf(lam)
+    u = 1 / lam
+    return complex(mp.exp(-s * mp.log(lam) + mp.loggamma(s)
+                          + mp.loggamma(u - s) - mp.loggamma(u)))
+
+
+def _contour_points(seed, count):
+    """(s, p) inside the strip and left of it, |Im s| <= 5, off the integers."""
+    rng = np.random.default_rng(seed)
+    points = []
+    while len(points) < count:
+        p = DegenerateParameter(rng.uniform(0.15, 0.85))
+        s = complex(rng.uniform(-3.0, p.inv_lambda - 0.3), rng.uniform(-5.0, 5.0))
+        if nearest_pole(s, p)[0] >= 0.05 and abs(s - round(s.real)) >= 0.05:
+            points.append((s, p))
+    return points
+
+
+@pytest.mark.parametrize("path", [hankel_gamma, hankel_gamma_reflected],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("region", ["strip", "left-of-strip"])
+def test_contour_estimate_bounds_the_oracle_error(mp, path, region):
+    points = [
+        (s, p) for s, p in _contour_points(41, 160)
+        if (s.real > 0.0) == (region == "strip")
+    ][:30]
+    assert len(points) == 30
+    for s, p in points:
+        res = path(s, p)
+        err = abs(res.value - _mp_dgamma(mp, s, p.lam))
+        assert err <= res.abs_error_estimate, (s, p.lam, err, res.abs_error_estimate)
+
+
+@pytest.mark.parametrize("s, lam", [
+    (6.005 - 0.034j, 0.165),  # 1/lambda's rounding, 0.057 from the strip edge
+    (5.043888015458267 + 4.720892606595033j, 0.15114685114809284),
+    (2.4726594255840473 + 4.324272593866187j, 0.17905071891232313),
+])
+def test_direct_integral_estimate_has_a_rounding_floor(mp, s, lam):
+    res = direct_integral_gamma(s, DegenerateParameter(lam))
+    err = abs(res.value - _mp_dgamma(mp, s, lam))
+    assert err <= res.abs_error_estimate
+    assert res.abs_error_estimate <= 1e-10 * abs(res.value)
+
+
+def test_direct_integral_estimate_bounds_the_oracle_error(mp):
+    rng = np.random.default_rng(43)
+    for _ in range(40):
+        p = DegenerateParameter(rng.uniform(0.15, 0.85))
+        s = complex(rng.uniform(0.05, p.inv_lambda - 0.05), rng.uniform(-5.0, 5.0))
+        res = direct_integral_gamma(s, p)
+        err = abs(res.value - _mp_dgamma(mp, s, p.lam))
+        assert err <= res.abs_error_estimate, (s, p.lam, err, res.abs_error_estimate)
