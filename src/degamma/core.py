@@ -533,7 +533,7 @@ def degenerate_beta(a: complex, b: complex, p: DegenerateParameter) -> EvalResul
 
     Evaluated as one exponential of a sum of closed-form logs.  When a+b sits
     at a pole while a and b are regular, the ratio tends to zero; the result
-    is 0 with an explanatory note.
+    is 0 with an explanatory note.  Real a and b give a real value.
     """
     a, b = complex(a), complex(b)
     zero = _beta_guard(a, b, p, EvalMethod.CLOSED_FORM)
@@ -544,7 +544,7 @@ def degenerate_beta(a: complex, b: complex, p: DegenerateParameter) -> EvalResul
     lab = _closed_form_log(a + b, p)[0]
     log_val = la + lb - lab
     rel_est = 1e-14 + 8e-16 * (abs(la) + abs(lb) + abs(lab))
-    return _finish(log_val, EvalMethod.CLOSED_FORM, rel_est)
+    return _finish(log_val, EvalMethod.CLOSED_FORM, rel_est, not (a.imag or b.imag))
 
 
 def degenerate_beta_classical(
@@ -570,4 +570,4 @@ def degenerate_beta_classical(
     ]
     log_val = sum(terms)
     rel_est = 1e-14 + 8e-16 * sum(abs(t) for t in terms)
-    return _finish(log_val, EvalMethod.CLASSICAL_MIXED, rel_est)
+    return _finish(log_val, EvalMethod.CLASSICAL_MIXED, rel_est, not (a.imag or b.imag))

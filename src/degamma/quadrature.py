@@ -150,6 +150,17 @@ def de_quadrature(f, spec: QuadratureSpec | None = None) -> tuple[complex, float
     )
 
 
+def _linear_result(value: complex, err: float, method: EvalMethod) -> EvalResult:
+    """The EvalResult of a value computed in linear space."""
+    return EvalResult(
+        value=value,
+        abs_error_estimate=err,
+        method=method,
+        status=EvalStatus.REGULAR,
+        log_value=cmath.log(value) if value != 0 else None,
+    )
+
+
 # Exponent used to soften endpoint singularities: integrating g(v) = f(v**K)
 # keeps the transformed exponents far enough from -1 that the node offsets
 # representable in double precision already capture the full tail.
@@ -207,13 +218,7 @@ def direct_integral_gamma(
                 - p.log_gamma_inv_lambda - sigma * p.log_lambda)
     floor = _EPS * (2.0 + u_max / abs(u_max - s)) * math.exp(min(log_mass, LOG_OVERFLOW))
     err = e1 + e2 + abs(value) * 1e-15 + floor
-    return EvalResult(
-        value=value,
-        abs_error_estimate=err,
-        method=EvalMethod.DIRECT_INTEGRAL,
-        status=EvalStatus.REGULAR,
-        log_value=cmath.log(value) if value != 0 else None,
-    )
+    return _linear_result(value, err, EvalMethod.DIRECT_INTEGRAL)
 
 
 # The Clenshaw-Curtis ladder on [-1, 1]: rung m has n = _CC_N0 * 2**m
@@ -345,14 +350,7 @@ def _hankel_result(
 ) -> EvalResult:
     """lambda**(-s) times a loop realization's total and error."""
     lam_pow = cmath.exp(-s * p.log_lambda)
-    value = lam_pow * total
-    return EvalResult(
-        value=value,
-        abs_error_estimate=abs(lam_pow) * err,
-        method=method,
-        status=EvalStatus.REGULAR,
-        log_value=cmath.log(value) if value != 0 else None,
-    )
+    return _linear_result(lam_pow * total, abs(lam_pow) * err, method)
 
 
 # The circle's ladder nodes up to _CIRCLE_CACHED_RUNG (1024 intervals) and

@@ -28,7 +28,9 @@ log((1 + x/n)(1 + (u - x)/n)) over n:
 
 A product therefore costs O(max(|x|, |u - x|, 1)) terms whatever its
 truncation level.  The head and tail terms are summed with numpy's pairwise
-summation over chunks; reassociation stays at the 1 ulp level.
+summation over chunks; reassociation stays at the 1 ulp level.  The Euler
+limit at level n is the Weierstrass sum at N = n - 1, with its own level-gap
+estimate.
 """
 
 from __future__ import annotations
@@ -140,7 +142,7 @@ def _paired_log_sum(x: complex, u: float, lo: int, hi: int,
     """sum_{lo <= n < hi} log((1 + x/n)(1 + (u - x)/n)), for lo >= 1.
 
     Head, fused tail and Euler-Maclaurin stretch as in the module docstring;
-    the head bound n0 is the one :func:`_weierstrass_tail_bound` uses.
+    the head bound n0 is the one :func:`_tail_bound` uses.
     ``direct=True`` sums every term up to hi instead, at a cost of O(hi - lo):
     the reference the Euler-Maclaurin stretch is checked against.
     """
@@ -188,33 +190,19 @@ def _harmonic_less_gamma(n: int) -> float:
     )
 
 
-def _weierstrass_tail_bound(z: complex, w: complex, p: DegenerateParameter,
-                            n_terms: int) -> float:
-    # |log factor_n| <= (|z|^2 + |w|^2 + 1/lam)/n^2 once n >= 2*max(|z|,|w|,1);
-    # the n^{-2} tail sum is below 1/N.
-    n0 = 2.0 * max(abs(z), abs(w), 1.0)
-    if n_terms < n0:
+def _tail_bound(args: tuple[complex, ...], u: float, n_terms: int, power: int) -> float:
+    """(sum |a|**power + u) / N**(power - 1) over the factors' arguments a.
+
+    Inf for N < 2 max(|a|, 1); past that, |log factor_n| <= (sum |a|**2 + u)/n**2.
+    """
+    if n_terms < 2.0 * max(*(abs(a) for a in args), 1.0):
         return math.inf
-    return (abs(z) ** 2 + abs(w) ** 2 + p.inv_lambda) / n_terms
-
-
-def _corrected_tail(z: complex, w: complex, p: DegenerateParameter,
-                    n_terms: int) -> tuple[complex, float]:
-    # Analytic tail of the log-product through third order, plus a bound on
-    # what is still neglected (fourth order, with a safety factor).
-    s2, s3 = _tail_sums(n_terms)
-    c2 = (z**2 + w**2 - p.inv_lambda) / 2.0
-    c3 = (p.inv_lambda - z**3 - w**3) / 3.0
-    correction = c2 * s2 + c3 * s3
-    n0 = 2.0 * max(abs(z), abs(w), 1.0)
-    if n_terms < n0:
-        return correction, math.inf
-    bound4 = (abs(z) ** 4 + abs(w) ** 4 + p.inv_lambda) / (4.0 * n_terms**3)
-    return correction, 2.0 * bound4
+    return (sum(abs(a) ** power for a in args) + u) / n_terms ** (power - 1)
 
 
 def _finish_product(log_val: complex, method: EvalMethod, rel_est: float,
-                    magnitude: float, tolerance: float | None) -> EvalResult:
+                    magnitude: float, tolerance: float | None,
+                    real: bool) -> EvalResult:
     """A product's result; the estimate gains a few ulps of the terms' ``magnitude``."""
     rel_est += 4e-16 * magnitude
     if tolerance is not None and not rel_est <= tolerance:
@@ -222,7 +210,20 @@ def _finish_product(log_val: complex, method: EvalMethod, rel_est: float,
             f"truncation error estimate {rel_est:.3g} exceeds requested "
             f"tolerance {tolerance:.3g}; raise n_terms"
         )
-    return _finish(log_val, method, rel_est)
+    return _finish(log_val, method, rel_est, real)
+
+
+def _gamma_product_log(z: complex, p: DegenerateParameter, m: float, log_sum: complex,
+                       correction: complex = 0.0) -> tuple[complex, float]:
+    """log(lam**(-z) m**u / (Gamma(u) z (u - z))) - log_sum + correction, u = 1/lam.
+
+    log_sum is the paired sum over 1 <= n < m; the terms' magnitude comes second.
+    """
+    base = (-z * p.log_lambda - cmath.log(z) - cmath.log(p.inv_lambda - z)
+            - p.log_gamma_inv_lambda)
+    log_growth = p.inv_lambda * math.log(m)
+    log_val = base + (log_growth - log_sum + correction)
+    return log_val, abs(base) + log_growth + abs(log_sum)
 
 
 def weierstrass_gamma(
@@ -252,26 +253,21 @@ def weierstrass_gamma(
     z = complex(z)
     # z = 0 and z = u, the prefactor's poles, are poles of the families
     _check_argument("z", z, p)
+    N = spec.n_terms
     u = p.inv_lambda
     w = u - z
-    log_pre = (
-        -z * p.log_lambda
-        - cmath.log(z)
-        - cmath.log(w)
-        - p.log_gamma_inv_lambda
-    )
-    N = spec.n_terms
-    log_growth = u * math.log(N + 1.0)
     log_sum = _paired_log_sum(z, u, 1, N + 1, direct=euler_constant_form)
-    log_prod = log_growth - log_sum
     if spec.use_tail_correction:
-        correction, rel_est = _corrected_tail(z, w, p, spec.n_terms)
-        log_prod += correction
+        # second- and third-order tail; the fourth is bounded with a factor 2
+        s2, s3 = _tail_sums(N)
+        correction = (z**2 + w**2 - u) / 2.0 * s2 + (u - z**3 - w**3) / 3.0 * s3
+        rel_est = 0.5 * _tail_bound((z, w), u, N, 4)
     else:
-        rel_est = _weierstrass_tail_bound(z, w, p, spec.n_terms)
+        correction, rel_est = 0.0, _tail_bound((z, w), u, N, 2)
+    log_val, magnitude = _gamma_product_log(z, p, N + 1.0, log_sum, correction)
     return _finish_product(
-        log_pre + log_prod, EvalMethod.WEIERSTRASS_PRODUCT, rel_est,
-        abs(log_pre) + log_growth + abs(log_sum), spec.tolerance,
+        log_val, EvalMethod.WEIERSTRASS_PRODUCT, rel_est, magnitude,
+        spec.tolerance, not z.imag,
     )
 
 
@@ -281,44 +277,32 @@ def euler_limit_gamma(
     """Degenerate gamma via the rational limit representation at level n.
 
     value_n = lam**(-z)/Gamma(u) * n**u * ((n-1)!)**2
-              / (z(1+z)...(n-1+z) * (u-z)(1+u-z)...(n-1+u-z)),   u = 1/lam,
+              / (z(1+z)...(n-1+z) * (u-z)(1+u-z)...(n-1+u-z)),   u = 1/lam.
 
-    accumulated in log space.  Writing z + j = j(1 + z/j) cancels the
-    ((n-1)!)**2 against the denominators, so the log value is
-    log(lam**(-z)/(Gamma(u) z (u-z))) + u*log(n) minus the paired sum
-    sum_{j=1}^{n-1} log((1 + z/j)(1 + (u-z)/j)): no O(n log n)-sized terms
-    cancel.  The error estimate is the observed difference between the
-    level-n and level-n/2 values (first-order convergence makes that an
-    honest proxy for the remaining error), plus a rounding floor.
+    Writing z + j = j(1 + z/j) cancels the ((n-1)!)**2 against the
+    denominators, so the log value is log(lam**(-z)/(Gamma(u) z (u-z))) +
+    u*log(n) minus the paired sum over 1 <= j < n: the Weierstrass sum at
+    N = n - 1, taken in two pieces.  What differs is the error estimate: the
+    observed difference between the level-n and level-n/2 values
+    (first-order convergence makes that an honest proxy for the remaining
+    error), plus a rounding floor.
     """
     spec = spec or ProductSpec()
     z = complex(z)
     _check_argument("z", z, p)
     n = spec.n_terms
     u = p.inv_lambda
-    # log(z + j) = log j + log1p(z/j) for j >= 1, and the two log((n-1)!)
-    # cancel the numerator's ((n-1)!)**2 exactly, leaving the paired sum
-    base = (
-        -z * p.log_lambda
-        - p.log_gamma_inv_lambda
-        - cmath.log(z)
-        - cmath.log(u - z)
-    )
     half = max(n // 2, 1)
     sum_half = _paired_log_sum(z, u, 1, half)
     sum_full = sum_half + _paired_log_sum(z, u, half, n)
-    log_growth = u * math.log(n)
-    log_val = base + log_growth - sum_full
-    if n >= 2:
-        log_half = base + u * math.log(half) - sum_half
-        # first-order convergence makes the level gap equal the remaining
-        # error asymptotically; the 1.25 cushion covers the next order
-        rel_est = 1.25 * abs(log_val - log_half)
-    else:
-        rel_est = math.inf
+    log_val, magnitude = _gamma_product_log(z, p, n, sum_full)
+    # first-order convergence makes the level gap equal the remaining
+    # error asymptotically; the 1.25 cushion covers the next order
+    log_half = _gamma_product_log(z, p, half, sum_half)[0]
+    rel_est = 1.25 * abs(log_val - log_half) if n >= 2 else math.inf
     return _finish_product(
-        log_val, EvalMethod.EULER_LIMIT, rel_est,
-        abs(base) + log_growth + abs(sum_full), spec.tolerance,
+        log_val, EvalMethod.EULER_LIMIT, rel_est, magnitude, spec.tolerance,
+        not z.imag,
     )
 
 
@@ -380,20 +364,10 @@ def degenerate_beta_product(
         - cmath.log(u - b)
     )
     end = spec.n_terms + 1
-    sum_ab = _paired_log_sum(ab, u, 1, end)
-    sum_a = _paired_log_sum(a, u, 1, end)
-    sum_b = _paired_log_sum(b, u, 1, end)
-    sq = (
-        abs(ab) ** 2
-        + abs(uab) ** 2
-        + abs(a) ** 2
-        + abs(u - a) ** 2
-        + abs(b) ** 2
-        + abs(u - b) ** 2
-    )
-    n0 = 2.0 * max(abs(ab), abs(uab), abs(a), abs(b), abs(u - a), abs(u - b), 1.0)
-    rel_est = sq / spec.n_terms if spec.n_terms >= n0 else math.inf
+    sum_ab, sum_a, sum_b = (_paired_log_sum(x, u, 1, end) for x in (ab, a, b))
+    rel_est = _tail_bound((ab, uab, a, u - a, b, u - b), 0.0, spec.n_terms, 2)
     return _finish_product(
         log_pre + (sum_ab - sum_a - sum_b), EvalMethod.BETA_PRODUCT, rel_est,
         abs(log_pre) + abs(sum_ab) + abs(sum_a) + abs(sum_b), spec.tolerance,
+        not (a.imag or b.imag),
     )
