@@ -140,6 +140,8 @@ class OutputRecord:
 
 
 def _json_scalar(v) -> str:
+    if v.__class__ is float and math.isfinite(v):
+        return format(v, ".17g")
     if v is None:
         return "null"
     if isinstance(v, str):
@@ -154,6 +156,8 @@ def _json_scalar(v) -> str:
 
 
 def _csv_scalar(v) -> str:
+    if v.__class__ is float:
+        return format(v, ".17g")
     if v is None:
         return ""
     if isinstance(v, float):
@@ -194,18 +198,16 @@ def _record_from_result(
     s: complex, lam: float, method: str, result: EvalResult
 ) -> OutputRecord:
     """The record of one result; EvalStatus values are the wire's status strings."""
-    rec = OutputRecord(
-        s_re=s.real, s_im=s.imag, lam=lam,
-        value_re=None, value_im=None, abs_error=None,
-        method=method, status=result.status.value,
-    )
-    if result.status is EvalStatus.AT_POLE:
-        rec.residue_re = result.pole.residue.real
-        rec.residue_im = result.pole.residue.imag
-    elif result.status is not EvalStatus.OVERFLOW:
-        rec.value_re, rec.value_im = result.value.real, result.value.imag
-        rec.abs_error = result.abs_error_estimate
-    return rec
+    status = result.status
+    if status is EvalStatus.AT_POLE:
+        residue = result.pole.residue
+        return OutputRecord(s.real, s.imag, lam, None, None, None, method,
+                            status.value, residue.real, residue.imag)
+    if status is EvalStatus.OVERFLOW:
+        return OutputRecord(s.real, s.imag, lam, None, None, None, method, status.value)
+    value = result.value
+    return OutputRecord(s.real, s.imag, lam, value.real, value.imag,
+                        result.abs_error_estimate, method, status.value)
 
 
 class _Parser(argparse.ArgumentParser):

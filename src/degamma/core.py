@@ -65,13 +65,14 @@ class DegenerateParameter:
     quantities every evaluation path needs; the closed form divides by
     Gamma(1/lambda) at every s, so it is taken once here.  The cached fields
     take no part in equality, hashing or repr, which see only ``lam``.
-    Lambda so small that 1/lambda overflows is rejected.
+    Lambda so small that 1/lambda overflows is rejected; below about
+    3.9e-306, reading ``log_gamma_inv_lambda`` raises ParameterRangeError.
     """
 
     lam: float
     inv_lambda: float = field(init=False, repr=False)
     log_lambda: float = field(init=False, repr=False)
-    log_gamma_inv_lambda: float = field(init=False, repr=False, compare=False)
+    _log_gamma_u: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lam = float(self.lam)
@@ -87,8 +88,16 @@ class DegenerateParameter:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "inv_lambda", inv_lambda)
         object.__setattr__(self, "log_lambda", math.log(lam))
-        object.__setattr__(self, "log_gamma_inv_lambda",
-                           _log_gamma_off_pole(inv_lambda).real)
+        object.__setattr__(self, "_log_gamma_u", _log_gamma_off_pole(inv_lambda).real)
+
+    @property
+    def log_gamma_inv_lambda(self) -> float:
+        """log Gamma(1/lambda); ParameterRangeError where it overflows."""
+        if self._log_gamma_u == math.inf:
+            raise ParameterRangeError(
+                f"lambda = {self.lam!r} is so small that log Gamma(1/lambda) overflows"
+            )
+        return self._log_gamma_u
 
 
 class PoleFamily(enum.Enum):

@@ -190,12 +190,17 @@ def _harmonic_less_gamma(n: int) -> float:
     )
 
 
+def _before_head(args: tuple[complex, ...], n_terms: int) -> bool:
+    """N < 2 max(|a|, 1) over the factors' arguments a: no tail bound holds yet."""
+    return n_terms < 2.0 * max(*(abs(a) for a in args), 1.0)
+
+
 def _tail_bound(args: tuple[complex, ...], u: float, n_terms: int, power: int) -> float:
     """(sum |a|**power + u) / N**(power - 1) over the factors' arguments a.
 
-    Inf for N < 2 max(|a|, 1); past that, |log factor_n| <= (sum |a|**2 + u)/n**2.
+    Inf before the head; past it, |log factor_n| <= (sum |a|**2 + u)/n**2.
     """
-    if n_terms < 2.0 * max(*(abs(a) for a in args), 1.0):
+    if _before_head(args, n_terms):
         return math.inf
     return (sum(abs(a) ** power for a in args) + u) / n_terms ** (power - 1)
 
@@ -213,15 +218,19 @@ def _finish_product(log_val: complex, method: EvalMethod, rel_est: float,
     return _finish(log_val, method, rel_est, real)
 
 
-def _gamma_product_log(z: complex, p: DegenerateParameter, m: float, log_sum: complex,
+def _gamma_product_base(z: complex, p: DegenerateParameter) -> complex:
+    """log(lam**(-z) / (Gamma(u) z (u - z))), u = 1/lam; taken before the paired sum."""
+    return (-z * p.log_lambda - cmath.log(z) - cmath.log(p.inv_lambda - z)
+            - p.log_gamma_inv_lambda)
+
+
+def _gamma_product_log(base: complex, u: float, m: float, log_sum: complex,
                        correction: complex = 0.0) -> tuple[complex, float]:
-    """log(lam**(-z) m**u / (Gamma(u) z (u - z))) - log_sum + correction, u = 1/lam.
+    """base + u log(m) - log_sum + correction, base from ``_gamma_product_base``.
 
     log_sum is the paired sum over 1 <= n < m; the terms' magnitude comes second.
     """
-    base = (-z * p.log_lambda - cmath.log(z) - cmath.log(p.inv_lambda - z)
-            - p.log_gamma_inv_lambda)
-    log_growth = p.inv_lambda * math.log(m)
+    log_growth = u * math.log(m)
     log_val = base + (log_growth - log_sum + correction)
     return log_val, abs(base) + log_growth + abs(log_sum)
 
@@ -253,6 +262,7 @@ def weierstrass_gamma(
     z = complex(z)
     # z = 0 and z = u, the prefactor's poles, are poles of the families
     _check_argument("z", z, p)
+    base = _gamma_product_base(z, p)
     N = spec.n_terms
     u = p.inv_lambda
     w = u - z
@@ -264,7 +274,7 @@ def weierstrass_gamma(
         rel_est = 0.5 * _tail_bound((z, w), u, N, 4)
     else:
         correction, rel_est = 0.0, _tail_bound((z, w), u, N, 2)
-    log_val, magnitude = _gamma_product_log(z, p, N + 1.0, log_sum, correction)
+    log_val, magnitude = _gamma_product_log(base, u, N + 1.0, log_sum, correction)
     return _finish_product(
         log_val, EvalMethod.WEIERSTRASS_PRODUCT, rel_est, magnitude,
         spec.tolerance, not z.imag,
@@ -285,21 +295,24 @@ def euler_limit_gamma(
     N = n - 1, taken in two pieces.  What differs is the error estimate: the
     observed difference between the level-n and level-n/2 values
     (first-order convergence makes that an honest proxy for the remaining
-    error), plus a rounding floor.
+    error), plus a rounding floor.  Before the head, n - 1 < 2 max(|z|,
+    |u - z|, 1), convergence is not yet first order and the estimate is inf.
     """
     spec = spec or ProductSpec()
     z = complex(z)
     _check_argument("z", z, p)
+    base = _gamma_product_base(z, p)
     n = spec.n_terms
     u = p.inv_lambda
     half = max(n // 2, 1)
     sum_half = _paired_log_sum(z, u, 1, half)
     sum_full = sum_half + _paired_log_sum(z, u, half, n)
-    log_val, magnitude = _gamma_product_log(z, p, n, sum_full)
+    log_val, magnitude = _gamma_product_log(base, u, n, sum_full)
     # first-order convergence makes the level gap equal the remaining
     # error asymptotically; the 1.25 cushion covers the next order
-    log_half = _gamma_product_log(z, p, half, sum_half)[0]
-    rel_est = 1.25 * abs(log_val - log_half) if n >= 2 else math.inf
+    log_half = _gamma_product_log(base, u, half, sum_half)[0]
+    rel_est = (math.inf if _before_head((z, u - z), n - 1)
+               else 1.25 * abs(log_val - log_half))
     return _finish_product(
         log_val, EvalMethod.EULER_LIMIT, rel_est, magnitude, spec.tolerance,
         not z.imag,

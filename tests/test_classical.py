@@ -110,11 +110,10 @@ def _complex_path(z):
 
 
 # Real arguments: the reflection boundary, negative half-integers (sin(pi x)
-# = +-1 and cos(pi x) a signed zero), 1e-7 from a pole, |sin(pi x)| inside
-# cmath's log1p band [0.71, 1.73], Lanczos sums inside that band (x >= 18 or,
-# reflected, x <= -17; at 30.02, 95.26, 142.2 and their reflections the band's
-# log1p form and plain log differ in the result's last bit), and magnitudes
-# up to 1e13.
+# = +-1 and cos(pi x) a signed zero), 1e-7 from a pole, the zeros of log
+# Gamma at 1 and 2, points where cmath's log1p band [0.71, 1.73] once decided
+# the last bit (30.02, 95.26, 142.2 and their reflections), and magnitudes up
+# to 1e13.
 _REAL_GRID = sorted({
     0.5, math.nextafter(0.5, 1.0), 0.5 + 1e-15, 0.5 + 1e-9, 0.50001,
     math.nextafter(0.5, 0.0), 0.4999999, 0.25, 1e-7, 1e-3, 0.75, 1.0, 1.5,
@@ -132,41 +131,78 @@ def _off_pole(z):
     return dist >= classical.POLE_TOLERANCE
 
 
+_REAL_SAMPLES = st.one_of(
+    st.floats(-1e13, 1e13),
+    st.floats(-60.0, 60.0),
+    st.integers(-300, 0).flatmap(
+        lambda n: st.floats(n - 0.5, n + 0.5).filter(lambda x: x != n)
+    ),
+).filter(_off_pole)
+
+# |error| <= _REAL_TOL * max(1, |log Gamma(x)|): 25 times tighter than the
+# complex plane's 1e-13.  Within 1e-6 of -10 or -11, log|Gamma| is about 1
+# while its two parts, -log|x + n| and log n!, are about 16 each; there the
+# error is bounded relative to log|x + n| instead (both the Lanczos path and
+# math.lgamma reach 6e-15 to 9e-15 relative to max(1, |log Gamma|)).
+_REAL_TOL = 4e-15
+
+
+def _real_tol(x, ref):
+    pole_part = abs(math.log(abs(x - round(x)))) if x < 0.5 else 0.0
+    return _REAL_TOL * max(1.0, abs(ref), pole_part)
+
+
+def _assert_real_axis_accurate(x, y):
+    got = classical._log_gamma_complex(complex(x, y)).real
+    ref = float(mp.re(mp.loggamma(mp.mpf(x))))
+    assert abs(got - ref) <= _real_tol(x, ref), (x, got, ref)
+
+
+def _assert_continuous_across_axis(x, sign):
+    """f(x +- 0j) against the complex path at x +- 1e-300j."""
+    on_axis = classical._log_gamma_complex(complex(x, math.copysign(0.0, sign)))
+    off_axis = classical._log_gamma_complex(complex(x, sign * 1e-300))
+    assert abs(on_axis.real - off_axis.real) <= _real_tol(x, off_axis.real), x
+    # On the axis Im is a multiple of pi; off it, Im moves by 1e-300 * psi(x).
+    assert abs(on_axis.imag - off_axis.imag) <= math.ulp(
+        max(abs(on_axis.imag), math.pi)
+    ), x
+
+
 class TestRealAxisPath:
-    """The float-arithmetic real-axis path returns the complex path's bits."""
+    """The real axis takes math.lgamma; the complex path keeps its own bits."""
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_grid_bit_identical(self, sign):
+    def test_grid_accurate(self, sign):
         for x in _REAL_GRID:
-            z = complex(x, math.copysign(0.0, sign))
-            assert repr(classical._log_gamma_complex(z)) == repr(_complex_path(z)), z
+            _assert_real_axis_accurate(x, math.copysign(0.0, sign))
 
-    # Inside the band, log1p((a-1)(a+1))/2 and log(a) differ in the last bit
-    # at 0.713, 1.2345, 1.725 and 1.73.
-    @pytest.mark.parametrize("a", [
-        1e-300, 1e-8, 0.5, math.nextafter(0.71, 0.0), 0.71, 0.713, 1.0,
-        math.nextafter(1.0, 2.0), 1.2345, 1.725, 1.73, math.nextafter(1.73, 2.0),
-        4.7, 1e13, 1e300,
-    ])
-    def test_log_positive_is_cmath_real_part(self, a):
-        for y in (0.0, -0.0):
-            want = cmath.log(complex(a, y)).real
-            assert repr(classical._log_positive(a)) == repr(want)
-
-    @given(
-        st.one_of(
-            st.floats(-1e13, 1e13),
-            st.floats(-60.0, 60.0),
-            st.integers(-300, 0).flatmap(
-                lambda n: st.floats(n - 0.5, n + 0.5).filter(lambda x: x != n)
-            ),
-        ).filter(_off_pole),
-        st.sampled_from([0.0, -0.0]),
-    )
+    @given(_REAL_SAMPLES, st.sampled_from([0.0, -0.0]))
     @settings(max_examples=400, deadline=None)
-    def test_sampled_bit_identical(self, x, y):
-        z = complex(x, y)
-        assert repr(classical._log_gamma_complex(z)) == repr(_complex_path(z))
+    def test_sampled_accurate(self, x, y):
+        _assert_real_axis_accurate(x, y)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_grid_continuous_across_axis(self, sign):
+        for x in _REAL_GRID:
+            _assert_continuous_across_axis(x, sign)
+
+    @given(_REAL_SAMPLES, st.sampled_from([1.0, -1.0]))
+    @settings(max_examples=400, deadline=None)
+    def test_sampled_continuous_across_axis(self, x, sign):
+        _assert_continuous_across_axis(x, sign)
+
+    def test_past_lgamma_range_falls_back_to_complex_path(self):
+        # math.lgamma overflows from about 2.56e305; there the complex path
+        # answers, as before, with log|Gamma| = inf.
+        for x in (1e300, 2.5e305):
+            res = log_gamma(x)
+            ref = float(mp.loggamma(mp.mpf(x)))
+            assert abs(res.log_abs - ref) <= _REAL_TOL * ref
+            assert res.arg == 0.0
+        for x in (2.6e305, 1e307):
+            res = log_gamma(x)
+            assert (repr(res.log_abs), repr(res.arg)) == ("inf", "0.0")
 
     @given(st.floats(-80.0, 80.0), st.floats(-80.0, 80.0))
     @settings(max_examples=200, deadline=None)

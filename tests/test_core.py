@@ -37,7 +37,11 @@ from degamma.errors import (
     PoleError,
     SingularParameterError,
 )
-from degamma.representations import weierstrass_gamma
+from degamma.representations import (
+    degenerate_beta_product,
+    euler_limit_gamma,
+    weierstrass_gamma,
+)
 
 
 def rel(a, b):
@@ -77,6 +81,33 @@ class TestDegenerateParameter:
     def test_smallest_lambda_with_finite_reciprocal_is_accepted(self):
         p = DegenerateParameter(5.6e-309)
         assert math.isfinite(p.inv_lambda)
+
+    # Every path that divides by Gamma(1/lambda), at one regular point each.
+    _LOG_GAMMA_U_PATHS = [
+        lambda p: degenerate_gamma(1.5, p),
+        lambda p: degenerate_gamma(1.5 + 0.5j, p),
+        lambda p: degenerate_gamma_log(1.5, p),
+        lambda p: degenerate_beta(0.5, 0.7, p),
+        lambda p: degenerate_beta_classical(0.5, 0.7, p),
+        lambda p: pole_residue(PoleFamily.NON_POSITIVE, 1, p),
+        lambda p: pole_residue(PoleFamily.SHIFTED_BY_INV_LAMBDA, 0, p),
+        lambda p: weierstrass_gamma(1.5, p),
+        lambda p: euler_limit_gamma(1.5, p),
+        lambda p: degenerate_beta_product(0.5, 0.7, p),
+    ]
+
+    # log Gamma(1/lambda) overflows below about 3.9e-306
+    @pytest.mark.parametrize("tiny", [3e-306, 1e-306, 5.6e-309])
+    def test_lambda_whose_log_gamma_overflows_raises_on_every_path(self, tiny):
+        p = DegenerateParameter(tiny)
+        for path in self._LOG_GAMMA_U_PATHS:
+            with pytest.raises(ParameterRangeError, match=repr(tiny)):
+                path(p)
+
+    def test_lambda_just_above_that_still_evaluates(self):
+        p = DegenerateParameter(1e-305)
+        for path in self._LOG_GAMMA_U_PATHS:
+            path(p)
 
     def test_cached_log_gamma_stays_out_of_eq_hash_repr(self):
         p, q = DegenerateParameter(0.25), DegenerateParameter(0.25)

@@ -408,6 +408,30 @@ class TestPairedSumPrecision:
             assert abs(res.value - limit) <= res.abs_error_estimate, z
 
 
+class TestEulerLimitBeforeHead:
+    """Before n - 1 >= 2 max(|z|, |u - z|, 1) the level gap bounds nothing."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_small_levels_report_inf(self, mp, n):
+        # The gap said 0.050 and 0.097 here, against errors near 832.
+        p = DegenerateParameter(0.85)
+        z = -3.001
+        res = euler_limit_gamma(z, p, ProductSpec(n_terms=n))
+        zz, mu, ml = mp.mpf(z), mp.mpf(p.inv_lambda), mp.mpf(p.lam)
+        limit = complex(ml ** (-zz) * mp.gamma(zz) * mp.gamma(mu - zz) / mp.gamma(mu))
+        assert abs(res.value - limit) <= res.abs_error_estimate
+        assert res.abs_error_estimate == math.inf
+
+    def test_head_level_uses_the_gap(self):
+        p = DegenerateParameter(0.85)
+        z = -3.001
+        head = math.ceil(2.0 * abs(p.inv_lambda - z)) + 1  # n - 1 = 2 |u - z|
+        before = euler_limit_gamma(z, p, ProductSpec(n_terms=head - 1))
+        at = euler_limit_gamma(z, p, ProductSpec(n_terms=head))
+        assert before.abs_error_estimate == math.inf
+        assert math.isfinite(at.abs_error_estimate)
+
+
 class TestEulerMaclaurinTail:
     """The paired sum's closed-form far tail against 40-digit truncated sums.
 
