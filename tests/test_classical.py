@@ -35,6 +35,14 @@ class TestLogGamma:
         assert res.log_abs == 0.0
         assert res.arg == 0.0
 
+    def test_at_two_is_exactly_zero(self):
+        # math.lgamma returns both zeros of log Gamma exactly, so Gamma(1)
+        # and Gamma(2) stay exactly 1 without a shortcut of their own.
+        res = log_gamma(2.0)
+        assert res.log_abs == 0.0
+        assert res.arg == 0.0
+        assert gamma(1.0) == gamma(2.0) == 1.0
+
     def test_half(self):
         res = log_gamma(0.5)
         assert res.log_abs == pytest.approx(math.log(math.sqrt(math.pi)), rel=1e-14)
@@ -191,6 +199,19 @@ class TestRealAxisPath:
     @settings(max_examples=400, deadline=None)
     def test_sampled_continuous_across_axis(self, x, sign):
         _assert_continuous_across_axis(x, sign)
+
+    # Positive arguments off the grid: tiny and huge magnitudes, and the
+    # neighbourhood of the zero at 1, where log Gamma is small and the error
+    # bound is absolute.
+    @pytest.mark.parametrize("a", [
+        1e-300, 1e-8, 0.5, math.nextafter(0.71, 0.0), 0.71, 0.713, 1.0,
+        math.nextafter(1.0, 2.0), 1.2345, 1.725, 1.73, math.nextafter(1.73, 2.0),
+        4.7, 1e13, 1e300,
+    ])
+    def test_positive_point_accurate(self, a):
+        for y in (0.0, -0.0):
+            _assert_real_axis_accurate(a, y)
+            assert classical._log_gamma_complex(complex(a, y)).imag == 0.0
 
     def test_past_lgamma_range_falls_back_to_complex_path(self):
         # math.lgamma overflows from about 2.56e305; there the complex path
