@@ -140,28 +140,24 @@ class OutputRecord:
 
 
 def _json_scalar(v) -> str:
-    if v.__class__ is float and math.isfinite(v):
-        return format(v, ".17g")
+    if isinstance(v, float):
+        if math.isfinite(v):
+            return format(v, ".17g")
+        if math.isnan(v):
+            return "NaN"
+        return "Infinity" if v > 0 else "-Infinity"
     if v is None:
         return "null"
     if isinstance(v, str):
         return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    if isinstance(v, float):
-        if math.isnan(v):
-            return "NaN"
-        if math.isinf(v):
-            return "Infinity" if v > 0 else "-Infinity"
-        return format(v, ".17g")
     return str(v)
 
 
 def _csv_scalar(v) -> str:
-    if v.__class__ is float:
+    if isinstance(v, float):
         return format(v, ".17g")
     if v is None:
         return ""
-    if isinstance(v, float):
-        return format(v, ".17g")
     return str(v)
 
 

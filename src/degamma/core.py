@@ -105,6 +105,9 @@ class PoleFamily(enum.Enum):
     SHIFTED_BY_INV_LAMBDA = "shifted-by-inv-lambda"
 
 
+_NON_POSITIVE, _SHIFTED = PoleFamily  # globals, cheaper than the enum lookups
+
+
 @dataclass(frozen=True)
 class PoleInfo:
     """One simple pole: its family, index n, location, and residue."""
@@ -316,8 +319,8 @@ def nearest_pole(s: complex, p: DegenerateParameter) -> tuple[float, PoleFamily,
     n2 = max(0, int(round(s.real - p.inv_lambda)))
     d2 = abs(s - (p.inv_lambda + n2))
     if d1 <= d2:
-        return d1, PoleFamily.NON_POSITIVE, n1
-    return d2, PoleFamily.SHIFTED_BY_INV_LAMBDA, n2
+        return d1, _NON_POSITIVE, n1
+    return d2, _SHIFTED, n2
 
 
 def _closed_form_log(s: complex, p: DegenerateParameter) -> tuple[complex, float]:
@@ -371,6 +374,9 @@ def degenerate_gamma(s: complex, p: DegenerateParameter) -> EvalResult:
             pole=info,
         )
     log_val, mag_sum = _closed_form_log(s, p)
+    if family is _SHIFTED:  # the other family is >= u/2 away; mag_sum covers it there
+        # u and u - s are off by eps*(u + |s|), and |psi(u - s)| ~ 1/dist
+        mag_sum += (p.inv_lambda + abs(s)) / dist
     rel_est = 1e-14 + 8e-16 * mag_sum
     if dist < NEAR_POLE_RADIUS:
         rel_est *= NEAR_POLE_RADIUS / dist
@@ -498,8 +504,8 @@ def symmetry_partner(s: complex, p: DegenerateParameter) -> complex:
     return p.inv_lambda - complex(s)
 
 
-def _check_argument(name: str, w: complex, p: DegenerateParameter) -> None:
-    """Raise PoleError if argument ``name`` = w sits at a pole.
+def _check_argument(name: str, w: complex, p: DegenerateParameter) -> tuple:
+    """Raise PoleError if argument ``name`` = w sits at a pole; else ``nearest_pole``.
 
     The error's ``location`` is the pole itself, not the argument.
     """
@@ -512,21 +518,25 @@ def _check_argument(name: str, w: complex, p: DegenerateParameter) -> None:
             location=location,
             argument_name=name,
         )
+    return dist, family, n
 
 
 def _beta_guard(a: complex, b: complex, p: DegenerateParameter,
-                method: EvalMethod) -> EvalResult | None:
+                method: EvalMethod) -> tuple[EvalResult | None, float]:
     """Argument checks shared by every degenerate-beta path.
 
-    Raises PoleError when alpha or beta sits at a pole.  When alpha+beta does
-    instead, the ratio vanishes in the limit and the exact-zero result is
-    returned; otherwise None.
+    Raises PoleError when alpha or beta sits at a pole.  Returns the exact-zero
+    result when alpha+beta does (the ratio vanishes in the limit), else None,
+    and the rounding felt next to the poles, alpha + beta's own included.
     """
-    _check_argument("alpha", a, p)
-    _check_argument("beta", b, p)
-    dist, _, _ = nearest_pole(a + b, p)
+    u = p.inv_lambda
+    dist_a, family_a, _ = _check_argument("alpha", a, p)
+    dist_b, family_b, _ = _check_argument("beta", b, p)
+    dist, family, _ = nearest_pole(a + b, p)
     if dist >= POLE_TOLERANCE:
-        return None
+        return None, ((abs(a) + abs(b) + (u if family is _SHIFTED else 0.0)) / dist
+                      + ((u + abs(a)) / dist_a if family_a is _SHIFTED else 0.0)
+                      + ((u + abs(b)) / dist_b if family_b is _SHIFTED else 0.0))
     return EvalResult(
         value=0.0 + 0.0j,
         abs_error_estimate=0.0,
@@ -534,7 +544,7 @@ def _beta_guard(a: complex, b: complex, p: DegenerateParameter,
         status=EvalStatus.REGULAR,
         note="alpha+beta sits at a pole of the degenerate gamma function; "
              "the ratio vanishes in the limit, so 0 is returned",
-    )
+    ), 0.0
 
 
 def degenerate_beta(a: complex, b: complex, p: DegenerateParameter) -> EvalResult:
@@ -545,14 +555,14 @@ def degenerate_beta(a: complex, b: complex, p: DegenerateParameter) -> EvalResul
     is 0 with an explanatory note.  Real a and b give a real value.
     """
     a, b = complex(a), complex(b)
-    zero = _beta_guard(a, b, p, EvalMethod.CLOSED_FORM)
+    zero, felt = _beta_guard(a, b, p, EvalMethod.CLOSED_FORM)
     if zero is not None:
         return zero
-    la = _closed_form_log(a, p)[0]
-    lb = _closed_form_log(b, p)[0]
-    lab = _closed_form_log(a + b, p)[0]
+    la, ma = _closed_form_log(a, p)
+    lb, mb = _closed_form_log(b, p)
+    lab, mab = _closed_form_log(a + b, p)
     log_val = la + lb - lab
-    rel_est = 1e-14 + 8e-16 * (abs(la) + abs(lb) + abs(lab))
+    rel_est = 1e-14 + 8e-16 * (ma + mb + mab + felt)
     return _finish(log_val, EvalMethod.CLOSED_FORM, rel_est, not (a.imag or b.imag))
 
 
@@ -566,7 +576,7 @@ def degenerate_beta_classical(
     a cross-check path.
     """
     a, b = complex(a), complex(b)
-    zero = _beta_guard(a, b, p, EvalMethod.CLASSICAL_MIXED)
+    zero, felt = _beta_guard(a, b, p, EvalMethod.CLASSICAL_MIXED)
     if zero is not None:
         return zero
     u = p.inv_lambda
@@ -578,5 +588,5 @@ def degenerate_beta_classical(
         -p.log_gamma_inv_lambda,
     ]
     log_val = sum(terms)
-    rel_est = 1e-14 + 8e-16 * sum(abs(t) for t in terms)
+    rel_est = 1e-14 + 8e-16 * (sum(abs(t) for t in terms) + felt)
     return _finish(log_val, EvalMethod.CLASSICAL_MIXED, rel_est, not (a.imag or b.imag))

@@ -190,6 +190,13 @@ def direct_integral_gamma(
             f"direct_integral_gamma: Re(s) = {s.real} is outside the validity "
             f"strip 0 < Re(s) < 1/lambda = {u_max:.6g} (margin {STRIP_MARGIN})"
         )
+    # Rounding floor, taken first to refuse a lambda whose log Gamma(1/lambda)
+    # overflows before the quadrature: eps times integral |integrand| (the closed
+    # form at Re(s)), twice for node roundings, u/|u - s| more for u's rounding.
+    sigma = s.real
+    log_mass = (math.lgamma(sigma) - p.log_gamma_inv_lambda
+                + math.lgamma(u_max - sigma) - sigma * p.log_lambda)
+    floor = _EPS * (2.0 + u_max / abs(u_max - s)) * math.exp(min(log_mass, LOG_OVERFLOW))
     lam = p.lam
     K = _POWER_K
 
@@ -209,14 +216,6 @@ def direct_integral_gamma(
         v1, e1 = de_quadrature(near_piece, spec)
         v2, e2 = de_quadrature(far_piece, spec)
     value = v1 + v2
-    # Rounding floor: eps times integral_0^inf |integrand|, which is the
-    # function at Re(s), a positive real closed form; twice for the
-    # roundings of each node's value, and u/|u - s| more for the rounding
-    # of u = 1/lambda, which the value feels near the strip's upper edge.
-    sigma = s.real
-    log_mass = (math.lgamma(sigma) + math.lgamma(u_max - sigma)
-                - p.log_gamma_inv_lambda - sigma * p.log_lambda)
-    floor = _EPS * (2.0 + u_max / abs(u_max - s)) * math.exp(min(log_mass, LOG_OVERFLOW))
     err = e1 + e2 + abs(value) * 1e-15 + floor
     return _linear_result(value, err, EvalMethod.DIRECT_INTEGRAL)
 

@@ -359,7 +359,7 @@ def degenerate_beta_product(
     """
     spec = spec or ProductSpec()
     a, b = complex(a), complex(b)
-    zero = _beta_guard(a, b, p, EvalMethod.BETA_PRODUCT)
+    zero, _ = _beta_guard(a, b, p, EvalMethod.BETA_PRODUCT)
     if zero is not None:
         return zero
     u = p.inv_lambda

@@ -42,6 +42,7 @@ from degamma.representations import (
     euler_limit_gamma,
     weierstrass_gamma,
 )
+from degamma.quadrature import direct_integral_gamma
 
 
 def rel(a, b):
@@ -103,6 +104,13 @@ class TestDegenerateParameter:
         for path in self._LOG_GAMMA_U_PATHS:
             with pytest.raises(ParameterRangeError, match=repr(tiny)):
                 path(p)
+
+    # The defining integral is refused before its quadrature runs, which
+    # would overflow at such lambda (and warn, an error in this suite).
+    @pytest.mark.parametrize("tiny", [3e-306, 1e-306, 5.6e-309])
+    def test_direct_integral_refuses_such_lambda_before_quadrature(self, tiny):
+        with pytest.raises(ParameterRangeError, match=repr(tiny)):
+            direct_integral_gamma(1.5 + 0.5j, DegenerateParameter(tiny))
 
     def test_lambda_just_above_that_still_evaluates(self):
         p = DegenerateParameter(1e-305)
@@ -636,3 +644,71 @@ def test_real_value_matches_the_real_closed_form():
             got = degenerate_gamma(float(s), p).value
             assert got.imag == 0.0
             assert rel(got.real, want) <= 1e-12
+
+
+@pytest.fixture
+def mp():
+    """mpmath at 40 digits; the tests using it skip when it is missing."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        yield mpmath
+
+
+def _mp_dgamma(mp, s, lam):
+    """40-digit closed form; s as a float or an exact mpmath sum, never rounded."""
+    lam, s = mp.mpf(lam), mp.mpc(s)
+    u = 1 / lam
+    return lam ** (-s) * mp.gamma(s) * mp.gamma(u - s) / mp.gamma(u)
+
+
+def _mp_beta(mp, a, b, lam):
+    a, b = mp.mpc(a), mp.mpc(b)
+    return _mp_dgamma(mp, a, lam) * _mp_dgamma(mp, b, lam) / _mp_dgamma(mp, a + b, lam)
+
+
+def _near_shifted_poles(seed, k):
+    """Real s within 1e-2 of a shifted-family pole u + n, over random lambda."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(k):
+        lam = float(rng.uniform(0.05, 0.95))
+        n = int(rng.integers(0, 16))
+        d = float(rng.choice([1e-6, -1e-6, 3e-5, -3e-5, 1e-3, -1e-2, 1e-2]))
+        out.append((lam, 1.0 / lam + n + d))
+    return out
+
+
+class TestEstimateNearPoles:
+    """|error| <= abs_error_estimate against 40-digit mpmath near the poles.
+
+    There u = 1/lambda and the sums that form the arguments are rounded, and
+    log Gamma feels that rounding divided by the distance to the pole.
+    """
+
+    @pytest.mark.parametrize("lam, s", [
+        (0.21420600547186064, 4.6784031934453205),
+        (0.06057393961117849, 23.51874957810169),
+        (0.14410602272693862, 7.949335227472514),
+        (0.16263578315163651, 7.158708363076724),
+    ] + _near_shifted_poles(31, 40))
+    def test_gamma(self, mp, lam, s):
+        res = degenerate_gamma(s, DegenerateParameter(lam))
+        assert abs(res.value - complex(_mp_dgamma(mp, s, lam))) <= res.abs_error_estimate
+
+    @pytest.mark.parametrize("lam, a, b", [
+        (0.15, 6.666665666666667, -3.4949495396202357),
+        (0.7278529119981143, 15.383903962621764, -13.976855133087883),
+        (0.787470038645188, 10.279889584269721, -7.63),
+        (0.30859264876672843, 11.250517893075026, -8.2),
+        (0.34060074842390053, -3e-05, 10.945988850956466),
+        (0.8892755191238633, 15.041130727873583, 1.1244808838543372),
+        # alpha + beta within 3e-5 of a non-positive pole: the sum is rounded
+        (0.6139870346958366, -11.00003, -0.999999),
+        (0.12168183420602573, -2.000001, -9.00003),
+        (1e-3, -11.2, -4.63),
+        (1e-3, 92.95417007833517, -3.00003),
+    ] + [(lam, s, -0.35) for lam, s in _near_shifted_poles(32, 20)])
+    @pytest.mark.parametrize("path", [degenerate_beta, degenerate_beta_classical])
+    def test_beta(self, mp, path, lam, a, b):
+        res = path(a, b, DegenerateParameter(lam))
+        assert abs(res.value - complex(_mp_beta(mp, a, b, lam))) <= res.abs_error_estimate
