@@ -2,9 +2,9 @@
 """Every representation of the same function, racing toward the closed form.
 
 Besides the closed form, the library evaluates the degenerate gamma function
-by its defining integral (tanh-sinh quadrature), by a loop contour around the
-origin (which also continues it left of the strip), by a paired Weierstrass
-product, and by a rational limit sequence.  They are implemented
+by its defining integral (Clenshaw-Curtis quadrature), by a loop contour
+around the origin (which also continues it left of the strip), by a paired
+Weierstrass product, and by a rational limit sequence.  They are implemented
 independently, so their mutual agreement is a strong correctness check.
 """
 

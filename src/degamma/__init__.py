@@ -19,7 +19,6 @@ from .classical import (
     POLE_TOLERANCE,
     LogGammaResult,
     beta,
-    beta_product,
     gamma,
     log_beta,
     log_gamma,
@@ -63,7 +62,6 @@ from .errors import (
 )
 from .quadrature import (
     QuadratureSpec,
-    de_quadrature,
     direct_integral_gamma,
     hankel_gamma,
     hankel_gamma_reflected,

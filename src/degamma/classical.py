@@ -32,8 +32,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError, PoleError
 
 __all__ = [
@@ -47,7 +45,6 @@ __all__ = [
     "beta",
     "log_beta",
     "reflection_product",
-    "beta_product",
 ]
 
 # Euler's constant, lim(1 + 1/2 + ... + 1/n - log n), fixed at double precision.
@@ -258,21 +255,17 @@ def gamma(z: complex) -> complex:
     return cmath.exp(lg.as_complex())
 
 
-def _require_off_gamma_poles(pairs) -> None:
-    for name, w in pairs:
-        dist, n = _nonpositive_integer_distance(complex(w))
+def log_beta(a: complex, b: complex) -> complex:
+    """log B(a, b) = log Gamma(a) + log Gamma(b) - log Gamma(a+b)."""
+    a, b = complex(a), complex(b)
+    for name, w in (("a", a), ("b", b), ("a+b", a + b)):
+        dist, n = _nonpositive_integer_distance(w)
         if dist < POLE_TOLERANCE:
             raise PoleError(
                 f"beta: argument {name} = {w} sits at the gamma pole {-n}",
                 location=complex(-n, 0.0),
                 argument_name=name,
             )
-
-
-def log_beta(a: complex, b: complex) -> complex:
-    """log B(a, b) = log Gamma(a) + log Gamma(b) - log Gamma(a+b)."""
-    a, b = complex(a), complex(b)
-    _require_off_gamma_poles((("a", a), ("b", b), ("a+b", a + b)))
     return _log_gamma_off_pole(a) + _log_gamma_off_pole(b) - _log_gamma_off_pole(a + b)
 
 
@@ -294,33 +287,3 @@ def reflection_product(z: complex) -> complex:
             location=complex(n, 0.0),
         )
     return math.pi / sin_pi(z)
-
-
-def beta_product(a: complex, b: complex, n_terms: int) -> complex:
-    """Truncated product form of the beta function.
-
-    Partial product of
-    ``(a+b)/(a*b) * prod_{n=1}^{N} (1 + (a+b)/n) / ((1 + a/n)(1 + b/n))``,
-    which converges to B(a, b) as N grows (first-order 1/N tail).  Terms are
-    accumulated as logs with numpy's pairwise summation (reassociation is at
-    the 1 ulp level).
-    """
-    if n_terms < 1:
-        raise ValueError("beta_product: n_terms must be >= 1")
-    a, b = complex(a), complex(b)
-    _require_off_gamma_poles((("a", a), ("b", b), ("a+b", a + b)))
-    total = 0.0 + 0.0j
-    for lo, hi in _chunks(1, n_terms + 1):
-        n = np.arange(lo, hi, dtype=np.float64)
-        total += np.sum(
-            np.log1p((a + b) / n) - np.log1p(a / n) - np.log1p(b / n)
-        )
-    return (a + b) / (a * b) * cmath.exp(total)
-
-
-def _chunks(lo: int, hi: int, size: int = 1 << 20):
-    """Half-open index ranges [lo, hi) split into numpy-friendly chunks."""
-    while lo < hi:
-        step = min(size, hi - lo)
-        yield lo, lo + step
-        lo += step

@@ -1,21 +1,25 @@
 """Numerical-integration paths: the defining integral and the Hankel contour.
 
-The defining integral runs on a double-exponential (tanh-sinh) rule on (0, 1)
-with level doubling and node reuse.  Integrands receive both the node x and
-the distance 1-x computed without cancellation, so algebraic singularities at
-either endpoint keep full relative accuracy.  Levels 0-3 (195 nodes), before
-which the convergence test cannot pass, go to the integrand in one call.
+Every integral here runs on one nested Clenshaw-Curtis ladder on [-1, 1]
+with rungs of 16, 32, 64, ... intervals: its first three rungs (65 nodes) go
+to the integrand in one call and each deeper rung evaluates only its new
+nodes.
+
+The defining integral is split at t = 1 and its tail folded onto (0, 1] by
+t -> 1/w; both pieces take a further v**4 substitution and run on the ladder
+as one integrand.  Where an endpoint exponent is near -1 (Re s < 1 at t = 0,
+1/lambda - Re s < 1 at t = inf) the leading power is subtracted and its
+integral added back, so that the ladder sees pieces that vanish at v = 0.
 
 The Hankel path realizes the loop around the origin as two straight edges
 along the negative axis (phases exp(+-i*pi*s)) plus a circle of radius delta;
 together with the 1/(2i sin(pi s)) prefactor this continues the degenerate
 gamma function left of the validity strip.  The edges are truncated at the
-radius R where the analytic tail bound meets the tolerance.  Both integrands
-are analytic on finite intervals, so both run on one nested Clenshaw-Curtis
-ladder: its first three rungs (65 nodes) go to the integrand in one call and
-each deeper rung evaluates only its new nodes.  The circle's geometry does
-not depend on s or lambda, so its nodes and log(1 -+ delta e^{it}) at them
-are cached per (realization, radius).
+radius R where the analytic tail bound meets the tolerance.
+
+Node geometry that depends on neither s nor lambda (log v and v**4 on the
+defining integral's interval, the circle's nodes and log(1 -+ delta e^{it})
+at them) is cached per (geometry, interval, radius).
 """
 
 from __future__ import annotations
@@ -30,11 +34,11 @@ import numpy as np
 from . import classical
 from .classical import LOG_OVERFLOW, POLE_TOLERANCE
 from .core import DegenerateParameter, EvalMethod, EvalResult, EvalStatus
-from .errors import ConvergenceError, DomainError, IntegerArgumentError, StripError
+from .errors import (ConvergenceError, DomainError, IntegerArgumentError,
+                     ParameterRangeError, StripError)
 
 __all__ = [
     "QuadratureSpec",
-    "de_quadrature",
     "direct_integral_gamma",
     "hankel_gamma",
     "hankel_gamma_reflected",
@@ -45,10 +49,6 @@ STRIP_MARGIN = 0.01
 # Margin below 1/lambda required by the contour tail bound.
 HANKEL_MARGIN = 0.1
 
-_T_MAX = 6.1  # |t| beyond this, double-exponential weights underflow usefully
-_BASE_STEP = 0.5
-# The convergence test in de_quadrature cannot pass before this level.
-_FIRST_TEST_LEVEL = 3
 _EPS = math.ulp(1.0)
 
 
@@ -56,12 +56,12 @@ _EPS = math.ulp(1.0)
 class QuadratureSpec:
     """Tolerances and contour geometry for the integral paths.
 
-    ``max_level`` bounds both ladders: the defining integral's deepest
-    tanh-sinh level, and the contour's deepest Clenshaw-Curtis rung, which
-    has 16 * 2**max_level intervals.  It must be at least 3, the first
-    tanh-sinh level at which the convergence test can pass.  The contour's
-    circle is held to min(rel_tolerance, 1e-11).  The contour's truncation
-    radius R is not set here: it is chosen so that the analytic tail bound
+    ``max_level`` is the deepest Clenshaw-Curtis rung, which has
+    16 * 2**max_level intervals.  It must be at least 3: the first integrand
+    call already evaluates rungs 0-2, so a lower cap would save no integrand
+    evaluation and only forbid the next rung.  The contour's circle is held
+    to min(rel_tolerance, 1e-11).  The contour's truncation radius R is not
+    set here: it is chosen so that the analytic tail bound
     R**(Re s - 1/lambda)/(1/lambda - Re s) meets the tolerance.
     """
 
@@ -74,80 +74,8 @@ class QuadratureSpec:
             raise ValueError("QuadratureSpec: rel_tolerance must be >= 1e-14")
         if not 0.0 < self.hankel_radius < 1.0:
             raise ValueError("QuadratureSpec: hankel_radius must be in (0, 1)")
-        if self.max_level < _FIRST_TEST_LEVEL:
+        if self.max_level < 3:
             raise ValueError("QuadratureSpec: max_level must be >= 3")
-
-
-@functools.cache
-def _nodes(level: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(x, 1-x, weight) for the new nodes introduced at a refinement level.
-
-    Level 0 holds every node of the base step; level m > 0 holds only the odd
-    multiples of the halved step, so a running sum can reuse earlier levels.
-    """
-    h = _BASE_STEP / (1 << level) if level else _BASE_STEP
-    if level == 0:
-        k = np.arange(-int(_T_MAX / h), int(_T_MAX / h) + 1)
-        t = k * h
-    else:
-        k = np.arange(1, int(_T_MAX / h) + 1, 2)
-        t = np.concatenate([-k[::-1], k]) * h
-    u = 0.5 * math.pi * np.sinh(t)
-    x = 1.0 / (1.0 + np.exp(-2.0 * u))
-    one_minus_x = 1.0 / (1.0 + np.exp(2.0 * u))
-    w = 0.5 * math.pi * np.cosh(t) / (2.0 * np.cosh(u) ** 2)
-    keep = (w > 0.0) & (x > 0.0) & (one_minus_x > 0.0)
-    return x[keep], one_minus_x[keep], w[keep]
-
-
-@functools.cache
-def _head_nodes() -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-    """Levels 0..3 concatenated as (x, 1-x, weight, end index of each level)."""
-    levels = [_nodes(level) for level in range(_FIRST_TEST_LEVEL + 1)]
-    ends = np.cumsum([len(x) for x, _, _ in levels]).tolist()
-    return tuple(np.concatenate(parts) for parts in zip(*levels)) + (ends,)
-
-
-def de_quadrature(f, spec: QuadratureSpec | None = None) -> tuple[complex, float]:
-    """Integrate f over (0, 1) by the tanh-sinh rule with level doubling.
-
-    ``f(x, one_minus_x)`` must accept numpy arrays and return an array of
-    pointwise values; the second argument is the distance to the right
-    endpoint, supplied separately so integrands singular at 1 do not lose
-    digits to cancellation.  Levels up to 3 are evaluated in one call of f.
-
-    Returns (value, err) where err is the last inter-level difference.
-
-    Raises
-    ------
-    ConvergenceError
-        If max_level refinements do not bring successive levels within
-        rel_tolerance of each other.
-    """
-    spec = spec or QuadratureSpec()
-    x, omx, w, ends = _head_nodes()
-    head = f(x, omx) * w
-    h = _BASE_STEP
-    total = complex(head[: ends[0]].sum()) * h
-    prev = total
-    err = math.inf
-    for level in range(1, spec.max_level + 1):
-        h *= 0.5
-        if level <= _FIRST_TEST_LEVEL:
-            terms = head[ends[level - 1] : ends[level]]
-        else:
-            x, omx, w = _nodes(level)
-            terms = f(x, omx) * w
-        total = 0.5 * prev + complex(terms.sum()) * h
-        err = abs(total - prev)
-        converged = err <= spec.rel_tolerance * max(abs(total), 1e-300)
-        if level >= _FIRST_TEST_LEVEL and converged:
-            return total, err
-        prev = total
-    raise ConvergenceError(
-        f"de_quadrature: inter-level difference {err:.3g} still above "
-        f"rel_tolerance {spec.rel_tolerance:.3g} after {spec.max_level} levels"
-    )
 
 
 def _linear_result(value: complex, err: float, method: EvalMethod) -> EvalResult:
@@ -167,15 +95,31 @@ def _linear_result(value: complex, err: float, method: EvalMethod) -> EvalResult
 _POWER_K = 4
 
 
+def _power_geometry(v):
+    """Rows log v, v**K and K at nodes v > 0, and 0, 1 and 0 at v = 0.
+
+    Every defining-integral piece vanishes at v = 0; its last row, the
+    piece's factor K, makes it exactly 0 there from finite values.
+    """
+    live = v > 0.0
+    log_v = np.log(np.where(live, v, 1.0))
+    return np.array([log_v, np.exp(_POWER_K * log_v), _POWER_K * live])
+
+
 def direct_integral_gamma(
     s: complex, p: DegenerateParameter, spec: QuadratureSpec | None = None
 ) -> EvalResult:
     """Degenerate gamma on the validity strip via its defining integral.
 
     integral_0^inf (1 + lambda*t)**(-1/lambda) t**(s-1) dt, split at t = 1;
-    the tail is folded onto (0, 1] by t -> 1/u, giving the integrand
-    u**(1/lambda - s - 1) (u + lambda)**(-1/lambda).  Both pieces get an
-    additional v**K power substitution before the tanh-sinh rule.
+    the tail is folded onto (0, 1] by t -> 1/w, giving the integrand
+    w**(-s-1) (1 + lambda/w)**(-1/lambda).  Both pieces get an additional
+    v**K power substitution, and the Clenshaw-Curtis ladder integrates their
+    sum over v in [0, 1].  Where Re(s) < 1, the near piece runs less
+    t**(s-1) and adds back 1/s; where 1/lambda - Re(s) < 1, the far piece
+    runs less lambda**(-1/lambda) w**(1/lambda-s-1) and adds back
+    lambda**(-1/lambda)/(1/lambda - s).  The ladder stops on rel_tolerance
+    relative to the value, add-backs included.
 
     Raises DomainError if s is not finite, and StripError unless
     0 < Re(s) < 1/lambda with margin 0.01.
@@ -192,31 +136,56 @@ def direct_integral_gamma(
         )
     # Rounding floor, taken first to refuse a lambda whose log Gamma(1/lambda)
     # overflows before the quadrature: eps times integral |integrand| (the closed
-    # form at Re(s)), twice for node roundings, u/|u - s| more for u's rounding.
-    sigma = s.real
-    log_mass = (math.lgamma(sigma) - p.log_gamma_inv_lambda
-                + math.lgamma(u_max - sigma) - sigma * p.log_lambda)
-    floor = _EPS * (2.0 + u_max / abs(u_max - s)) * math.exp(min(log_mass, LOG_OVERFLOW))
+    # form at Re(s)), twice for node roundings, u/|u - s| more for u's rounding,
+    # and once more each added-back term.
+    sigma, gap = s.real, u_max - s.real
+    log_gamma_u = p.log_gamma_inv_lambda
+    if gap < 10.0:
+        ratio = math.lgamma(gap) - log_gamma_u + sigma * math.log(u_max)
+    else:
+        # log Gamma(u - sigma) - log Gamma(u) + sigma log u by Stirling, whose
+        # terms stay small where the two log Gammas would cancel at small lambda
+        ratio = (gap - 0.5) * math.log1p(-sigma / u_max) + sigma + sigma / (12.0 * u_max * gap)
+    log_mass = math.lgamma(sigma) + ratio - sigma * math.log(p.lam * u_max)
+    # log lambda**(-u): huge at small lambda, where subtracting its power
+    # would cancel, so the far piece subtracts only where u - Re(s) < 1
+    near_cut, far_cut = sigma < 1.0, gap < 1.0
+    far_log = -u_max * p.log_lambda
+    log_scale = max(log_mass, far_log) if far_cut else log_mass
+    if log_scale > LOG_OVERFLOW:
+        raise ConvergenceError(
+            f"direct_integral_gamma: at s = {s}, lambda = {p.lam:.6g} the "
+            f"integrand reaches exp({log_scale:.6g}) and overflows"
+        )
+    near_back = 1.0 / s if near_cut else 0.0
+    far_back = math.exp(far_log) / (u_max - s) if far_cut else 0.0
+    added = near_back + far_back
+    floor = _EPS * ((2.0 + u_max / abs(u_max - s)) * math.exp(log_mass)
+                    + abs(near_back) + abs(far_back))
     lam = p.lam
     K = _POWER_K
 
-    def near_piece(v, _):
-        # t = v**K on [0, 1]
-        return K * np.exp((K * s - 1.0) * np.log(v)) * np.power(
-            1.0 + lam * v**K, -u_max
-        )
-
-    def far_piece(v, _):
-        # u = v**K on (0, 1], from t -> 1/u on [1, inf)
-        return K * np.exp((K * (u_max - s) - 1.0) * np.log(v)) * np.power(
-            v**K + lam, -u_max
-        )
+    def pieces(_, geometry):
+        # near: t = v**K on [0, 1]; far: w = v**K on (0, 1], from t -> 1/w on [1, inf)
+        log_v, v_k, scale = geometry
+        damp = -u_max * np.log1p(lam * v_k)
+        if near_cut:
+            near = np.exp((K * s - 1.0) * log_v) * np.expm1(damp)
+        else:
+            near = np.exp((K * s - 1.0) * log_v + damp)
+        if far_cut:
+            far = np.exp(far_log + (K * (u_max - s) - 1.0) * log_v) * np.expm1(
+                -u_max * np.log1p(v_k / lam))
+        else:
+            far = np.exp(-(K * s + 1.0) * log_v - u_max * np.log1p(lam / v_k))
+        # the added-back integrals ride along as a constant, so that the
+        # ladder's test is relative to the value and not to what cancels it
+        return scale * (near + far) + added
 
     with np.errstate(under="ignore"):
-        v1, e1 = de_quadrature(near_piece, spec)
-        v2, e2 = de_quadrature(far_piece, spec)
-    value = v1 + v2
-    err = e1 + e2 + abs(value) * 1e-15 + floor
+        value, quad_err = _mapped_integral(pieces, _power_geometry, 0.0, 1.0, (),
+                                           spec.rel_tolerance, spec.max_level)
+    err = quad_err + abs(value) * 1e-15 + floor
     return _linear_result(value, err, EvalMethod.DIRECT_INTEGRAL)
 
 
@@ -271,15 +240,18 @@ def _cc_head_weights() -> np.ndarray:
                      for rung in range(_CC_HEAD_RUNG + 1)])
 
 
-def _cc_ladder(f, tol: float, max_level: int) -> tuple[complex, float]:
+def _cc_ladder(
+    f, tol: float, max_level: int, rounding: float = _EPS
+) -> tuple[complex, float]:
     """Integrate over [-1, 1] on the nested Clenshaw-Curtis ladder.
 
     f(x, lo) returns the integrand at the ladder's nodes x, which start at
     ladder position lo.  The ladder stops at the first rung whose sum Q is
     within max(tol |Q|, 1e-14 M) of the rung before, where the rung's
     M = sum |w_i f(x_i)| sets the rounding floor, and returns Q and that
-    difference plus eps M.  Raises ConvergenceError if rung max_level does
-    not.
+    difference plus rounding M, rounding being the relative rounding of f's
+    values (eps unless f amplifies it).  Raises ConvergenceError if rung
+    max_level does not.
     """
     vals = f(_cc_rung(_CC_HEAD_RUNG)[0], 0)
     terms = _cc_head_weights() * vals
@@ -296,7 +268,7 @@ def _cc_ladder(f, tol: float, max_level: int) -> tuple[complex, float]:
         total, mass = sums[rung], masses[rung]
         err = abs(total - sums[rung - 1])
         if err <= max(tol * abs(total), 1e-14 * mass, 1e-300):
-            return total, err + _EPS * mass
+            return total, err + rounding * mass
     raise ConvergenceError(
         f"Clenshaw-Curtis ladder: difference {err:.3g} still above tolerance "
         f"{tol:.3g} at {_CC_N0 << max_level} intervals"
@@ -305,12 +277,13 @@ def _cc_ladder(f, tol: float, max_level: int) -> tuple[complex, float]:
 
 def _hankel_edges(
     s: complex, p: DegenerateParameter, spec: QuadratureSpec, name: str
-) -> tuple[complex, float, float]:
+) -> tuple[complex, float, float, float]:
     """Checks and edge integral shared by both loop realizations.
 
-    Returns (edge, edge_err, tail): edge = integral_delta^R t**(s-1)
-    (1+t)**(-1/lambda) dt, taken in y = log t, and the analytic bound on the
-    part beyond the cutoff R, R**(Re s - 1/lambda)/(1/lambda - Re s).
+    Returns (edge, edge_err, tail, rounding): edge = integral_delta^R
+    t**(s-1) (1+t)**(-1/lambda) dt, taken in y = log t, the analytic bound on
+    the part beyond the cutoff R, R**(Re s - 1/lambda)/(1/lambda - Re s), and
+    the relative rounding of the circle's values.
     """
     # raises DomainError for a non-finite s before the strip test sees it
     dist, nearest = classical._integer_distance(name, "s", s)
@@ -326,11 +299,23 @@ def _hankel_edges(
             f"{HANKEL_MARGIN} = {u_max - HANKEL_MARGIN:.6g} for the "
             f"contour tail to converge"
         )
+    # The circle's values reach (1 - delta)**(-1/lambda) delta**Re(s)
+    # e^(pi |Im s|) and carry the rounding of their exponent, at most
+    # 1/lambda |log(1 - delta)| + pi (|s| + 3) in size.
+    delta = spec.hankel_radius
+    log_peak = -u_max * math.log1p(-delta)
+    log_max = log_peak + s.real * math.log(delta) + math.pi * abs(s.imag)
+    if log_max > LOG_OVERFLOW:
+        raise ParameterRangeError(
+            f"{name}: at lambda = {p.lam:.6g} and s = {s} the values on the "
+            f"circle of radius {delta} reach exp({log_max:.6g}) and overflow"
+        )
+    rounding = _EPS * (1.0 + log_peak + math.pi * (abs(s) + 3.0))
     gap = u_max - s.real
     cutoff = max(10.0, (spec.rel_tolerance * gap) ** (-1.0 / gap))
     tail = cutoff ** (-gap) / gap
 
-    a = math.log(spec.hankel_radius)
+    a = math.log(delta)
     half = 0.5 * (math.log(cutoff) - a)
     mid = a + half
 
@@ -340,7 +325,7 @@ def _hankel_edges(
 
     with np.errstate(under="ignore"):
         edge, edge_err = _cc_ladder(integrand, spec.rel_tolerance, spec.max_level)
-    return edge, edge_err, tail
+    return edge, edge_err, tail, rounding
 
 
 def _hankel_result(
@@ -352,12 +337,12 @@ def _hankel_result(
     return _linear_result(lam_pow * total, abs(lam_pow) * err, method)
 
 
-# The circle's ladder nodes up to _CIRCLE_CACHED_RUNG (1024 intervals) and
-# the circle's log term at them are kept in an LRU cache of the last
-# _CIRCLE_CACHE_SIZE (realization, radius) pairs; deeper rungs are formed
-# per call.
-_CIRCLE_CACHED_RUNG = 6
-_CIRCLE_CACHE_SIZE = 8
+# Node geometry that depends on neither s nor lambda is kept at the ladder's
+# nodes up to _CACHED_RUNG (1024 intervals) in an LRU cache of the last
+# _GEOMETRY_CACHE_SIZE (geometry, interval, radius) keys; deeper rungs form
+# it per call.
+_CACHED_RUNG = 6
+_GEOMETRY_CACHE_SIZE = 8
 
 
 def _loop_circle_log(theta, delta):
@@ -370,34 +355,34 @@ def _reflected_circle_log(phi, delta):
     return np.log(1.0 + delta * np.exp(1j * phi))
 
 
-@functools.lru_cache(maxsize=_CIRCLE_CACHE_SIZE)
-def _circle_geometry(
-    circle_log, a: float, b: float, delta: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Ladder nodes on [a, b] in ladder order, and circle_log(t, delta) at them."""
-    t = 0.5 * (a + b) + 0.5 * (b - a) * _cc_rung(_CIRCLE_CACHED_RUNG)[0]
-    return t, circle_log(t, delta)
+@functools.lru_cache(maxsize=_GEOMETRY_CACHE_SIZE)
+def _ladder_geometry(geometry, a: float, b: float, *args) -> tuple[np.ndarray, np.ndarray]:
+    """Ladder nodes on [a, b] in ladder order, and geometry(t, *args) at them."""
+    t = 0.5 * (a + b) + 0.5 * (b - a) * _cc_rung(_CACHED_RUNG)[0]
+    return t, geometry(t, *args)
 
 
-def _circle_integral(
-    g, circle_log, a: float, b: float, delta: float, spec: QuadratureSpec
+def _mapped_integral(
+    g, geometry, a: float, b: float, args: tuple, tol: float, max_level: int,
+    rounding: float = _EPS,
 ) -> tuple[complex, float]:
     """Integral of g over [a, b] on the Clenshaw-Curtis ladder.
 
-    g(t, log_t) takes numpy arrays of parameter values and of
-    circle_log(t, delta) at them.  The circle integrand is analytic but not
-    periodic (the e^{i s theta} factor), which a Chebyshev rule does not need.
+    g(t, geo) takes numpy arrays of parameter values and of geometry(t, *args)
+    at them, whose last axis runs over t; rounding is as in _cc_ladder.  The
+    circle integrands are analytic but not periodic (the e^{i s theta}
+    factor), which a Chebyshev rule does not need.
     """
-    t, log_t = _circle_geometry(circle_log, a, b, delta)
+    t, geo = _ladder_geometry(geometry, a, b, *args)
     half = 0.5 * (b - a)
 
     def values(x, lo):
         if lo + len(x) <= len(t):
-            return g(t[lo : lo + len(x)], log_t[lo : lo + len(x)])
+            return g(t[lo : lo + len(x)], geo[..., lo : lo + len(x)])
         x = 0.5 * (a + b) + half * x
-        return g(x, circle_log(x, delta))
+        return g(x, geometry(x, *args))
 
-    total, err = _cc_ladder(values, min(spec.rel_tolerance, 1e-11), spec.max_level)
+    total, err = _cc_ladder(values, tol, max_level, rounding)
     return half * total, half * err
 
 
@@ -418,7 +403,7 @@ def hankel_gamma(
     """
     spec = spec or QuadratureSpec()
     s = complex(s)
-    edge, edge_err, tail = _hankel_edges(s, p, spec, "hankel_gamma")
+    edge, edge_err, tail, rounding = _hankel_edges(s, p, spec, "hankel_gamma")
     delta = spec.hankel_radius
     delta_pow = cmath.exp(s * math.log(delta))
     u_max = p.inv_lambda
@@ -426,8 +411,9 @@ def hankel_gamma(
     def circle(theta, log_circle):
         return 1j * delta_pow * np.exp(1j * s * theta - u_max * log_circle)
 
-    circle_val, circle_err = _circle_integral(
-        circle, _loop_circle_log, -math.pi, math.pi, delta, spec
+    circle_val, circle_err = _mapped_integral(
+        circle, _loop_circle_log, -math.pi, math.pi, (delta,),
+        min(spec.rel_tolerance, 1e-11), spec.max_level, rounding,
     )
     two_i_sin = 2j * classical.sin_pi(s)
     return _hankel_result(
@@ -450,7 +436,8 @@ def hankel_gamma_reflected(
     """
     spec = spec or QuadratureSpec()
     s = complex(s)
-    edge, edge_err, tail = _hankel_edges(s, p, spec, "hankel_gamma_reflected")
+    edge, edge_err, tail, rounding = _hankel_edges(
+        s, p, spec, "hankel_gamma_reflected")
     # (-w)**(s-1) phases on the two passes along the positive axis
     phase_diff = cmath.exp(1j * math.pi * (s - 1.0)) - cmath.exp(-1j * math.pi * (s - 1.0))
     edge_part = phase_diff * edge
@@ -466,8 +453,9 @@ def hankel_gamma_reflected(
                      - u_max * log_circle)
         )
 
-    circle_val, circle_err = _circle_integral(
-        circle, _reflected_circle_log, 0.0, 2.0 * math.pi, delta, spec
+    circle_val, circle_err = _mapped_integral(
+        circle, _reflected_circle_log, 0.0, 2.0 * math.pi, (delta,),
+        min(spec.rel_tolerance, 1e-11), spec.max_level, rounding,
     )
     prefactor = 1j / (2.0 * classical.sin_pi(s))
     return _hankel_result(

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import EULER_GAMMA, POLE_TOLERANCE, _chunks, _integer_distance
+from .classical import EULER_GAMMA, POLE_TOLERANCE, _integer_distance
 from .core import (
     DegenerateParameter,
     EvalMethod,
@@ -152,12 +152,12 @@ def _paired_log_sum(x: complex, u: float, lo: int, hi: int,
     split = max(lo, min(hi, math.ceil(2.0 * m) + 1))
     em_start = hi if direct else max(split, min(hi, max(32, math.ceil(8.0 * m))))
     head = 0.0 + 0.0j
-    for a, b in _chunks(lo, split, _CHUNK):
-        n = np.arange(a, b, dtype=np.float64)
+    for a in range(lo, split, _CHUNK):
+        n = np.arange(a, min(a + _CHUNK, split), dtype=np.float64)
         head += np.sum(np.log1p(x / n) + np.log1p(y / n))
     re_sum = im_sum = 0.0
-    for a, b in _chunks(split, em_start, _CHUNK):
-        r = np.arange(a, b, dtype=np.float64)
+    for a in range(split, em_start, _CHUNK):
+        r = np.arange(a, min(a + _CHUNK, em_start), dtype=np.float64)
         np.reciprocal(r, out=r)
         tr = q.real * r
         tr += u

@@ -13,7 +13,6 @@ from degamma import classical
 from degamma.classical import (
     EULER_GAMMA,
     beta,
-    beta_product,
     gamma,
     log_beta,
     log_gamma,
@@ -325,38 +324,6 @@ class TestBeta:
         with pytest.raises(PoleError) as exc:
             beta(0.25, -0.25)
         assert exc.value.argument_name == "a+b"
-
-
-class TestBetaProduct:
-    def test_ones_telescopes(self):
-        # prefactor 2 times prod_{n<=N} n(n+2)/(n+1)^2 = (N+2)/(N+1)
-        for n_terms in (1, 10, 1000):
-            expected = (n_terms + 2) / (n_terms + 1)
-            assert rel(beta_product(1, 1, n_terms), expected) <= 1e-12
-
-    def test_two_three(self):
-        assert abs(beta_product(2, 3, 10**5) - 1.0 / 12.0) <= 1e-4
-
-    def test_halves(self):
-        assert abs(beta_product(0.5, 0.5, 10**6) - math.pi) <= 1e-5
-
-    def test_error_decreases_monotonically(self):
-        target = beta(1.3, 0.8)
-        errors = [
-            abs(beta_product(1.3, 0.8, n) - target)
-            for n in (100, 400, 1600, 6400, 25600)
-        ]
-        for earlier, later in zip(errors, errors[1:]):
-            assert later < earlier + 1e-12
-
-    def test_rejects_nonpositive_terms(self):
-        with pytest.raises(ValueError):
-            beta_product(1, 1, 0)
-
-    def test_zero_argument_is_a_gamma_pole(self):
-        with pytest.raises(PoleError) as exc:
-            beta_product(0, 1, 10)
-        assert exc.value.argument_name == "a"
 
 
 class TestSinPi:

@@ -1,4 +1,4 @@
-"""Tests for the tanh-sinh engine, the defining integral, and the Hankel loop."""
+"""Tests for the quadrature spec, the defining integral, and the Hankel loop."""
 
 import math
 import os
@@ -11,17 +11,16 @@ import numpy as np
 import pytest
 
 from degamma import quadrature
-from degamma.classical import beta as classical_beta
 from degamma.core import DegenerateParameter, degenerate_gamma, nearest_pole
 from degamma.errors import (
     ConvergenceError,
     DomainError,
     IntegerArgumentError,
+    ParameterRangeError,
     StripError,
 )
 from degamma.quadrature import (
     QuadratureSpec,
-    de_quadrature,
     direct_integral_gamma,
     hankel_gamma,
     hankel_gamma_reflected,
@@ -37,41 +36,19 @@ def closed(s, p):
 
 
 class TestEngine:
-    def test_constant(self):
-        value, err = de_quadrature(lambda x, omx: np.ones_like(x))
-        assert value == pytest.approx(1.0, rel=1e-13)
-
-    def test_inverse_sqrt(self):
-        value, err = de_quadrature(lambda x, omx: x**-0.5)
-        assert value == pytest.approx(2.0, rel=1e-12)
-
-    def test_beta_half_half(self):
-        value, err = de_quadrature(lambda x, omx: x**-0.5 * omx**-0.5)
-        assert value == pytest.approx(math.pi, rel=1e-12)
-
-    @pytest.mark.parametrize("a,b", [(1, 1), (0.5, 0.5), (2, 3), (0.3, 1.7)])
-    def test_reproduces_beta_ratio(self, a, b):
-        def integrand(x, omx):
-            return x ** (a - 1.0) * omx ** (b - 1.0)
-
-        value, err = de_quadrature(integrand)
-        assert rel(value, classical_beta(a, b)) <= 1e-11
-
-    def test_error_estimate_reported(self):
-        value, err = de_quadrature(lambda x, omx: np.sqrt(x))
-        assert err >= 0.0
-        assert abs(value - 2.0 / 3.0) <= max(err * 10, 1e-13)
-
-    def test_convergence_error(self):
-        spec = QuadratureSpec(rel_tolerance=1e-14, max_level=3)
-        with pytest.raises(ConvergenceError):
-            de_quadrature(lambda x, omx: x**-0.97, spec)
+    """QuadratureSpec, which sets the Clenshaw-Curtis ladder's tolerance and depth."""
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             QuadratureSpec(rel_tolerance=1e-15)
         with pytest.raises(ValueError):
             QuadratureSpec(hankel_radius=1.5)
+
+    @pytest.mark.parametrize("max_level", [1, 2])
+    def test_shallow_ladders_are_rejected(self, max_level):
+        # the first integrand call already evaluates rungs 0-2
+        with pytest.raises(ValueError, match="max_level must be >= 3"):
+            QuadratureSpec(max_level=max_level)
 
 
 class TestDirectIntegral:
@@ -222,63 +199,9 @@ def test_non_finite_argument_raises_domain_error(path, s, monkeypatch):
     def no_quadrature(*args):
         raise AssertionError("quadrature ran on a non-finite argument")
 
-    monkeypatch.setattr(quadrature, "de_quadrature", no_quadrature)
+    monkeypatch.setattr(quadrature, "_cc_ladder", no_quadrature)
     with pytest.raises(DomainError):
         path(s, DegenerateParameter(0.4))
-
-
-def _level_by_level(f, spec):
-    """The tanh-sinh ladder one level per integrand call: the reference."""
-    x, omx, w = quadrature._nodes(0)
-    h = quadrature._BASE_STEP
-    total = complex(np.sum(f(x, omx) * w)) * h
-    prev = total
-    for level in range(1, spec.max_level + 1):
-        h *= 0.5
-        x, omx, w = quadrature._nodes(level)
-        total = 0.5 * prev + complex(np.sum(f(x, omx) * w)) * h
-        err = abs(total - prev)
-        if level >= 3 and err <= spec.rel_tolerance * max(abs(total), 1e-300):
-            return total, err
-        prev = total
-    raise ConvergenceError("reference ladder did not converge")
-
-
-class TestBatchedHead:
-    def test_level_three_stop_sees_exactly_its_nodes(self):
-        seen = []
-
-        def integrand(x, omx):
-            seen.append(x.copy())
-            return np.ones_like(x)
-
-        value, err = de_quadrature(integrand)
-        assert value == pytest.approx(1.0, rel=1e-13)
-        assert len(seen) == 1
-        loop_nodes = np.concatenate([quadrature._nodes(m)[0] for m in range(4)])
-        assert len(loop_nodes) == 195
-        assert np.array_equal(np.sort(seen[0]), np.sort(loop_nodes))
-
-    @pytest.mark.parametrize("max_level", [3, 4, 6, 10])
-    @pytest.mark.parametrize("exponent", [-0.97, -0.5, 0.5, 2.0])
-    def test_matches_level_by_level_ladder(self, max_level, exponent):
-        def integrand(x, omx):
-            return x**exponent * np.sqrt(omx)
-
-        spec = QuadratureSpec(rel_tolerance=1e-12, max_level=max_level)
-        try:
-            expected = _level_by_level(integrand, spec)
-        except ConvergenceError:
-            with pytest.raises(ConvergenceError):
-                de_quadrature(integrand, spec)
-        else:
-            assert de_quadrature(integrand, spec) == expected
-
-    @pytest.mark.parametrize("max_level", [1, 2])
-    def test_shallow_ladders_are_rejected(self, max_level):
-        # the convergence test cannot pass before level 3
-        with pytest.raises(ValueError, match="max_level must be >= 3"):
-            QuadratureSpec(max_level=max_level)
 
 
 class TestCircleCache:
@@ -286,14 +209,14 @@ class TestCircleCache:
     P = DegenerateParameter(0.3)
 
     def _fresh(self, path, delta):
-        quadrature._circle_geometry.cache_clear()
+        quadrature._ladder_geometry.cache_clear()
         return path(self.S, self.P, QuadratureSpec(hankel_radius=delta)).value
 
     def test_keyed_by_radius_and_realization(self):
         deltas = (0.1, 0.3, 0.5, 0.1)
         paths = (hankel_gamma, hankel_gamma_reflected)
         expected = [[self._fresh(path, d) for path in paths] for d in deltas]
-        quadrature._circle_geometry.cache_clear()
+        quadrature._ladder_geometry.cache_clear()
         got = [
             [path(self.S, self.P, QuadratureSpec(hankel_radius=d)).value
              for path in paths]
@@ -304,11 +227,11 @@ class TestCircleCache:
     def test_bounded(self):
         for delta in np.linspace(0.05, 0.6, 50):
             hankel_gamma(self.S, self.P, QuadratureSpec(hankel_radius=float(delta)))
-        assert 0 < quadrature._circle_geometry.cache_info().currsize <= quadrature._CIRCLE_CACHE_SIZE
+        assert 0 < quadrature._ladder_geometry.cache_info().currsize <= quadrature._GEOMETRY_CACHE_SIZE
 
     def test_concurrent_calls_under_eviction(self):
         # more radii than the cache holds, so threads evict each other's rows
-        deltas = [0.1 + 0.04 * k for k in range(quadrature._CIRCLE_CACHE_SIZE + 3)]
+        deltas = [0.1 + 0.04 * k for k in range(quadrature._GEOMETRY_CACHE_SIZE + 3)]
         expected = {d: self._fresh(hankel_gamma, d) for d in deltas}
         mismatches = []
 
@@ -331,7 +254,7 @@ class TestCircleCache:
             sys.setswitchinterval(old_interval)
         assert not any(t.is_alive() for t in threads)
         assert mismatches == []
-        assert quadrature._circle_geometry.cache_info().currsize <= quadrature._CIRCLE_CACHE_SIZE
+        assert quadrature._ladder_geometry.cache_info().currsize <= quadrature._GEOMETRY_CACHE_SIZE
 
 
 class TestClenshawCurtisLadder:
@@ -442,10 +365,12 @@ def mp():
 
 
 def _mp_dgamma(mp, s, lam):
-    s, lam = mp.mpc(s), mp.mpf(lam)
-    u = 1 / lam
-    return complex(mp.exp(-s * mp.log(lam) + mp.loggamma(s)
-                          + mp.loggamma(u - s) - mp.loggamma(u)))
+    """lambda**(-s) B(s, 1/lambda - s), with a digit more for each of 1/lambda's."""
+    with mp.workdps(mp.mp.dps + max(0, int(math.log10(1.0 / lam)))):
+        s, lam = mp.mpc(s), mp.mpf(lam)
+        u = 1 / lam
+        return complex(mp.exp(-s * mp.log(lam) + mp.loggamma(s)
+                              + mp.loggamma(u - s) - mp.loggamma(u)))
 
 
 def _contour_points(seed, count):
@@ -495,3 +420,56 @@ def test_direct_integral_estimate_bounds_the_oracle_error(mp):
         res = direct_integral_gamma(s, p)
         err = abs(res.value - _mp_dgamma(mp, s, p.lam))
         assert err <= res.abs_error_estimate, (s, p.lam, err, res.abs_error_estimate)
+
+
+@pytest.mark.parametrize("im", [0.0, 3.0, 5.0, 20.0])
+@pytest.mark.parametrize("edge", ["left", "right"])
+@pytest.mark.parametrize("lam", [0.15, 0.5, 0.85])
+def test_direct_integral_at_the_strip_margins(mp, lam, edge, im):
+    # the endpoint power at either margin is within 0.04 of t**-1 (v**-1 after
+    # v**4), which a rule without its subtraction cannot resolve
+    p = DegenerateParameter(lam)
+    margin = quadrature.STRIP_MARGIN
+    s = complex(margin if edge == "left" else p.inv_lambda - margin, im)
+    res = direct_integral_gamma(s, p)
+    err = abs(res.value - _mp_dgamma(mp, s, lam))
+    assert err <= res.abs_error_estimate, (err, res.abs_error_estimate)
+
+
+SMALL_LAMBDAS = [1e-2, 1e-3, 1e-5, 1e-30, 1e-300]
+
+
+@pytest.mark.parametrize("lam", SMALL_LAMBDAS)
+def test_direct_integral_at_small_lambda(mp, lam):
+    # (v**K + lambda)**(-1/lambda) overflowed from lambda = 1e-3 down
+    s = 1.5 + 0.5j
+    res = direct_integral_gamma(s, DegenerateParameter(lam))
+    err = abs(res.value - _mp_dgamma(mp, s, lam))
+    assert err <= res.abs_error_estimate <= 1e-13
+
+
+@pytest.mark.parametrize("lam", SMALL_LAMBDAS)
+@pytest.mark.parametrize("path", [hankel_gamma, hankel_gamma_reflected],
+                         ids=lambda f: f.__name__)
+def test_contour_at_small_lambda(mp, monkeypatch, path, lam):
+    # at delta = 0.3 the circle's (1 - delta)**(-1/lambda) passes
+    # exp(LOG_OVERFLOW) between lambda = 1e-3 and 1e-5
+    s, p = 1.5 + 0.5j, DegenerateParameter(lam)
+    if lam > 1e-4:
+        res = path(s, p)
+        assert abs(res.value - _mp_dgamma(mp, s, lam)) <= res.abs_error_estimate
+        return
+
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran for a lambda the circle cannot take")
+
+    monkeypatch.setattr(quadrature, "_cc_ladder", no_quadrature)
+    with pytest.raises(ParameterRangeError, match=rf"^{path.__name__}: at lambda = {lam:.6g} "):
+        path(s, p)
+
+
+@pytest.mark.parametrize("s, lam", [(200.0, 0.002), (999.5, 0.001)])
+def test_direct_integral_refuses_an_overflowing_integrand(s, lam):
+    # |value| is about exp(905) and exp(6900), beyond double range
+    with pytest.raises(ConvergenceError, match=r"^direct_integral_gamma: .* overflows$"):
+        direct_integral_gamma(s, DegenerateParameter(lam))
