@@ -6,7 +6,7 @@ to the integrand in one call and each deeper rung evaluates only its new
 nodes.
 
 The defining integral is split at t = 1 and its tail folded onto (0, 1] by
-t -> 1/w; both pieces take a further v**4 substitution and run on the ladder
+t -> 1/w; both pieces take a further v**8 substitution and run on the ladder
 as one integrand.  Where an endpoint exponent is near -1 (Re s < 1 at t = 0,
 1/lambda - Re s < 1 at t = inf) the leading power is subtracted and its
 integral added back, so that the ladder sees pieces that vanish at v = 0.
@@ -17,7 +17,7 @@ together with the 1/(2i sin(pi s)) prefactor this continues the degenerate
 gamma function left of the validity strip.  The edges are truncated at the
 radius R where the analytic tail bound meets the tolerance.
 
-Node geometry that depends on neither s nor lambda (log v and v**4 on the
+Node geometry that depends on neither s nor lambda (log v and v**8 on the
 defining integral's interval, the circle's nodes and log(1 -+ delta e^{it})
 at them) is cached per (geometry, interval, radius).
 """
@@ -89,10 +89,10 @@ def _linear_result(value: complex, err: float, method: EvalMethod) -> EvalResult
     )
 
 
-# Exponent used to soften endpoint singularities: integrating g(v) = f(v**K)
-# keeps the transformed exponents far enough from -1 that the node offsets
-# representable in double precision already capture the full tail.
-_POWER_K = 4
+# Power of the substitution t = v**K (w = v**K).  The pieces vanish at v = 0
+# like a power of v that grows with K, and the ladder converges faster for
+# it: K = 8 takes about half the nodes of K = 4 on benchmark-like points.
+_POWER_K = 8
 
 
 def _power_geometry(v):

@@ -426,8 +426,8 @@ def test_direct_integral_estimate_bounds_the_oracle_error(mp):
 @pytest.mark.parametrize("edge", ["left", "right"])
 @pytest.mark.parametrize("lam", [0.15, 0.5, 0.85])
 def test_direct_integral_at_the_strip_margins(mp, lam, edge, im):
-    # the endpoint power at either margin is within 0.04 of t**-1 (v**-1 after
-    # v**4), which a rule without its subtraction cannot resolve
+    # the endpoint power at either margin, t**-0.99, is what the ladder cannot
+    # resolve without its subtraction
     p = DegenerateParameter(lam)
     margin = quadrature.STRIP_MARGIN
     s = complex(margin if edge == "left" else p.inv_lambda - margin, im)
@@ -445,7 +445,7 @@ def test_direct_integral_at_small_lambda(mp, lam):
     s = 1.5 + 0.5j
     res = direct_integral_gamma(s, DegenerateParameter(lam))
     err = abs(res.value - _mp_dgamma(mp, s, lam))
-    assert err <= res.abs_error_estimate <= 1e-13
+    assert err <= res.abs_error_estimate <= 1e-12
 
 
 @pytest.mark.parametrize("lam", SMALL_LAMBDAS)
