@@ -11,6 +11,10 @@ and recovers the classical gamma function as lambda -> 0.  Every
 representation -- closed form, defining integral, loop contour, infinite
 products -- is implemented as an independent evaluation path, and the
 :mod:`degamma.verify` harness cross-checks them against each other.
+
+Only the integral paths, the product paths and the harness use numpy.  Their
+modules load on the first use of one of their names, so code that needs only
+the closed form never imports numpy.
 """
 
 from .classical import (
@@ -60,26 +64,31 @@ from .errors import (
     SingularParameterError,
     StripError,
 )
-from .quadrature import (
-    QuadratureSpec,
-    direct_integral_gamma,
-    hankel_gamma,
-    hankel_gamma_reflected,
-)
-from .representations import (
-    ProductSpec,
-    degenerate_beta_product,
-    euler_limit_gamma,
-    sine_product,
-    weierstrass_gamma,
-)
-from .verify import (
-    CHECK_ROSTER,
-    CheckReport,
-    GridSpec,
-    run_cross_path_scan,
-    run_identity_suite,
-    run_limit_checks,
-)
+
+_LAZY = {
+    **dict.fromkeys(("QuadratureSpec", "direct_integral_gamma", "hankel_gamma",
+                     "hankel_gamma_reflected"), "quadrature"),
+    **dict.fromkeys(("ProductSpec", "degenerate_beta_product", "euler_limit_gamma",
+                     "sine_product", "weierstrass_gamma"), "representations"),
+    **dict.fromkeys(("CHECK_ROSTER", "CheckReport", "GridSpec", "run_cross_path_scan",
+                     "run_identity_suite", "run_limit_checks"), "verify"),
+}
+
+__all__ = sorted({name for name in globals() if not name.startswith("_")}
+                 | set(_LAZY) | set(_LAZY.values()))
+
+
+def __getattr__(name: str):
+    from importlib import import_module
+    if name in _LAZY.values():
+        return import_module(f".{name}", __name__)
+    if name in _LAZY:
+        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"

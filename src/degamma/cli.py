@@ -16,7 +16,7 @@ import re
 import sys
 from dataclasses import dataclass
 
-from . import core, quadrature, representations, verify
+from . import core
 from .core import DegenerateParameter, EvalResult, EvalStatus
 from .errors import DegammaError, ParameterRangeError
 
@@ -220,10 +220,11 @@ _GAMMA_METHODS = (
 
 def _gamma_evaluator(method: str, tol: float, n_terms: int):
     """The function (s, p) -> EvalResult of one --method, its spec built once."""
-    qspec = quadrature.QuadratureSpec(rel_tolerance=tol)
-    pspec = representations.ProductSpec(n_terms=n_terms)
     if method == "closed-form":
         return core.degenerate_gamma
+    from . import quadrature, representations  # these import numpy
+    qspec = quadrature.QuadratureSpec(rel_tolerance=tol)
+    pspec = representations.ProductSpec(n_terms=n_terms)
     fn, spec = {
         "direct-integral": (quadrature.direct_integral_gamma, qspec),
         "hankel": (quadrature.hankel_gamma, qspec),
@@ -296,6 +297,7 @@ def _cmd_beta(args, emitter) -> int:
     elif args.method == "classical-mixed":
         result = core.degenerate_beta_classical(args.alpha, args.beta, p)
     else:
+        from . import representations
         result = representations.degenerate_beta_product(
             args.alpha, args.beta, p,
             representations.ProductSpec(n_terms=args.n_terms),
@@ -307,6 +309,7 @@ def _cmd_beta(args, emitter) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
     reports = verify.run_identity_suite(
         seed=args.seed, samples=args.samples, perturb_check=args.fault_inject,
     )

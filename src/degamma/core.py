@@ -271,20 +271,21 @@ def pole_residue(family: PoleFamily, n: int, p: DegenerateParameter) -> complex:
     """
     if n < 0:
         raise ValueError("pole_residue: n must be non-negative")
-    u = p.inv_lambda
-    log_mag = (_log_gamma_off_pole(u + n).real - _log_gamma_off_pole(n + 1.0).real
-               - p.log_gamma_inv_lambda)
-    if family is PoleFamily.NON_POSITIVE:
-        log_mag += n * p.log_lambda
-        sign = -1.0 if n % 2 else 1.0
-    elif family is PoleFamily.SHIFTED_BY_INV_LAMBDA:
-        log_mag += (-n - u) * p.log_lambda
-        sign = 1.0 if n % 2 else -1.0
-    else:  # pragma: no cover - enum is closed
-        raise ValueError(f"unknown pole family {family}")
+    log_mag, sign = _log_residue(family, n, p)
     if log_mag > LOG_OVERFLOW:
         return complex(math.copysign(math.inf, sign), 0.0)
     return complex(sign * math.exp(log_mag), 0.0)
+
+
+def _log_residue(family: PoleFamily, n: int, p: DegenerateParameter) -> tuple[float, float]:
+    """log |residue| and the residue's sign at the n-th pole of a family."""
+    log_mag = (_log_gamma_off_pole(p.inv_lambda + n).real
+               - _log_gamma_off_pole(n + 1.0).real - p.log_gamma_inv_lambda)
+    if family is PoleFamily.NON_POSITIVE:
+        return log_mag + n * p.log_lambda, (-1.0 if n % 2 else 1.0)
+    if family is PoleFamily.SHIFTED_BY_INV_LAMBDA:
+        return log_mag + (-n - p.inv_lambda) * p.log_lambda, (1.0 if n % 2 else -1.0)
+    raise ValueError(f"unknown pole family {family}")  # pragma: no cover - enum is closed
 
 
 def _pole_info(family: PoleFamily, n: int, p: DegenerateParameter) -> PoleInfo:
@@ -316,24 +317,28 @@ def nearest_pole(s: complex, p: DegenerateParameter) -> tuple[float, PoleFamily,
         raise DomainError(f"argument {s} is not finite")
     n1 = max(0, int(round(-s.real)))
     d1 = abs(s + n1)
-    n2 = max(0, int(round(s.real - p.inv_lambda)))
+    n2 = int(round(s.real - p.inv_lambda)) if s.real > p.inv_lambda else 0
     d2 = abs(s - (p.inv_lambda + n2))
     if d1 <= d2:
         return d1, _NON_POSITIVE, n1
     return d2, _SHIFTED, n2
 
 
-def _closed_form_log(s: complex, p: DegenerateParameter) -> tuple[complex, float]:
+def _closed_form_log(s: complex, p: DegenerateParameter,
+                     name: str = "s") -> tuple[complex, float]:
     """The closed form's log value at s and the magnitude sum of its terms.
 
     s must already be cleared by ``nearest_pole``: Gamma(s)'s poles are the
     non-positive family and Gamma(u - s)'s the shifted one, so neither term
-    is tested again.
+    is tested again.  DomainError names argument ``name`` if the terms overflow.
     """
     term_s = _log_gamma_off_pole(s)
     term_us = _log_gamma_off_pole(p.inv_lambda - s)
     term_u = p.log_gamma_inv_lambda
     log_val = (-s) * p.log_lambda + term_s + term_us - term_u
+    if not cmath.isfinite(log_val):
+        raise DomainError(f"argument {name} = {s} is too large in modulus: "
+                          "the closed form's log-gamma terms overflow")
     mag_sum = (
         abs(term_s) + abs(term_us) + abs(term_u) + abs(s) * abs(p.log_lambda)
     )
@@ -528,18 +533,23 @@ def _beta_guard(a: complex, b: complex, p: DegenerateParameter,
     Raises PoleError when alpha or beta sits at a pole.  Returns the exact-zero
     result when alpha+beta does (the ratio vanishes in the limit), else None,
     and the rounding felt next to the poles, alpha + beta's own included.
+    The zero's estimate is |dgamma(alpha) dgamma(beta) / Res| times the exact
+    alpha + beta's distance from the pole, at most dist + eps*(|a| + |b| + u).
     """
     u = p.inv_lambda
     dist_a, family_a, _ = _check_argument("alpha", a, p)
     dist_b, family_b, _ = _check_argument("beta", b, p)
-    dist, family, _ = nearest_pole(a + b, p)
+    dist, family, n = nearest_pole(a + b, p)
     if dist >= POLE_TOLERANCE:
         return None, ((abs(a) + abs(b) + (u if family is _SHIFTED else 0.0)) / dist
                       + ((u + abs(a)) / dist_a if family_a is _SHIFTED else 0.0)
                       + ((u + abs(b)) / dist_b if family_b is _SHIFTED else 0.0))
+    log_est = ((_closed_form_log(a, p, "alpha")[0] + _closed_form_log(b, p, "beta")[0]).real
+               - _log_residue(family, n, p)[0]
+               + math.log(dist + math.ulp(1.0) * (abs(a) + abs(b) + u)))
     return EvalResult(
         value=0.0 + 0.0j,
-        abs_error_estimate=0.0,
+        abs_error_estimate=math.exp(log_est) if log_est <= LOG_OVERFLOW else math.inf,
         method=method,
         status=EvalStatus.REGULAR,
         note="alpha+beta sits at a pole of the degenerate gamma function; "
@@ -558,9 +568,9 @@ def degenerate_beta(a: complex, b: complex, p: DegenerateParameter) -> EvalResul
     zero, felt = _beta_guard(a, b, p, EvalMethod.CLOSED_FORM)
     if zero is not None:
         return zero
-    la, ma = _closed_form_log(a, p)
-    lb, mb = _closed_form_log(b, p)
-    lab, mab = _closed_form_log(a + b, p)
+    la, ma = _closed_form_log(a, p, "alpha")
+    lb, mb = _closed_form_log(b, p, "beta")
+    lab, mab = _closed_form_log(a + b, p, "alpha+beta")
     log_val = la + lb - lab
     rel_est = 1e-14 + 8e-16 * (ma + mb + mab + felt)
     return _finish(log_val, EvalMethod.CLOSED_FORM, rel_est, not (a.imag or b.imag))
@@ -588,5 +598,8 @@ def degenerate_beta_classical(
         -p.log_gamma_inv_lambda,
     ]
     log_val = sum(terms)
+    if not cmath.isfinite(log_val):
+        raise DomainError(f"arguments alpha = {a}, beta = {b} are too large in "
+                          "modulus: the closed form's log-gamma terms overflow")
     rel_est = 1e-14 + 8e-16 * (sum(abs(t) for t in terms) + felt)
     return _finish(log_val, EvalMethod.CLASSICAL_MIXED, rel_est, not (a.imag or b.imag))

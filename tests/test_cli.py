@@ -340,6 +340,35 @@ class TestModuleEntryPoint:
         assert json.loads(done.stdout)["value_re"] == 2.0
 
 
+class TestNumpyPaths:
+    """Methods whose modules load on first use print their function's result."""
+
+    def _assert_record(self, out, result):
+        rec = jsonl(out)[0]
+        assert (rec["value_re"], rec["value_im"]) == (result.value.real, result.value.imag)
+        assert rec["abs_error"] == result.abs_error_estimate
+        assert rec["status"] == result.status.value
+
+    def test_eval_hankel(self, capsys):
+        from degamma.quadrature import QuadratureSpec, hankel_gamma
+
+        code, out, _ = run_cli(capsys, "eval", "--lambda", "0.3", "--s=-0.5+1i",
+                               "--method", "hankel", "--tol", "1e-9")
+        assert code == 0
+        self._assert_record(out, hankel_gamma(
+            -0.5 + 1j, DegenerateParameter(0.3), QuadratureSpec(rel_tolerance=1e-9)))
+
+    def test_beta_product(self, capsys):
+        from degamma.representations import ProductSpec, degenerate_beta_product
+
+        code, out, _ = run_cli(capsys, "beta", "--lambda", "0.3", "--alpha", "0.5",
+                               "--beta", "0.7+1i", "--method", "product",
+                               "--n-terms", "5000")
+        assert code == 0
+        self._assert_record(out, degenerate_beta_product(
+            0.5, 0.7 + 1j, DegenerateParameter(0.3), ProductSpec(n_terms=5000)))
+
+
 class TestBeta:
     def test_ratio(self, capsys):
         code, out, _ = run_cli(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degamma.classical import gamma, log_gamma, reflection_product, sin_pi
+from degamma.classical import LOG_OVERFLOW, gamma, log_gamma, reflection_product, sin_pi
 from degamma.core import (
     DegenerateParameter,
     EvalStatus,
@@ -32,6 +32,7 @@ from degamma.core import (
 )
 from degamma.errors import (
     BranchPointError,
+    DegammaError,
     DomainError,
     ParameterRangeError,
     PoleError,
@@ -151,6 +152,35 @@ _NON_FINITE = [
 def test_non_finite_argument_raises_domain_error(evaluate, s):
     with pytest.raises(DomainError):
         evaluate(s, DegenerateParameter(0.3))
+
+
+@pytest.mark.parametrize("s, lam", [
+    (-1e308 + 1j, 1e-308),  # s.real - 1/lambda overflows
+    (1e308 + 1j, 0.5),  # the log-gamma terms overflow
+    (-1e308 + 1j, 0.5),
+])
+@pytest.mark.parametrize(
+    "evaluate, name",
+    [
+        (degenerate_gamma, "s"),
+        (degenerate_gamma_log, "s"),
+        (lambda s, p: degenerate_beta(0.5, s, p), "beta"),
+        (lambda s, p: degenerate_beta_classical(0.5, s, p), "beta"),
+    ],
+    ids=["degenerate_gamma", "degenerate_gamma_log", "degenerate_beta",
+         "degenerate_beta_classical"],
+)
+def test_huge_argument_is_flagged_or_refused(evaluate, name, s, lam):
+    """A flagged overflow with a finite log, or a DegammaError naming the culprit."""
+    try:
+        res = evaluate(s, DegenerateParameter(lam))
+    except DegammaError as exc:
+        assert f"{'lambda' if lam < 1e-300 else name} = " in str(exc)
+        return
+    log_value = res if isinstance(res, complex) else res.log_value
+    assert cmath.isfinite(log_value)
+    if not isinstance(res, complex):
+        assert res.status is EvalStatus.OVERFLOW and log_value.real > LOG_OVERFLOW
 
 
 class TestDegenerateExpLog:
@@ -707,6 +737,8 @@ class TestEstimateNearPoles:
         (0.12168183420602573, -2.000001, -9.00003),
         (1e-3, -11.2, -4.63),
         (1e-3, 92.95417007833517, -3.00003),
+        # the float alpha + beta is exactly the pole u + 6, the exact sum is not
+        (0.08736834979150115, 25.445762468169935, -7.99997),
     ] + [(lam, s, -0.35) for lam, s in _near_shifted_poles(32, 20)])
     @pytest.mark.parametrize("path", [degenerate_beta, degenerate_beta_classical])
     def test_beta(self, mp, path, lam, a, b):

@@ -1,0 +1,126 @@
+"""The package's import surface: the names it exports, and the modules a path loads."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import degamma
+
+# Every public name of the package, by the submodule that defines it.  The
+# first three load with the package; the last three, which import numpy, on
+# first use.
+_EXPORTS = {
+    "classical": [
+        "EULER_GAMMA", "LOG_OVERFLOW", "POLE_TOLERANCE", "LogGammaResult", "beta",
+        "gamma", "log_beta", "log_gamma", "reflection_product", "sin_pi",
+    ],
+    "core": [
+        "DegenerateParameter", "EvalMethod", "EvalResult", "EvalStatus",
+        "IntegerGammaValue", "PoleFamily", "PoleInfo", "ShiftStep",
+        "degenerate_beta", "degenerate_beta_classical", "degenerate_exp",
+        "degenerate_gamma", "degenerate_gamma_integer", "degenerate_gamma_log",
+        "degenerate_log", "difference_step", "falling_factorial",
+        "falling_factorial_exact", "lambda_shift_recurrence", "pole_residue",
+        "poles", "symmetry_partner",
+    ],
+    "errors": [
+        "BranchPointError", "ConvergenceError", "DegammaError", "DomainError",
+        "IntegerArgumentError", "ParameterRangeError", "PoleError",
+        "SingularParameterError", "StripError",
+    ],
+    "quadrature": [
+        "QuadratureSpec", "direct_integral_gamma", "hankel_gamma",
+        "hankel_gamma_reflected",
+    ],
+    "representations": [
+        "ProductSpec", "degenerate_beta_product", "euler_limit_gamma",
+        "sine_product", "weierstrass_gamma",
+    ],
+    "verify": [
+        "CHECK_ROSTER", "CheckReport", "GridSpec", "run_cross_path_scan",
+        "run_identity_suite", "run_limit_checks",
+    ],
+}
+_PUBLIC = set(_EXPORTS) | {name for names in _EXPORTS.values() for name in names}
+
+
+@pytest.mark.parametrize("module, name", [
+    (module, name) for module, names in _EXPORTS.items() for name in names
+])
+def test_exported_name_is_the_submodules_object(module, name):
+    assert getattr(degamma, name) is getattr(getattr(degamma, module), name)
+
+
+def test_star_import_binds_the_public_names():
+    namespace = {}
+    exec("from degamma import *", namespace)
+    assert set(namespace) - {"__builtins__"} == _PUBLIC
+
+
+def test_dir_lists_the_public_names():
+    assert _PUBLIC <= set(dir(degamma))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        degamma.no_such_name
+    with pytest.raises(ImportError):
+        from degamma import no_such_name  # noqa: F401
+
+
+_CONTOURS = """\
+from degamma import quadrature as q
+p = degamma.DegenerateParameter(0.3)
+q.hankel_gamma(-0.5 + 1j, p)
+q.hankel_gamma_reflected(-0.5 + 1j, p)
+q._cc_rung(10)
+"""
+
+_CLOSED_FORM = """\
+p = degamma.DegenerateParameter(0.3)
+degamma.degenerate_gamma(0.5 + 1j, p)
+degamma.degenerate_beta(0.5 + 1j, 0.7, p)
+degamma.degenerate_beta_classical(0.5 + 1j, 0.7, p)
+degamma.log_gamma(-2.5 + 1j)
+degamma.pole_residue(degamma.PoleFamily.NON_POSITIVE, 1, p)
+degamma.poles(p, 3)
+degamma.degenerate_gamma_integer(3, p)
+"""
+
+_CLOSED_FORM_COMMANDS = [
+    ["eval", "--lambda", "0.5", "--s", "1.5+0.5i"],
+    ["table", "--lambda", "0.5", "--s-re=-1:1:0.5", "--format", "jsonl"],
+    ["table", "--lambda", "0.5", "--s-re=-1:1:0.5", "--format", "csv"],
+    ["table", "--lambda", "0.1:0.9:0.2", "--s", "0.5+1i", "--format", "jsonl"],
+    ["table", "--lambda", "0.1:0.9:0.2", "--s", "0.5+1i", "--format", "csv"],
+    ["poles", "--lambda", "0.5", "--n-max", "3"],
+    ["beta", "--lambda", "0.5", "--alpha", "0.5", "--beta", "0.7+1i", "--method", "ratio"],
+    ["beta", "--lambda", "0.5", "--alpha", "0.5", "--beta", "0.7+1i",
+     "--method", "classical-mixed"],
+]
+
+
+def _cli_code(argv):
+    return ("import contextlib, io\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert degamma.cli.main({argv!r}) == 0\n")
+
+
+@pytest.mark.parametrize("code, module", [
+    (_CONTOURS, "numpy.fft"),
+    (_CLOSED_FORM, "numpy"),
+] + [(_cli_code(argv), "numpy") for argv in _CLOSED_FORM_COMMANDS],
+    ids=["contours", "closed-form"] + [" ".join(argv) for argv in _CLOSED_FORM_COMMANDS])
+def test_path_leaves_module_unloaded(code, module):
+    """Run in a fresh interpreter, after which ``module`` must not be loaded."""
+    script = (f"import sys, degamma, degamma.cli\n{code}"
+              f"assert {module!r} not in sys.modules, '{module} imported'\n")
+    src = Path(degamma.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
