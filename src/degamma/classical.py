@@ -153,22 +153,30 @@ def _log_sin_pi(z: complex) -> complex:
     return complex(piy - math.log(2.0), phase)
 
 
-def _nonpositive_integer_distance(z: complex) -> tuple[float, int]:
-    """Distance from z to the nearest non-positive integer -n, and that n."""
-    if not cmath.isfinite(z):
-        raise DomainError(f"argument {z} is not finite")
-    n = int(round(-z.real))
-    if n < 0:
-        n = 0
-    return abs(z + n), n
+def _integer_distance(name: str, arg: str, z: complex, nonpositive=False) -> tuple[float, int]:
+    """Distance from z to the nearest integer n (n <= 0 if nonpositive), and n.
 
-
-def _integer_distance(name: str, arg: str, z: complex) -> tuple[float, int]:
-    """Distance from z to the nearest integer n, and n; DomainError for non-finite z."""
+    DomainError, naming function ``name`` and argument ``arg``, for a non-finite z.
+    """
     if not cmath.isfinite(z):
         raise DomainError(f"{name}: {arg} = {z} is not finite")
-    n = round(z.real)
+    n = 0 if nonpositive and z.real > 0.5 else round(z.real)
     return math.hypot(z.real - n, z.imag), n
+
+
+def _refuse_integer(name: str, arg: str, z: complex, why: str, nonpositive=False,
+                    error=PoleError, **details) -> None:
+    """Raise error if argument ``arg`` = z of function ``name`` is the integer n.
+
+    As in _integer_distance, within POLE_TOLERANCE.  The message names the
+    function, the argument and n; a PoleError carries n as its location.
+    """
+    dist, n = _integer_distance(name, arg, z, nonpositive)
+    if dist < POLE_TOLERANCE:
+        if error is PoleError:
+            details["location"] = complex(n, 0.0)
+        raise error(f"{name}: {arg} = {z} is within {POLE_TOLERANCE} of the "
+                    f"integer {n}, {why}", **details)
 
 
 def _lanczos_log(z: complex) -> complex:
@@ -227,12 +235,7 @@ def log_gamma(z: complex) -> LogGammaResult:
         If z lies within POLE_TOLERANCE of a non-positive integer.
     """
     z = complex(z)
-    dist, n = _nonpositive_integer_distance(z)
-    if dist < POLE_TOLERANCE:
-        raise PoleError(
-            f"log_gamma: z = {z} is within {POLE_TOLERANCE} of the pole at {-n}",
-            location=complex(-n, 0.0),
-        )
+    _refuse_integer("log_gamma", "z", z, "a pole of Gamma", nonpositive=True)
     val = _log_gamma_off_pole(z)
     return LogGammaResult(val.real, val.imag)
 
@@ -259,13 +262,8 @@ def log_beta(a: complex, b: complex) -> complex:
     """log B(a, b) = log Gamma(a) + log Gamma(b) - log Gamma(a+b)."""
     a, b = complex(a), complex(b)
     for name, w in (("a", a), ("b", b), ("a+b", a + b)):
-        dist, n = _nonpositive_integer_distance(w)
-        if dist < POLE_TOLERANCE:
-            raise PoleError(
-                f"beta: argument {name} = {w} sits at the gamma pole {-n}",
-                location=complex(-n, 0.0),
-                argument_name=name,
-            )
+        _refuse_integer("log_beta", name, w, "a pole of Gamma", nonpositive=True,
+                        argument_name=name)
     return _log_gamma_off_pole(a) + _log_gamma_off_pole(b) - _log_gamma_off_pole(a + b)
 
 
@@ -280,10 +278,5 @@ def reflection_product(z: complex) -> complex:
     Raises DomainError if z is not finite.
     """
     z = complex(z)
-    dist, n = _integer_distance("reflection_product", "z", z)
-    if dist < POLE_TOLERANCE:
-        raise PoleError(
-            f"reflection_product: z = {z} is within {POLE_TOLERANCE} of an integer",
-            location=complex(n, 0.0),
-        )
+    _refuse_integer("reflection_product", "z", z, "where sin(pi z) vanishes")
     return math.pi / sin_pi(z)

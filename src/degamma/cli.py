@@ -264,8 +264,6 @@ def _cmd_table(args, parser, emitter) -> int:
     if s_is_range and args.s is not None:
         parser.error("--s and --s-re are mutually exclusive")
     if s_is_range:
-        if not isinstance(args.lam, float):
-            parser.error("--lambda must be a single value when --s-re is a range")
         points = [(complex(re_part, 0.0), args.lam) for re_part in args.s_re]
     else:
         if args.s is None:
@@ -339,18 +337,15 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="degamma", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
-    tol_default = None  # resolved lazily so the env var is honored
 
-    def add_common(sp, with_method=True):
-        sp.add_argument("--tol", type=float, default=tol_default,
+    def add_common(sp):
+        sp.add_argument("--tol", type=float, default=None,
                         help="relative tolerance for integral paths "
                              "(default 1e-10, env DEGAMMA_DEFAULT_TOL)")
         sp.add_argument("--n-terms", type=_int_at_least(1), default=100_000,
                         help="truncation level for product paths")
         sp.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-        if with_method:
-            sp.add_argument("--method", choices=_GAMMA_METHODS,
-                            default="closed-form")
+        sp.add_argument("--method", choices=_GAMMA_METHODS, default="closed-form")
 
     sp = sub.add_parser("eval", help="evaluate the degenerate gamma function")
     sp.add_argument("--lambda", dest="lam", type=float, required=True)

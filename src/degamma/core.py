@@ -489,9 +489,7 @@ def lambda_shift_recurrence(
             f"{k} < Re(s) < (1 - lambda)/lambda = {upper:.6g}"
         )
     shrink = 1.0 - (k + 1) * lam  # positive by the range check
-    numerator = 1.0 + 0.0j
-    for j in range(k + 1):
-        numerator *= s - j
+    numerator = falling_factorial(s, k + 1, 1.0)
     log_den = 0.0
     for j in range(1, k + 1):
         log_den += math.log1p(-j * lam)

@@ -15,7 +15,9 @@ The Hankel path realizes the loop around the origin as two straight edges
 along the negative axis (phases exp(+-i*pi*s)) plus a circle of radius delta;
 together with the 1/(2i sin(pi s)) prefactor this continues the degenerate
 gamma function left of the validity strip.  The edges are truncated at the
-radius R where the analytic tail bound meets the tolerance.
+radius R where the analytic tail bound meets the tolerance.  Both loop
+realizations run one body and pass in only their circle integrand, circle
+geometry and interval, and how edge and circle combine.
 
 Node geometry that depends on neither s nor lambda (log v and v**8 on the
 defining integral's interval, the circle's nodes and log(1 -+ delta e^{it})
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import classical
-from .classical import LOG_OVERFLOW, POLE_TOLERANCE
+from .classical import LOG_OVERFLOW
 from .core import DegenerateParameter, EvalMethod, EvalResult, EvalStatus
 from .errors import (ConvergenceError, DomainError, IntegerArgumentError,
                      ParameterRangeError, StripError)
@@ -275,68 +277,6 @@ def _cc_ladder(
     )
 
 
-def _hankel_edges(
-    s: complex, p: DegenerateParameter, spec: QuadratureSpec, name: str
-) -> tuple[complex, float, float, float]:
-    """Checks and edge integral shared by both loop realizations.
-
-    Returns (edge, edge_err, tail, rounding): edge = integral_delta^R
-    t**(s-1) (1+t)**(-1/lambda) dt, taken in y = log t, the analytic bound on
-    the part beyond the cutoff R, R**(Re s - 1/lambda)/(1/lambda - Re s), and
-    the relative rounding of the circle's values.
-    """
-    # raises DomainError for a non-finite s before the strip test sees it
-    dist, nearest = classical._integer_distance(name, "s", s)
-    if dist < POLE_TOLERANCE:
-        raise IntegerArgumentError(
-            f"{name}: s = {s} is within {POLE_TOLERANCE} of the integer "
-            f"{nearest}, where the sine prefactor vanishes"
-        )
-    u_max = p.inv_lambda
-    if s.real >= u_max - HANKEL_MARGIN:
-        raise StripError(
-            f"{name}: Re(s) = {s.real} must stay below 1/lambda - "
-            f"{HANKEL_MARGIN} = {u_max - HANKEL_MARGIN:.6g} for the "
-            f"contour tail to converge"
-        )
-    # The circle's values reach (1 - delta)**(-1/lambda) delta**Re(s)
-    # e^(pi |Im s|) and carry the rounding of their exponent, at most
-    # 1/lambda |log(1 - delta)| + pi (|s| + 3) in size.
-    delta = spec.hankel_radius
-    log_peak = -u_max * math.log1p(-delta)
-    log_max = log_peak + s.real * math.log(delta) + math.pi * abs(s.imag)
-    if log_max > LOG_OVERFLOW:
-        raise ParameterRangeError(
-            f"{name}: at lambda = {p.lam:.6g} and s = {s} the values on the "
-            f"circle of radius {delta} reach exp({log_max:.6g}) and overflow"
-        )
-    rounding = _EPS * (1.0 + log_peak + math.pi * (abs(s) + 3.0))
-    gap = u_max - s.real
-    cutoff = max(10.0, (spec.rel_tolerance * gap) ** (-1.0 / gap))
-    tail = cutoff ** (-gap) / gap
-
-    a = math.log(delta)
-    half = 0.5 * (math.log(cutoff) - a)
-    mid = a + half
-
-    def integrand(x, _):
-        y = mid + half * x
-        return half * np.exp(s * y - u_max * np.logaddexp(0.0, y))
-
-    with np.errstate(under="ignore"):
-        edge, edge_err = _cc_ladder(integrand, spec.rel_tolerance, spec.max_level)
-    return edge, edge_err, tail, rounding
-
-
-def _hankel_result(
-    s: complex, p: DegenerateParameter, total: complex, err: float,
-    method: EvalMethod,
-) -> EvalResult:
-    """lambda**(-s) times a loop realization's total and error."""
-    lam_pow = cmath.exp(-s * p.log_lambda)
-    return _linear_result(lam_pow * total, abs(lam_pow) * err, method)
-
-
 # Node geometry that depends on neither s nor lambda is kept at the ladder's
 # nodes up to _CACHED_RUNG (1024 intervals) in an LRU cache of the last
 # _GEOMETRY_CACHE_SIZE (geometry, interval, radius) keys; deeper rungs form
@@ -386,6 +326,70 @@ def _mapped_integral(
     return half * total, half * err
 
 
+def _loop_gamma(
+    s: complex, p: DegenerateParameter, spec: QuadratureSpec | None, name: str,
+    method: EvalMethod, circle, geometry, interval: tuple[float, float], combine,
+) -> EvalResult:
+    """The body of both loop realizations: refusals, edge, circle, lambda**(-s).
+
+    The edge integral_delta^R t**(s-1) (1+t)**(-1/lambda) dt is taken in
+    y = log t, and R**(Re s - 1/lambda)/(1/lambda - Re s) bounds the part
+    beyond the cutoff R.  circle(delta, 1/lambda, t, geometry(t, delta)) is
+    integrated over interval, and combine(edge, edge_err, circle, circle_err)
+    returns the realization's total and error.
+    """
+    spec = spec or QuadratureSpec()
+    # raises DomainError for a non-finite s before the strip test sees it
+    classical._refuse_integer(name, "s", s, "where the sine prefactor vanishes",
+                              error=IntegerArgumentError)
+    u_max = p.inv_lambda
+    if s.real >= u_max - HANKEL_MARGIN:
+        raise StripError(
+            f"{name}: Re(s) = {s.real} must stay below 1/lambda - "
+            f"{HANKEL_MARGIN} = {u_max - HANKEL_MARGIN:.6g} for the "
+            f"contour tail to converge"
+        )
+    # The circle's values reach (1 - delta)**(-1/lambda) delta**Re(s)
+    # e^(pi |Im s|) and carry the rounding of their exponent, at most
+    # 1/lambda |log(1 - delta)| + pi (|s| + 3) in size.
+    delta = spec.hankel_radius
+    log_peak = -u_max * math.log1p(-delta)
+    log_max = log_peak + s.real * math.log(delta) + math.pi * abs(s.imag)
+    if log_max > LOG_OVERFLOW:
+        raise ParameterRangeError(
+            f"{name}: at lambda = {p.lam:.6g} and s = {s} the values on the "
+            f"circle of radius {delta} reach exp({log_max:.6g}) and overflow"
+        )
+    rounding = _EPS * (1.0 + log_peak + math.pi * (abs(s) + 3.0))
+    gap = u_max - s.real
+    cutoff = max(10.0, (spec.rel_tolerance * gap) ** (-1.0 / gap))
+    tail = cutoff ** (-gap) / gap
+
+    a = math.log(delta)
+    half = 0.5 * (math.log(cutoff) - a)
+    mid = a + half
+
+    def edge_integrand(x, _):
+        y = mid + half * x
+        return half * np.exp(s * y - u_max * np.logaddexp(0.0, y))
+
+    with np.errstate(under="ignore"):
+        edge, edge_err = _cc_ladder(edge_integrand, spec.rel_tolerance, spec.max_level)
+    circle_val, circle_err = _mapped_integral(
+        functools.partial(circle, delta, u_max), geometry, *interval, (delta,),
+        min(spec.rel_tolerance, 1e-11), spec.max_level, rounding,
+    )
+    total, err = combine(edge, edge_err, circle_val, circle_err)
+    # refused where lambda**(-s), or the value, would pass exp(LOG_OVERFLOW)
+    log_pow = -s * p.log_lambda
+    lam_pow = cmath.exp(log_pow) if log_pow.real <= LOG_OVERFLOW else math.inf
+    if not abs(lam_pow * total) <= math.exp(LOG_OVERFLOW):
+        raise ConvergenceError(
+            f"{name}: at s = {s}, lambda = {p.lam:.6g} lambda**(-s) = exp("
+            f"{log_pow.real:.6g}) times the loop integral {abs(total):.3g} overflows")
+    return _linear_result(lam_pow * total, abs(lam_pow) * (err + tail), method)
+
+
 def hankel_gamma(
     s: complex, p: DegenerateParameter, spec: QuadratureSpec | None = None
 ) -> EvalResult:
@@ -401,25 +405,17 @@ def hankel_gamma(
 
     Raises DomainError if s is not finite.
     """
-    spec = spec or QuadratureSpec()
     s = complex(s)
-    edge, edge_err, tail, rounding = _hankel_edges(s, p, spec, "hankel_gamma")
-    delta = spec.hankel_radius
-    delta_pow = cmath.exp(s * math.log(delta))
-    u_max = p.inv_lambda
 
-    def circle(theta, log_circle):
-        return 1j * delta_pow * np.exp(1j * s * theta - u_max * log_circle)
+    def circle(delta, u, theta, log_circle):
+        return 1j * cmath.exp(s * math.log(delta)) * np.exp(1j * s * theta - u * log_circle)
 
-    circle_val, circle_err = _mapped_integral(
-        circle, _loop_circle_log, -math.pi, math.pi, (delta,),
-        min(spec.rel_tolerance, 1e-11), spec.max_level, rounding,
-    )
-    two_i_sin = 2j * classical.sin_pi(s)
-    return _hankel_result(
-        s, p, edge + circle_val / two_i_sin,
-        edge_err + circle_err / abs(two_i_sin) + tail, EvalMethod.HANKEL,
-    )
+    def combine(edge, edge_err, circle_val, circle_err):
+        two_i_sin = 2j * classical.sin_pi(s)
+        return edge + circle_val / two_i_sin, edge_err + circle_err / abs(two_i_sin)
+
+    return _loop_gamma(s, p, spec, "hankel_gamma", EvalMethod.HANKEL, circle,
+                       _loop_circle_log, (-math.pi, math.pi), combine)
 
 
 def hankel_gamma_reflected(
@@ -434,32 +430,18 @@ def hankel_gamma_reflected(
 
     Raises DomainError if s is not finite.
     """
-    spec = spec or QuadratureSpec()
     s = complex(s)
-    edge, edge_err, tail, rounding = _hankel_edges(
-        s, p, spec, "hankel_gamma_reflected")
-    # (-w)**(s-1) phases on the two passes along the positive axis
-    phase_diff = cmath.exp(1j * math.pi * (s - 1.0)) - cmath.exp(-1j * math.pi * (s - 1.0))
-    edge_part = phase_diff * edge
 
-    delta = spec.hankel_radius
-    delta_pow = cmath.exp((s - 1.0) * math.log(delta))
-    u_max = p.inv_lambda
+    def circle(delta, u, phi, log_circle):
+        return (1j * delta * cmath.exp((s - 1.0) * math.log(delta))
+                * np.exp(1j * (s - 1.0) * (phi - math.pi) + 1j * phi - u * log_circle))
 
-    def circle(phi, log_circle):
-        return (
-            1j * delta * delta_pow
-            * np.exp(1j * (s - 1.0) * (phi - math.pi) + 1j * phi
-                     - u_max * log_circle)
-        )
+    def combine(edge, edge_err, circle_val, circle_err):
+        # (-w)**(s-1) phases on the two passes along the positive axis
+        phase_diff = cmath.exp(1j * math.pi * (s - 1.0)) - cmath.exp(-1j * math.pi * (s - 1.0))
+        prefactor = 1j / (2.0 * classical.sin_pi(s))
+        return (prefactor * (phase_diff * edge + circle_val),
+                abs(prefactor) * (abs(phase_diff) * edge_err + circle_err))
 
-    circle_val, circle_err = _mapped_integral(
-        circle, _reflected_circle_log, 0.0, 2.0 * math.pi, (delta,),
-        min(spec.rel_tolerance, 1e-11), spec.max_level, rounding,
-    )
-    prefactor = 1j / (2.0 * classical.sin_pi(s))
-    return _hankel_result(
-        s, p, prefactor * (edge_part + circle_val),
-        abs(prefactor) * (abs(phase_diff) * edge_err + circle_err) + tail,
-        EvalMethod.HANKEL_REFLECTED,
-    )
+    return _loop_gamma(s, p, spec, "hankel_gamma_reflected", EvalMethod.HANKEL_REFLECTED,
+                       circle, _reflected_circle_log, (0.0, 2.0 * math.pi), combine)

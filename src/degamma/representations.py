@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import EULER_GAMMA, POLE_TOLERANCE, _integer_distance
+from .classical import EULER_GAMMA, POLE_TOLERANCE, _refuse_integer
 from .core import (
     DegenerateParameter,
     EvalMethod,
@@ -50,7 +50,7 @@ from .core import (
     _check_argument,
     _finish,
 )
-from .errors import ConvergenceError, PoleError
+from .errors import ConvergenceError
 
 __all__ = [
     "ProductSpec",
@@ -327,13 +327,8 @@ def sine_product(z: complex, n_terms: int) -> complex:
     if n_terms < 1:
         raise ValueError("sine_product: n_terms must be >= 1")
     z = complex(z)
-    dist, nearest = _integer_distance("sine_product", "z", z)
-    if nearest != 0 and dist < POLE_TOLERANCE:
-        raise PoleError(
-            f"sine_product: z = {z} is within {POLE_TOLERANCE} of the integer "
-            f"{nearest}, where a factor vanishes",
-            location=complex(nearest, 0.0),
-        )
+    if not abs(z) < POLE_TOLERANCE:  # true also for a non-finite z
+        _refuse_integer("sine_product", "z", z, "where a factor vanishes")
     # (1 - z^2/n^2) = (1 + z/n)(1 + (0 - z)/n): the paired sum with u = 0
     return cmath.exp(-_paired_log_sum(z, 0.0, 1, n_terms + 1))
 

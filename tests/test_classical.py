@@ -134,7 +134,7 @@ _REAL_GRID = sorted({
 
 
 def _off_pole(z):
-    dist, _ = classical._nonpositive_integer_distance(complex(z))
+    dist, _ = classical._integer_distance("log_gamma", "z", complex(z), nonpositive=True)
     return dist >= classical.POLE_TOLERANCE
 
 

@@ -66,6 +66,9 @@ class TestParseRange:
     def test_single_point(self):
         assert parse_range("1.0:1.0:0.5") == [1.0]
 
+    def test_point_past_stop_dropped(self):
+        assert parse_range("0:2.6:1") == [0.0, 1.0, 2.0]
+
     @pytest.mark.parametrize("text", ["1:2", "1:2:0", "2:1:0.5", "a:b:c"])
     def test_invalid(self, text):
         import argparse
@@ -108,6 +111,29 @@ class TestEval:
         assert code == 2
         assert "strip" in err
         assert "1/lambda" in err
+
+    @pytest.mark.parametrize("argv, fields", [
+        # the closed form's OVERFLOW status carries no value and no estimate
+        (("--lambda", "0.001", "--s", "900.5"),
+         '"value_re": null, "value_im": null, "abs_error": null, "method": "closed-form", '
+         '"status": "overflow"'),
+        # one Euler-limit term is before the level gap bounds the error
+        (("--method", "euler-limit", "--n-terms", "1", "--lambda", "0.5", "--s", "0.5"),
+         '"abs_error": Infinity, "method": "euler-limit", "status": "regular"'),
+    ])
+    def test_record_without_a_finite_estimate(self, capsys, argv, fields):
+        code, out, _ = run_cli(capsys, "eval", *argv)
+        assert code == 0
+        assert fields in out
+
+    @pytest.mark.parametrize("method, name", [("hankel", "hankel_gamma"),
+                                              ("hankel-reflected", "hankel_gamma_reflected")])
+    def test_contour_overflow_exit_2(self, capsys, method, name):
+        code, out, err = run_cli(capsys, "eval", "--method", method,
+                                 "--lambda", "0.001", "--s", "990+1i")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"degamma: {name}: ")
+        assert err.rstrip().endswith(" overflows")
 
     def test_usage_error_exit_64(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -237,6 +263,19 @@ class TestTable:
         with pytest.raises(SystemExit) as exc:
             main(["table", "--lambda", "0.4", "--s", "0.5"])
         assert exc.value.code == 64
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--lambda", "0.4", "--s", "0.5", "--s-re", "0:1:0.5"),
+         "--s and --s-re are mutually exclusive"),
+        (("--lambda", "0.1:0.3:0.1", "--s-re", "0:1:0.5"),
+         "exactly one of --lambda and --s-re may be a range"),
+        (("--lambda", "0.1:0.3:0.1"), "--s is required when --lambda is a range"),
+    ])
+    def test_conflicting_ranges_exit_64(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["table", *argv])
+        assert exc.value.code == 64
+        assert message in capsys.readouterr().err
 
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(

@@ -374,6 +374,12 @@ class TestIntegerValues:
         with pytest.raises(OverflowError, match="overflows double precision"):
             degenerate_gamma_integer(k, DegenerateParameter(1e-3))
 
+    @pytest.mark.parametrize("k, lam", [(171, 0.3), (200, 0.37)])
+    def test_log_route_finite_value(self, k, lam):
+        # k > 170 takes the log route even where the value is finite
+        v = degenerate_gamma_integer(k, DegenerateParameter(lam))
+        assert rel(v.value, float(v.exact())) <= 1e-13
+
     def test_closed_form_marks_singular_cases_as_poles(self):
         res = degenerate_gamma(2, DegenerateParameter(0.5))
         assert res.status is EvalStatus.AT_POLE

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from degamma import quadrature
-from degamma.core import DegenerateParameter, degenerate_gamma, nearest_pole
+from degamma.core import DegenerateParameter, EvalStatus, degenerate_gamma, nearest_pole
 from degamma.errors import (
     ConvergenceError,
     DomainError,
@@ -453,3 +453,27 @@ def test_direct_integral_refuses_an_overflowing_integrand(s, lam):
     # |value| is about exp(905) and exp(6900), beyond double range
     with pytest.raises(ConvergenceError, match=r"^direct_integral_gamma: .* overflows$"):
         direct_integral_gamma(s, DegenerateParameter(lam))
+
+
+@pytest.mark.parametrize("s, lam", [(990 + 1j, 1e-3), (200 + 3j, 1e-3)])
+@pytest.mark.parametrize("path", [hankel_gamma, hankel_gamma_reflected],
+                         ids=lambda f: f.__name__)
+def test_contour_refuses_an_overflowing_value(path, s, lam):
+    # lambda**(-s) is about exp(6838) and exp(1381); the closed form flags overflow
+    p = DegenerateParameter(lam)
+    assert degenerate_gamma(s, p).status is EvalStatus.OVERFLOW
+    with pytest.raises(ConvergenceError, match=rf"^{path.__name__}: .* overflows$"):
+        path(s, p)
+
+
+@pytest.mark.parametrize("s, lam, refused", [(1.5 + 0.5j, 0.3, False), (990 + 1j, 1e-3, True)])
+@pytest.mark.parametrize("path", [hankel_gamma, hankel_gamma_reflected],
+                         ids=lambda f: f.__name__)
+def test_contour_with_a_zero_loop_integral(monkeypatch, path, s, lam, refused):
+    # a zero loop integral gives the value 0, unless lambda**(-s) itself overflows
+    monkeypatch.setattr(quadrature, "_cc_ladder", lambda *args: (0j, 0.0))
+    if refused:
+        with pytest.raises(ConvergenceError, match=rf"^{path.__name__}: .* overflows$"):
+            path(s, DegenerateParameter(lam))
+    else:
+        assert path(s, DegenerateParameter(lam)).value == 0
