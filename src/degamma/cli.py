@@ -14,7 +14,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import core
 from .core import DegenerateParameter, EvalResult, EvalStatus
@@ -64,13 +64,9 @@ def parse_complex(text: str) -> complex:
         )
     if m.group("reonly") is not None:
         return complex(float(m.group("reonly")), 0.0)
-    if m.group("imonly") is not None:
-        part = m.group("imonly")
-        if part in ("", "+"):
-            return complex(0.0, 1.0)
-        if part == "-":
-            return complex(0.0, -1.0)
-        return complex(0.0, float(part))
+    part = m.group("imonly")
+    if part is not None:  # a bare sign, or none, stands for 1
+        return complex(0.0, float(part + "1" if part in ("", "+", "-") else part))
     return complex(float(m.group("re")), float(m.group("im")))
 
 
@@ -85,9 +81,11 @@ def parse_range(text: str) -> list[float]:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid range {text!r}") from None
-    if step <= 0.0 or stop < start:
+    if not (step > 0.0 and stop >= start
+            and all(map(math.isfinite, (start, stop, step, (stop - start) / step)))):
         raise argparse.ArgumentTypeError(
-            f"invalid range {text!r}; need step > 0 and stop >= start"
+            f"invalid range {text!r}; need finite numbers, step > 0, stop >= start "
+            f"and a finite (stop - start) / step"
         )
     count = int(math.floor((stop - start) / step + 0.5)) + 1
     values = [start + k * step for k in range(count)]
@@ -109,9 +107,12 @@ def _int_at_least(low: int):
     return parse
 
 
-@dataclass
-class OutputRecord:
-    """One evaluation in the output stream; field order is the wire order."""
+class OutputRecord(NamedTuple):
+    """One evaluation in the output stream, its fields in wire order.
+
+    The record is its own row: the emitter writes its values as they come.
+    FIELDS names them on the wire, where ``lam`` is ``lambda``.
+    """
 
     s_re: float
     s_im: float
@@ -131,13 +132,6 @@ class OutputRecord:
         "method", "status", "residue_re", "residue_im", "beta_re", "beta_im",
     )
 
-    def values(self) -> list:
-        return [
-            self.s_re, self.s_im, self.lam, self.value_re, self.value_im,
-            self.abs_error, self.method, self.status,
-            self.residue_re, self.residue_im, self.beta_re, self.beta_im,
-        ]
-
 
 def _json_scalar(v) -> str:
     if isinstance(v, float):
@@ -153,12 +147,9 @@ def _json_scalar(v) -> str:
     return str(v)
 
 
-def _csv_scalar(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".17g")
-    if v is None:
-        return ""
-    return str(v)
+def _csv_scalar(v):
+    """Floats with 17 significant digits; csv writes None as an empty field."""
+    return format(v, ".17g") if isinstance(v, float) else v
 
 
 # One JSON object per row, keys in wire order; the values are preformatted.
@@ -173,21 +164,17 @@ class _Emitter:
 
     def __init__(self, fmt: str, stream):
         self.stream = stream
-        self._csv = None
-        if fmt == "csv":
-            self._csv = csv.writer(
-                stream, quoting=csv.QUOTE_MINIMAL, lineterminator="\n"
-            )
+        self._csv = csv.writer(stream, lineterminator="\n") if fmt == "csv" else None
         self._wrote_header = False
 
     def emit(self, rec: OutputRecord) -> None:
         if self._csv is None:
-            self.stream.write(_JSON_ROW.format(*map(_json_scalar, rec.values())))
+            self.stream.write(_JSON_ROW.format(*map(_json_scalar, rec)))
             return
         if not self._wrote_header:
             self._csv.writerow(OutputRecord.FIELDS)
             self._wrote_header = True
-        self._csv.writerow([_csv_scalar(v) for v in rec.values()])
+        self._csv.writerow([_csv_scalar(v) for v in rec])
 
 
 def _record_from_result(
@@ -235,26 +222,21 @@ def _gamma_evaluator(method: str, tol: float, n_terms: int):
     return lambda s, p: fn(s, p, spec)
 
 
-def _cmd_eval(args, emitter) -> int:
+def _cmd_eval(args, parser, emitter) -> None:
     p = DegenerateParameter(args.lam)
     result = _gamma_evaluator(args.method, args.tol, args.n_terms)(args.s, p)
     emitter.emit(_record_from_result(args.s, args.lam, args.method, result))
-    return 0
 
 
-def _cmd_poles(args, emitter) -> int:
+def _cmd_poles(args, parser, emitter) -> None:
     p = DegenerateParameter(args.lam)
     for info in core.poles(p, args.n_max):
-        emitter.emit(OutputRecord(
-            s_re=info.location.real, s_im=info.location.imag, lam=args.lam,
-            value_re=None, value_im=None, abs_error=None,
-            method="residue", status="pole",
-            residue_re=info.residue.real, residue_im=info.residue.imag,
-        ))
-    return 0
+        loc, res = info.location, info.residue
+        emitter.emit(OutputRecord(loc.real, loc.imag, args.lam, None, None, None,
+                                  "residue", "pole", res.real, res.imag))
 
 
-def _cmd_table(args, parser, emitter) -> int:
+def _cmd_table(args, parser, emitter) -> None:
     lam_is_range = isinstance(args.lam, list)
     s_is_range = args.s_re is not None
     if lam_is_range and s_is_range:
@@ -278,17 +260,13 @@ def _cmd_table(args, parser, emitter) -> int:
         try:
             result = evaluate(s, p)
         except DegammaError:
-            emitter.emit(OutputRecord(
-                s_re=s.real, s_im=s.imag, lam=lam,
-                value_re=None, value_im=None, abs_error=None,
-                method=args.method, status="skipped",
-            ))
+            emitter.emit(OutputRecord(s.real, s.imag, lam, None, None, None,
+                                      args.method, "skipped"))
             continue
         emitter.emit(_record_from_result(s, lam, args.method, result))
-    return 0
 
 
-def _cmd_beta(args, emitter) -> int:
+def _cmd_beta(args, parser, emitter) -> None:
     p = DegenerateParameter(args.lam)
     if args.method == "ratio":
         result = core.degenerate_beta(args.alpha, args.beta, p)
@@ -301,9 +279,7 @@ def _cmd_beta(args, emitter) -> int:
             representations.ProductSpec(n_terms=args.n_terms),
         )
     rec = _record_from_result(args.alpha, args.lam, args.method, result)
-    rec.beta_re, rec.beta_im = args.beta.real, args.beta.imag
-    emitter.emit(rec)
-    return 0
+    emitter.emit(rec._replace(beta_re=args.beta.real, beta_im=args.beta.imag))
 
 
 def _cmd_verify(args) -> int:
@@ -395,6 +371,11 @@ def _float_or_range(text: str):
         ) from None
 
 
+_EMITTING_COMMANDS = {
+    "eval": _cmd_eval, "poles": _cmd_poles, "table": _cmd_table, "beta": _cmd_beta,
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -403,23 +384,14 @@ def main(argv=None) -> int:
             args.tol = _tolerance(args.tol)
         if args.command == "verify":
             return _cmd_verify(args)
-        emitter = _Emitter(args.format, sys.stdout)
-        if args.command == "eval":
-            return _cmd_eval(args, emitter)
-        if args.command == "poles":
-            return _cmd_poles(args, emitter)
-        if args.command == "table":
-            return _cmd_table(args, parser, emitter)
-        if args.command == "beta":
-            return _cmd_beta(args, emitter)
-        parser.error(f"unknown command {args.command}")  # pragma: no cover
+        _EMITTING_COMMANDS[args.command](args, parser, _Emitter(args.format, sys.stdout))
+        return 0
     except DegammaError as exc:
         print(f"degamma: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
     except OverflowError as exc:
         print(f"degamma: overflow: {exc}", file=sys.stderr)
         return NUMERIC_EXIT
-    return 0  # pragma: no cover
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -283,9 +283,7 @@ def _log_residue(family: PoleFamily, n: int, p: DegenerateParameter) -> tuple[fl
                - _log_gamma_off_pole(n + 1.0).real - p.log_gamma_inv_lambda)
     if family is PoleFamily.NON_POSITIVE:
         return log_mag + n * p.log_lambda, (-1.0 if n % 2 else 1.0)
-    if family is PoleFamily.SHIFTED_BY_INV_LAMBDA:
-        return log_mag + (-n - p.inv_lambda) * p.log_lambda, (1.0 if n % 2 else -1.0)
-    raise ValueError(f"unknown pole family {family}")  # pragma: no cover - enum is closed
+    return log_mag + (-n - p.inv_lambda) * p.log_lambda, (1.0 if n % 2 else -1.0)
 
 
 def _pole_info(family: PoleFamily, n: int, p: DegenerateParameter) -> PoleInfo:
@@ -300,11 +298,7 @@ def poles(p: DegenerateParameter, n_max: int) -> list[PoleInfo]:
     """The 2*(n_max+1) poles {-n} and {1/lambda + n}, n = 0..n_max, with residues."""
     if n_max < 0:
         raise ValueError("poles: n_max must be non-negative")
-    out = [_pole_info(PoleFamily.NON_POSITIVE, n, p) for n in range(n_max + 1)]
-    out += [
-        _pole_info(PoleFamily.SHIFTED_BY_INV_LAMBDA, n, p) for n in range(n_max + 1)
-    ]
-    return out
+    return [_pole_info(family, n, p) for family in PoleFamily for n in range(n_max + 1)]
 
 
 def nearest_pole(s: complex, p: DegenerateParameter) -> tuple[float, PoleFamily, int]:

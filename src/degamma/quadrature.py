@@ -351,10 +351,13 @@ def _loop_gamma(
         )
     # The circle's values reach (1 - delta)**(-1/lambda) delta**Re(s)
     # e^(pi |Im s|) and carry the rounding of their exponent, at most
-    # 1/lambda |log(1 - delta)| + pi (|s| + 3) in size.
+    # 1/lambda |log(1 - delta)| + pi (|s| + 3) in size.  Each factor is
+    # formed on its own (the reflected circle's delta**Re(s) as delta times
+    # delta**(s - 1)), and sin(pi s) in the prefactors reaches e^(pi |Im s|)
+    # too, so the bound adds the logs of the factors, each at least 0.
     delta = spec.hankel_radius
     log_peak = -u_max * math.log1p(-delta)
-    log_max = log_peak + s.real * math.log(delta) + math.pi * abs(s.imag)
+    log_max = log_peak + math.pi * abs(s.imag) + max((s.real - 1.0) * math.log(delta), 0.0)
     if log_max > LOG_OVERFLOW:
         raise ParameterRangeError(
             f"{name}: at lambda = {p.lam:.6g} and s = {s} the values on the "

@@ -6,13 +6,13 @@ emits machine-readable reports.  The closed form is the reference path; all
 others are judged against it.
 
 Each identity is one row of the table ``_CHECKS``: its name, the index of its
-random stream (None for a fixed grid), whether it compares logs, and a
-function that produces the samples, drawing lambda from a fixed range of its
-own.  ``CHECK_ROSTER`` is the table's names, and :func:`run_identity_suite` is
-one loop over it.  The perturb hook applies in that loop only, to each
-sample's observed value: it multiplies the value by the factor, or for the
-log-space check adds the factor's log.  Every report, the limit checks' and
-the cross-path scan's too, is filled by ``CheckReport.record`` and ``fail``.
+random stream (None for a fixed grid), and a function that produces the
+samples, drawing lambda from a fixed range of its own.  ``CHECK_ROSTER`` is
+the table's names, and :func:`run_identity_suite` is one loop over it that
+judges every sample by its relative error.  The perturb hook applies in that
+loop only: it multiplies each sample's observed value by the factor.  Every
+report, the limit checks' and the cross-path scan's too, is filled by
+``CheckReport.record`` and ``fail``.
 """
 
 from __future__ import annotations
@@ -99,11 +99,6 @@ def _rel(a: complex, b: complex) -> float:
     return abs(a - b) / max(abs(a), abs(b), _TINY)
 
 
-def _log_space_gap(l1: complex, l2: complex) -> float:
-    d = l1 - l2
-    return math.hypot(d.real, math.remainder(d.imag, 2.0 * math.pi))
-
-
 def _sample_complex(rng, re_range, im_range, reject, max_tries: int = 10_000) -> complex:
     """Draw until the rejection predicate clears; deterministic given rng."""
     for _ in range(max_tries):
@@ -142,12 +137,13 @@ def _difference_equation(rng, pspec):
 
 
 def _reflection_symmetry(rng, pspec):
-    # lam^s dgamma(s) = lam^(u-s) dgamma(u-s), as the two logs
+    # lam^s dgamma(s) = lam^(u-s) dgamma(u-s), as the ratio of the two sides
+    # from their logs; exp absorbs the logs' 2 pi i branch offsets
     s, p = _draw_pair(rng)
     partner = core.symmetry_partner(s, p)
     l1 = s * p.log_lambda + core.degenerate_gamma_log(s, p)
     l2 = partner * p.log_lambda + core.degenerate_gamma_log(partner, p)
-    return s, p.lam, "symmetry", l1, l2, 1e-10
+    return s, p.lam, "symmetry", cmath.exp(l1 - l2), 1.0 + 0.0j, 1e-10
 
 
 def _closed_form_beta_identity(rng, pspec):
@@ -198,12 +194,17 @@ def _product_domain(rng):
     return s, p
 
 
+def _estimated_sample(s, lam, path, res, expected, k, floor):
+    """A path's sample, at k times its own relative estimate and at least floor."""
+    tol = max(k * res.abs_error_estimate / max(abs(expected), _TINY), floor)
+    return s, lam, path, res.value, expected, tol
+
+
 def _weierstrass_main(rng, pspec):
     s, p = _product_domain(rng)
-    res = representations.weierstrass_gamma(s, p, pspec)
-    expected = _value(s, p)
-    tol = max(res.abs_error_estimate / max(abs(expected), _TINY), 5e-13)
-    return s, p.lam, "weierstrass", res.value, expected, tol
+    return _estimated_sample(s, p.lam, "weierstrass",
+                             representations.weierstrass_gamma(s, p, pspec),
+                             _value(s, p), 1.0, 5e-13)
 
 
 def _weierstrass_paired(rng, pspec):
@@ -218,10 +219,9 @@ def _weierstrass_paired(rng, pspec):
 
 def _euler_limit(rng, pspec):
     s, p = _product_domain(rng)
-    res = representations.euler_limit_gamma(s, p, pspec)
-    expected = _value(s, p)
-    tol = max(2.0 * res.abs_error_estimate / max(abs(expected), _TINY), 1e-12)
-    return s, p.lam, "euler-limit", res.value, expected, tol
+    return _estimated_sample(s, p.lam, "euler-limit",
+                             representations.euler_limit_gamma(s, p, pspec),
+                             _value(s, p), 2.0, 1e-12)
 
 
 def _sine_product(rng, pspec):
@@ -259,10 +259,9 @@ def _beta_classical_mixed(rng, pspec):
 
 def _beta_product(rng, pspec):
     a, b, p = _beta_domain(rng)
-    res = representations.degenerate_beta_product(a, b, p, pspec)
-    expected = core.degenerate_beta(a, b, p).value
-    tol = max(2.0 * res.abs_error_estimate / max(abs(expected), _TINY), 1e-12)
-    return a + b, p.lam, "beta-product", res.value, expected, tol
+    return _estimated_sample(a + b, p.lam, "beta-product",
+                             representations.degenerate_beta_product(a, b, p, pspec),
+                             core.degenerate_beta(a, b, p).value, 2.0, 1e-12)
 
 
 def _beta_integer_formula():
@@ -325,29 +324,30 @@ def _hankel_contour_reflected(rng, pspec):
             quadrature.hankel_gamma(s, p).value, 1e-10)
 
 
-# The identity checks: (name, random stream, compares logs, check).  A check
-# with a stream index draws from default_rng([seed, index]) and maps
-# (rng, product spec) to one sample (s, lambda, path, observed,
-# expected, tol); one with stream None walks a fixed grid and yields them all.
+# The identity checks: (name, random stream, check).  A check with a stream
+# index draws from default_rng([seed, index]) and maps (rng, product spec) to
+# one sample (s, lambda, path, observed, expected, tol); one with stream None
+# walks a fixed grid and yields them all.  Each sample passes when the
+# relative error of observed against expected is within tol.
 _CHECKS = (
-    ("difference-equation", 0, False, _difference_equation),
-    ("reflection-symmetry", 1, True, _reflection_symmetry),
-    ("closed-form-beta-identity", 2, False, _closed_form_beta_identity),
-    ("lambda-shift-k0", 3, False, _lambda_shift(0)),
-    ("lambda-shift-k1", 4, False, _lambda_shift(1)),
-    ("lambda-shift-k2", 5, False, _lambda_shift(2)),
-    ("integer-values", None, False, _integer_values),
-    ("weierstrass-product-main", 6, False, _weierstrass_main),
-    ("weierstrass-product-paired", 7, False, _weierstrass_paired),
-    ("euler-limit", 8, False, _euler_limit),
-    ("sine-product", 9, False, _sine_product),
-    ("beta-classical-mixed", 10, False, _beta_classical_mixed),
-    ("beta-product", 11, False, _beta_product),
-    ("beta-integer-formula", None, False, _beta_integer_formula),
-    ("residues-nonpositive", None, False, _residues(PoleFamily.NON_POSITIVE)),
-    ("residues-shifted", None, False, _residues(PoleFamily.SHIFTED_BY_INV_LAMBDA)),
-    ("hankel-contour", 12, False, _hankel_contour),
-    ("hankel-contour-reflected", 13, False, _hankel_contour_reflected),
+    ("difference-equation", 0, _difference_equation),
+    ("reflection-symmetry", 1, _reflection_symmetry),
+    ("closed-form-beta-identity", 2, _closed_form_beta_identity),
+    ("lambda-shift-k0", 3, _lambda_shift(0)),
+    ("lambda-shift-k1", 4, _lambda_shift(1)),
+    ("lambda-shift-k2", 5, _lambda_shift(2)),
+    ("integer-values", None, _integer_values),
+    ("weierstrass-product-main", 6, _weierstrass_main),
+    ("weierstrass-product-paired", 7, _weierstrass_paired),
+    ("euler-limit", 8, _euler_limit),
+    ("sine-product", 9, _sine_product),
+    ("beta-classical-mixed", 10, _beta_classical_mixed),
+    ("beta-product", 11, _beta_product),
+    ("beta-integer-formula", None, _beta_integer_formula),
+    ("residues-nonpositive", None, _residues(PoleFamily.NON_POSITIVE)),
+    ("residues-shifted", None, _residues(PoleFamily.SHIFTED_BY_INV_LAMBDA)),
+    ("hankel-contour", 12, _hankel_contour),
+    ("hankel-contour-reflected", 13, _hankel_contour_reflected),
 )
 
 # Every identity the harness covers, by what each check does.
@@ -363,15 +363,16 @@ def run_identity_suite(
 ) -> list[CheckReport]:
     """Run every identity check; deterministic given (seed, samples).
 
-    ``perturb_check`` multiplies the observed path of the named check by
-    ``perturb_factor`` so the harness's sensitivity itself can be tested.
-    Reports come back sorted by check_name.
+    Every sample is judged by its relative error.  ``perturb_check``
+    multiplies the observed values of the named check by ``perturb_factor``
+    so the harness's sensitivity itself can be tested.  Reports come back
+    sorted by check_name.
     """
     if samples < 1:
         raise ValueError("run_identity_suite: samples must be >= 1")
     pspec = representations.ProductSpec(n_terms=product_terms)
     reports = []
-    for name, stream, log_space, check in _CHECKS:
+    for name, stream, check in _CHECKS:
         if stream is None:
             rows = check()
         else:
@@ -382,15 +383,8 @@ def run_identity_suite(
         factor = perturb_factor if name == perturb_check else 1.0
         report = CheckReport(name)
         for s, lam, path, observed, expected, tol in rows:
-            if log_space:
-                if factor != 1.0:
-                    observed += cmath.log(factor)
-                err = _log_space_gap(observed, expected)
-                observed, expected = cmath.exp(observed - expected), 1.0 + 0.0j
-            else:
-                observed *= factor
-                err = _rel(observed, expected)
-            report.record(s, lam, path, observed, expected, err, tol)
+            observed *= factor
+            report.record(s, lam, path, observed, expected, _rel(observed, expected), tol)
         reports.append(report)
     reports.sort(key=lambda r: r.check_name)
     return reports

@@ -69,7 +69,9 @@ class TestParseRange:
     def test_point_past_stop_dropped(self):
         assert parse_range("0:2.6:1") == [0.0, 1.0, 2.0]
 
-    @pytest.mark.parametrize("text", ["1:2", "1:2:0", "2:1:0.5", "a:b:c"])
+    @pytest.mark.parametrize("text", ["1:2", "1:2:0", "2:1:0.5", "a:b:c", "0:inf:1",
+                                      "-inf:0:1", "0:1e400:1", "0:1:inf", "0:nan:1",
+                                      "0:1e300:1e-300"])
     def test_invalid(self, text):
         import argparse
 
@@ -134,6 +136,14 @@ class TestEval:
         assert (code, out) == (2, "")
         assert err.startswith(f"degamma: {name}: ")
         assert err.rstrip().endswith(" overflows")
+
+    @pytest.mark.parametrize("method", ["hankel", "hankel-reflected"])
+    def test_contour_prefactor_overflow_exit_2(self, capsys, method):
+        # sin(pi s) is past double range at |Im s| = 226.5
+        code, out, err = run_cli(capsys, "eval", "--method", method,
+                                 "--lambda", "0.05", "--s", "9+226.5i")
+        assert (code, out) == (2, "")
+        assert " the values on the circle of radius 0.3 reach exp(" in err
 
     def test_usage_error_exit_64(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -270,6 +280,10 @@ class TestTable:
         (("--lambda", "0.1:0.3:0.1", "--s-re", "0:1:0.5"),
          "exactly one of --lambda and --s-re may be a range"),
         (("--lambda", "0.1:0.3:0.1"), "--s is required when --lambda is a range"),
+        (("--lambda", "abc", "--s", "1"),
+         "invalid value 'abc'; expected a number or start:stop:step"),
+        (("--lambda", "0.5", "--s-re=0:inf:1"), "invalid range '0:inf:1'"),
+        (("--lambda", "0.5", "--s-re=0:1:0.5", "--n-terms", "x"), "'x' is not an integer"),
     ])
     def test_conflicting_ranges_exit_64(self, capsys, argv, message):
         with pytest.raises(SystemExit) as exc:

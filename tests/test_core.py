@@ -41,9 +41,11 @@ from degamma.errors import (
 from degamma.representations import (
     degenerate_beta_product,
     euler_limit_gamma,
+    sine_product,
     weierstrass_gamma,
 )
 from degamma.quadrature import direct_integral_gamma
+from degamma.verify import GridSpec
 
 
 def rel(a, b):
@@ -750,3 +752,24 @@ class TestEstimateNearPoles:
     def test_beta(self, mp, path, lam, a, b):
         res = path(a, b, DegenerateParameter(lam))
         assert abs(res.value - complex(_mp_beta(mp, a, b, lam))) <= res.abs_error_estimate
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda p: falling_factorial(1, -1, 0.3), ValueError, "^falling_factorial: "),
+    (lambda p: falling_factorial_exact(1, -1, 0.3), ValueError, "^falling_factorial_exact: "),
+    (lambda p: pole_residue(PoleFamily.NON_POSITIVE, -1, p), ValueError, "^pole_residue: "),
+    (lambda p: poles(p, -1), ValueError, "^poles: "),
+    (lambda p: degenerate_gamma_integer(0, p), ValueError, "^degenerate_gamma_integer: "),
+    (lambda p: lambda_shift_recurrence(1.5, -1, p), ValueError, "^lambda_shift_recurrence: "),
+    (lambda p: sine_product(0.5, 0), ValueError, "^sine_product: "),
+    (lambda p: lambda_shift_recurrence(1.5, 3, p), ParameterRangeError, "k = 3 shift$"),
+    (lambda p: degenerate_log(2.0, 0.0), ParameterRangeError, "^degenerate_log: "),
+    (lambda p: GridSpec(1, 0, 1).points(), ValueError, "^GridSpec: empty grid$"),
+], ids=[
+    "falling_factorial", "falling_factorial_exact", "pole_residue", "poles",
+    "degenerate_gamma_integer", "lambda_shift_recurrence-k", "sine_product",
+    "lambda_shift_recurrence-lambda", "degenerate_log", "GridSpec",
+])
+def test_argument_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call(DegenerateParameter(0.3))

@@ -466,6 +466,24 @@ def test_contour_refuses_an_overflowing_value(path, s, lam):
         path(s, p)
 
 
+@pytest.mark.parametrize("s, lam", [
+    (9 + 226.5j, 0.05),  # sin(pi s) passes double range
+    (18 + 230j, 0.05),  # the circle's values overflow to NaN
+    (-588.54 + 0.0001j, 0.99),  # the reflected circle's delta**(s - 1) overflows
+])
+@pytest.mark.parametrize("path", [hankel_gamma, hankel_gamma_reflected],
+                         ids=lambda f: f.__name__)
+def test_contour_refuses_a_factor_past_range(monkeypatch, path, s, lam):
+    # each factor of the circle and of the sine prefactor is bounded, not
+    # only their product, and the refusal comes before any quadrature
+    def no_quadrature(*args):
+        raise AssertionError("quadrature ran for a point the contour cannot take")
+
+    monkeypatch.setattr(quadrature, "_cc_ladder", no_quadrature)
+    with pytest.raises(ParameterRangeError, match=rf"^{path.__name__}: at lambda = {lam:.6g} "):
+        path(s, DegenerateParameter(lam))
+
+
 @pytest.mark.parametrize("s, lam, refused", [(1.5 + 0.5j, 0.3, False), (990 + 1j, 1e-3, True)])
 @pytest.mark.parametrize("path", [hankel_gamma, hankel_gamma_reflected],
                          ids=lambda f: f.__name__)
