@@ -78,20 +78,9 @@ def parse_range(text: str) -> list[float]:
             f"invalid range {text!r}; expected start:stop:step"
         )
     try:
-        start, stop, step = (float(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid range {text!r}") from None
-    if not (step > 0.0 and stop >= start
-            and all(map(math.isfinite, (start, stop, step, (stop - start) / step)))):
-        raise argparse.ArgumentTypeError(
-            f"invalid range {text!r}; need finite numbers, step > 0, stop >= start "
-            f"and a finite (stop - start) / step"
-        )
-    count = int(math.floor((stop - start) / step + 0.5)) + 1
-    values = [start + k * step for k in range(count)]
-    if values and values[-1] > stop + 1e-9 * step:
-        values.pop()
-    return values
+        return core.inclusive_grid(*map(float, parts))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid range {text!r}; {exc}") from None
 
 
 def _int_at_least(low: int):
@@ -142,9 +131,7 @@ def _json_scalar(v) -> str:
         return "Infinity" if v > 0 else "-Infinity"
     if v is None:
         return "null"
-    if isinstance(v, str):
-        return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
-    return str(v)
+    return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def _csv_scalar(v):
@@ -199,32 +186,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-_GAMMA_METHODS = (
-    "closed-form", "direct-integral", "hankel", "hankel-reflected",
-    "weierstrass", "euler-limit",
-)
-
-
-def _gamma_evaluator(method: str, tol: float, n_terms: int):
-    """The function (s, p) -> EvalResult of one --method, its spec built once."""
-    if method == "closed-form":
-        return core.degenerate_gamma
-    from . import quadrature, representations  # these import numpy
-    qspec = quadrature.QuadratureSpec(rel_tolerance=tol)
-    pspec = representations.ProductSpec(n_terms=n_terms)
-    fn, spec = {
-        "direct-integral": (quadrature.direct_integral_gamma, qspec),
-        "hankel": (quadrature.hankel_gamma, qspec),
-        "hankel-reflected": (quadrature.hankel_gamma_reflected, qspec),
-        "weierstrass": (representations.weierstrass_gamma, pspec),
-        "euler-limit": (representations.euler_limit_gamma, pspec),
-    }[method]
-    return lambda s, p: fn(s, p, spec)
-
-
 def _cmd_eval(args, parser, emitter) -> None:
     p = DegenerateParameter(args.lam)
-    result = _gamma_evaluator(args.method, args.tol, args.n_terms)(args.s, p)
+    result = core.gamma_evaluator(args.method, args.tol, args.n_terms)(args.s, p)
     emitter.emit(_record_from_result(args.s, args.lam, args.method, result))
 
 
@@ -253,7 +217,7 @@ def _cmd_table(args, parser, emitter) -> None:
         points = [(args.s, lam) for lam in args.lam]
     # The first row's lambda is checked before the specs, as in eval.
     p = DegenerateParameter(points[0][1])
-    evaluate = _gamma_evaluator(args.method, args.tol, args.n_terms)
+    evaluate = core.gamma_evaluator(args.method, args.tol, args.n_terms)
     for s, lam in points:
         if lam != p.lam:
             p = DegenerateParameter(lam)
@@ -321,7 +285,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--n-terms", type=_int_at_least(1), default=100_000,
                         help="truncation level for product paths")
         sp.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
-        sp.add_argument("--method", choices=_GAMMA_METHODS, default="closed-form")
+        sp.add_argument("--method", choices=core.GAMMA_METHODS, default="closed-form")
 
     sp = sub.add_parser("eval", help="evaluate the degenerate gamma function")
     sp.add_argument("--lambda", dest="lam", type=float, required=True)

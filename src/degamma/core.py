@@ -136,6 +136,51 @@ class EvalStatus(enum.Enum):
     OVERFLOW = "overflow"
 
 
+# The tags of the gamma paths, which gamma_evaluator maps to their functions.
+GAMMA_METHODS = (
+    "closed-form", "direct-integral", "hankel", "hankel-reflected",
+    "weierstrass", "euler-limit",
+)
+
+
+def gamma_evaluator(method: str, tol: float, n_terms: int):
+    """The function (s, p) -> EvalResult of one of GAMMA_METHODS, its spec built once."""
+    if method == "closed-form":
+        return degenerate_gamma
+    from . import quadrature, representations  # these import numpy
+    qspec = quadrature.QuadratureSpec(rel_tolerance=tol)
+    pspec = representations.ProductSpec(n_terms=n_terms)
+    fn, spec = {
+        "direct-integral": (quadrature.direct_integral_gamma, qspec),
+        "hankel": (quadrature.hankel_gamma, qspec),
+        "hankel-reflected": (quadrature.hankel_gamma_reflected, qspec),
+        "weierstrass": (representations.weierstrass_gamma, pspec),
+        "euler-limit": (representations.euler_limit_gamma, pspec),
+    }[method]
+    return lambda s, p: fn(s, p, spec)
+
+
+# The most points an inclusive grid may have: 1,000 times a 10k-point table.
+MAX_GRID_POINTS = 10**7
+
+
+def inclusive_grid(start: float, stop: float, step: float) -> list[float]:
+    """start, start + step, ... up to stop, which the last point may pass by 1e-9 step.
+
+    ValueError unless the numbers are finite, step > 0, stop >= start and the
+    grid has at most MAX_GRID_POINTS points.
+    """
+    # a NaN or infinite start or stop leaves span NaN or infinite
+    span = (stop - start) / step if 0.0 < step < math.inf else math.nan
+    if not (stop >= start and span + 0.5 < MAX_GRID_POINTS):
+        raise ValueError(f"need finite numbers, step > 0, stop >= start "
+                         f"and at most {MAX_GRID_POINTS} points")
+    values = [start + k * step for k in range(math.floor(span + 0.5) + 1)]
+    if values[-1] > stop + 1e-9 * step:
+        values.pop()
+    return values
+
+
 @dataclass(frozen=True)
 class EvalResult:
     """A function value with an absolute error estimate and provenance.

@@ -9,9 +9,10 @@ Each identity is one row of the table ``_CHECKS``: its name, the index of its
 random stream (None for a fixed grid), and a function that produces the
 samples, drawing lambda from a fixed range of its own.  ``CHECK_ROSTER`` is
 the table's names, and :func:`run_identity_suite` is one loop over it that
-judges every sample by its relative error.  The perturb hook applies in that
-loop only: it multiplies each sample's observed value by the factor.  Every
-report, the limit checks' and the cross-path scan's too, is filled by
+judges every sample by its relative error, an approximate path's (here and in
+the cross-path scan) within k times its own estimate.  The perturb hook
+multiplies each sample's observed value in that loop only.  Every report, the
+limit checks' and the cross-path scan's too, is filled by
 ``CheckReport.record`` and ``fail``.
 """
 
@@ -21,7 +22,6 @@ import cmath
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -89,19 +89,19 @@ class GridSpec:
     re_step: float
 
     def points(self) -> list[complex]:
-        n = int(round((self.re_stop - self.re_start) / self.re_step)) + 1
-        if n < 1:
+        if self.re_stop < self.re_start:
             raise ValueError("GridSpec: empty grid")
-        return [complex(self.re_start + k * self.re_step, 0.0) for k in range(n)]
+        grid = core.inclusive_grid(self.re_start, self.re_stop, self.re_step)
+        return [complex(x, 0.0) for x in grid]
 
 
 def _rel(a: complex, b: complex) -> float:
     return abs(a - b) / max(abs(a), abs(b), _TINY)
 
 
-def _sample_complex(rng, re_range, im_range, reject, max_tries: int = 10_000) -> complex:
+def _sample_complex(rng, re_range, im_range, reject) -> complex:
     """Draw until the rejection predicate clears; deterministic given rng."""
-    for _ in range(max_tries):
+    for _ in range(10_000):
         s = complex(rng.uniform(*re_range), rng.uniform(*im_range))
         if not reject(s):
             return s
@@ -194,8 +194,20 @@ def _product_domain(rng):
     return s, p
 
 
-def _estimated_sample(s, lam, path, res, expected, k, floor):
-    """A path's sample, at k times its own relative estimate and at least floor."""
+# Each approximate path is held to k times its own relative error estimate, and
+# at least a floor (path tag -> (k, floor)), so its bound follows its N or tol.
+_ESTIMATE_BOUNDS = {
+    "weierstrass": (1.0, 5e-13),
+    "euler-limit": (2.0, 1e-12),
+    "beta-product": (2.0, 1e-12),
+    "hankel": (2.0, 1e-12),
+    "direct-integral": (2.0, 1e-12),
+}
+
+
+def _estimated_sample(s, lam, path, res, expected):
+    """A path's sample, held to its bound in ``_ESTIMATE_BOUNDS``."""
+    k, floor = _ESTIMATE_BOUNDS[path]
     tol = max(k * res.abs_error_estimate / max(abs(expected), _TINY), floor)
     return s, lam, path, res.value, expected, tol
 
@@ -204,7 +216,7 @@ def _weierstrass_main(rng, pspec):
     s, p = _product_domain(rng)
     return _estimated_sample(s, p.lam, "weierstrass",
                              representations.weierstrass_gamma(s, p, pspec),
-                             _value(s, p), 1.0, 5e-13)
+                             _value(s, p))
 
 
 def _weierstrass_paired(rng, pspec):
@@ -221,7 +233,7 @@ def _euler_limit(rng, pspec):
     s, p = _product_domain(rng)
     return _estimated_sample(s, p.lam, "euler-limit",
                              representations.euler_limit_gamma(s, p, pspec),
-                             _value(s, p), 2.0, 1e-12)
+                             _value(s, p))
 
 
 def _sine_product(rng, pspec):
@@ -261,28 +273,20 @@ def _beta_product(rng, pspec):
     a, b, p = _beta_domain(rng)
     return _estimated_sample(a + b, p.lam, "beta-product",
                              representations.degenerate_beta_product(a, b, p, pspec),
-                             core.degenerate_beta(a, b, p).value, 2.0, 1e-12)
+                             core.degenerate_beta(a, b, p).value)
 
 
 def _beta_integer_formula():
+    # the exact (m-1)!(n-1)!/(m+n-1)! * (1)_{m+n+1} / ((1)_{m+1} (1)_{n+1}),
+    # the ratio of the exact integer values Gamma(k) / (1)_{k+1}
     for lam in (0.07, 0.1, 0.16, 0.22):
         p = DegenerateParameter(lam)
+        exact = {k: core.degenerate_gamma_integer(k, p).exact() for k in range(1, 7)}
         for m in range(1, 4):
             for n in range(1, 4):
-                exact = (
-                    core.falling_factorial_exact(1, m + n + 1, lam)
-                    / (
-                        core.falling_factorial_exact(1, m + 1, lam)
-                        * core.falling_factorial_exact(1, n + 1, lam)
-                    )
-                    * Fraction(
-                        math.factorial(m - 1) * math.factorial(n - 1),
-                        math.factorial(m + n - 1),
-                    )
-                )
                 yield (complex(m, n), lam, "integer-formula",
                        core.degenerate_beta(m, n, p).value,
-                       complex(float(exact)), 1e-10)
+                       complex(float(exact[m] * exact[n] / exact[m + n])), 1e-10)
 
 
 def _residues(family: PoleFamily):
@@ -313,8 +317,8 @@ def _hankel_domain(rng):
 
 def _hankel_contour(rng, pspec):
     s, p = _hankel_domain(rng)
-    return (s, p.lam, "hankel", quadrature.hankel_gamma(s, p).value,
-            _value(s, p), 1e-7)
+    return _estimated_sample(s, p.lam, "hankel", quadrature.hankel_gamma(s, p),
+                             _value(s, p))
 
 
 def _hankel_contour_reflected(rng, pspec):
@@ -327,8 +331,8 @@ def _hankel_contour_reflected(rng, pspec):
 # The identity checks: (name, random stream, check).  A check with a stream
 # index draws from default_rng([seed, index]) and maps (rng, product spec) to
 # one sample (s, lambda, path, observed, expected, tol); one with stream None
-# walks a fixed grid and yields them all.  Each sample passes when the
-# relative error of observed against expected is within tol.
+# walks a fixed grid and yields them all.  A sample passes when its relative
+# error is within tol, k times its own estimate for an approximate path.
 _CHECKS = (
     ("difference-equation", 0, _difference_equation),
     ("reflection-symmetry", 1, _reflection_symmetry),
@@ -390,8 +394,7 @@ def run_identity_suite(
     return reports
 
 
-def _residue_limit(location: complex, p: DegenerateParameter,
-                   radius: float = 1e-4) -> complex:
+def _residue_limit(location: complex, p: DegenerateParameter) -> complex:
     """Mean of (s - s0) * dgamma(s) over four symmetric angles around s0.
 
     The symmetric average cancels the first three Laurent corrections, so the
@@ -399,48 +402,24 @@ def _residue_limit(location: complex, p: DegenerateParameter,
     """
     total = 0.0 + 0.0j
     for k in range(4):
-        offset = radius * cmath.exp(0.5j * math.pi * k)
+        offset = 1e-4 * cmath.exp(0.5j * math.pi * k)
         s = location + offset
         total += offset * core.degenerate_gamma(s, p).value
     return total / 4.0
 
 
-# Tolerances for the cross-path scan, per method tag.  The product-path
-# figures assume the default truncation (1e5 terms) and are relaxed
-# proportionally when the caller coarsens it.
-_SCAN_TOLERANCES = {
-    "direct-integral": 1e-10,
-    "hankel": 1e-7,
-    "weierstrass": 1e-4,
-    "euler-limit": 1e-4,
-}
-_DEFAULT_SCAN_TERMS = 100_000
-
-
-def _scan_tolerance(path: str, product_terms: int) -> float:
-    tol = _SCAN_TOLERANCES[path]
-    if path in ("weierstrass", "euler-limit"):
-        tol *= max(1.0, _DEFAULT_SCAN_TERMS / product_terms)
-    return tol
-
-
 def run_cross_path_scan(grid: GridSpec, p: DegenerateParameter,
                         product_terms: int = 100_000) -> CheckReport:
-    """Evaluate every path over a grid and compare against the closed form.
+    """Evaluate every path over a grid against the closed form, by its own estimate.
 
     Each path runs only where its preconditions hold; precondition rejections
     are counted as skipped cells, and a path whose validity region misses the
     grid entirely is marked not applicable.
     """
     points = grid.points()
-    pspec = representations.ProductSpec(n_terms=product_terms)
-    qspec = quadrature.QuadratureSpec()
-    paths = {
-        "direct-integral": lambda s: quadrature.direct_integral_gamma(s, p, qspec),
-        "hankel": lambda s: quadrature.hankel_gamma(s, p, qspec),
-        "weierstrass": lambda s: representations.weierstrass_gamma(s, p, pspec),
-        "euler-limit": lambda s: representations.euler_limit_gamma(s, p, pspec),
-    }
+    qtol = quadrature.QuadratureSpec.rel_tolerance  # the integral paths' default
+    paths = {name: core.gamma_evaluator(name, qtol, product_terms)
+             for name in ("direct-integral", "hankel", "weierstrass", "euler-limit")}
     per_path = {
         name: {"max_rel_err": 0.0, "evaluated": 0, "skipped": 0, "applicable": True}
         for name in paths
@@ -455,15 +434,15 @@ def run_cross_path_scan(grid: GridSpec, p: DegenerateParameter,
         for name, fn in paths.items():
             stats = per_path[name]
             try:
-                res = fn(s)
+                res = fn(s, p)
             except DegammaError:
                 stats["skipped"] += 1
                 continue
             stats["evaluated"] += 1
+            *sample, tol = _estimated_sample(s, p.lam, name, res, ref.value)
             err = _rel(res.value, ref.value)
             stats["max_rel_err"] = max(stats["max_rel_err"], err)
-            report.record(s, p.lam, name, res.value, ref.value,
-                          err, _scan_tolerance(name, product_terms))
+            report.record(*sample, err, tol)
     for stats in per_path.values():
         stats["applicable"] = stats["evaluated"] > 0
     report.sample_count = len(points)

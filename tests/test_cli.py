@@ -71,7 +71,7 @@ class TestParseRange:
 
     @pytest.mark.parametrize("text", ["1:2", "1:2:0", "2:1:0.5", "a:b:c", "0:inf:1",
                                       "-inf:0:1", "0:1e400:1", "0:1:inf", "0:nan:1",
-                                      "0:1e300:1e-300"])
+                                      "0:1e300:1e-300", "0:1:1e-300", "0:1:1e-9"])
     def test_invalid(self, text):
         import argparse
 

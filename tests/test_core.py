@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degamma.classical import LOG_OVERFLOW, gamma, log_gamma, reflection_product, sin_pi
+from degamma.cli import parse_range
 from degamma.core import (
     DegenerateParameter,
     EvalStatus,
@@ -765,11 +766,28 @@ class TestEstimateNearPoles:
     (lambda p: lambda_shift_recurrence(1.5, 3, p), ParameterRangeError, "k = 3 shift$"),
     (lambda p: degenerate_log(2.0, 0.0), ParameterRangeError, "^degenerate_log: "),
     (lambda p: GridSpec(1, 0, 1).points(), ValueError, "^GridSpec: empty grid$"),
+    (lambda p: GridSpec(0, 1, 0).points(), ValueError, "^need finite numbers, step > 0"),
+    (lambda p: GridSpec(0, math.inf, 1).points(), ValueError, "^need finite numbers"),
+    (lambda p: GridSpec(0, math.nan, 1).points(), ValueError, "^need finite numbers"),
+    (lambda p: GridSpec(0, 1, 1e-300).points(), ValueError, "at most 10000000 points$"),
 ], ids=[
     "falling_factorial", "falling_factorial_exact", "pole_residue", "poles",
     "degenerate_gamma_integer", "lambda_shift_recurrence-k", "sine_product",
     "lambda_shift_recurrence-lambda", "degenerate_log", "GridSpec",
+    "GridSpec-step-0", "GridSpec-inf", "GridSpec-nan", "GridSpec-tiny-step",
 ])
 def test_argument_refused(call, error, message):
     with pytest.raises(error, match=message):
         call(DegenerateParameter(0.3))
+
+
+@pytest.mark.parametrize("start, stop, step, expected", [
+    (0.0, 1.0, 0.6, [0.0, 0.6]),
+    (0.0, 2.6, 1.0, [0.0, 1.0, 2.0]),
+    (0.2, 1.8, 0.4, [0.2 + k * 0.4 for k in range(5)]),
+    (2.0, 2.0, 1.0, [2.0]),
+])
+def test_grid_spec_ends_at_its_stop(start, stop, step, expected):
+    """GridSpec and the CLI's ranges share one rule: no point past the stop."""
+    assert GridSpec(start, stop, step).points() == [complex(x, 0.0) for x in expected]
+    assert parse_range(f"{start!r}:{stop!r}:{step!r}") == expected

@@ -1,8 +1,10 @@
 """Tests for the cross-representation verification harness."""
 
+import numpy as np
 import pytest
 
-from degamma.core import DegenerateParameter
+from degamma import verify
+from degamma.core import DegenerateParameter, degenerate_gamma
 from degamma.verify import (
     CHECK_ROSTER,
     GridSpec,
@@ -108,6 +110,13 @@ class TestIdentitySuite:
         with pytest.raises(ValueError):
             run_identity_suite(seed=0, samples=0)
 
+    def test_benchmark_seeds_pass(self):
+        # the seeds and sample count the verify-suite benchmark draws, at the
+        # default truncation: a path that misses its own estimate fails here
+        for seed in np.random.default_rng([0, 3]).integers(0, 2**31, size=100):
+            for rep in run_identity_suite(seed=int(seed), samples=3):
+                assert rep.passed, (int(seed), rep.check_name, rep.failures[:2])
+
 
 class _StubRng:
     """Feeds scripted uniform draws, then a near-pole point, then good ones."""
@@ -136,6 +145,11 @@ class TestSampler:
         ]
         assert len(pts) == 1
         assert abs(pts[0] - complex(0.7, 0.1)) < 1e-12
+
+    def test_rejecting_every_draw_raises(self):
+        with pytest.raises(RuntimeError, match="covers the whole rectangle"):
+            _sample_complex(np.random.default_rng(0), (-1.0, 1.0), (-1.0, 1.0),
+                            lambda s: True)
 
 
 class TestCrossPathScan:
@@ -178,6 +192,20 @@ class TestLimitChecks:
         ]
         for rep in reports:
             assert rep.passed, rep.failures
+
+    def test_error_that_does_not_fall_fails_monotone(self, monkeypatch):
+        # lambda stays at 0.3 for every eps, against that lambda's own value:
+        # the final deviation is 0, but it does not decrease
+        p = DegenerateParameter(0.3)
+        monkeypatch.setattr(verify, "_LIMITS", (
+            ("limit-fixed", "fixed-limit", (0.5,),
+             lambda s: degenerate_gamma(s, p).value, lambda eps: 0.3, 1e-4),
+        ))
+        (report,) = run_limit_checks()
+        assert report.sample_count == 3
+        assert [f["path"] for f in report.failures] == ["fixed-limit-monotone"]
+        assert report.failures[0]["tol"] == 0.0
+        assert not report.passed
 
 
 class TestSerialization:
