@@ -25,16 +25,14 @@ __all__ = ["main", "OutputRecord", "parse_complex", "parse_range"]
 USAGE_EXIT = 64
 NUMERIC_EXIT = 2
 
-_DEFAULT_TOL = 1e-10
-
 
 def _tolerance(tol: float | None) -> float:
-    """The --tol value, else DEGAMMA_DEFAULT_TOL, else 1e-10; must be >= 1e-14."""
+    """The --tol value, else DEGAMMA_DEFAULT_TOL, else core.DEFAULT_TOLERANCE; must be >= 1e-14."""
     source = "--tol"
     if tol is None:
         raw = os.environ.get("DEGAMMA_DEFAULT_TOL")
         if raw is None:
-            return _DEFAULT_TOL
+            return core.DEFAULT_TOLERANCE
         source = "DEGAMMA_DEFAULT_TOL"
         try:
             tol = float(raw)
@@ -281,7 +279,7 @@ def _build_parser() -> _Parser:
     def add_common(sp):
         sp.add_argument("--tol", type=float, default=None,
                         help="relative tolerance for integral paths "
-                             "(default 1e-10, env DEGAMMA_DEFAULT_TOL)")
+                             f"(default {core.DEFAULT_TOLERANCE:g}, env DEGAMMA_DEFAULT_TOL)")
         sp.add_argument("--n-terms", type=_int_at_least(1), default=100_000,
                         help="truncation level for product paths")
         sp.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")

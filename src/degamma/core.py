@@ -136,6 +136,9 @@ class EvalStatus(enum.Enum):
     OVERFLOW = "overflow"
 
 
+# The integral paths' relative tolerance, unless the caller or --tol sets one.
+DEFAULT_TOLERANCE = 1e-10
+
 # The tags of the gamma paths, which gamma_evaluator maps to their functions.
 GAMMA_METHODS = (
     "closed-form", "direct-integral", "hankel", "hankel-reflected",

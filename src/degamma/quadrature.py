@@ -1,27 +1,21 @@
 """Numerical-integration paths: the defining integral and the Hankel contour.
 
 Every integral here runs on one nested Clenshaw-Curtis ladder on [-1, 1]
-with rungs of 16, 32, 64, ... intervals: its first three rungs (65 nodes) go
-to the integrand in one call and each deeper rung evaluates only its new
-nodes.
+with rungs of 16, 32, 64, ... intervals: the first three (65 nodes) in one
+integrand call, each deeper rung on only its new nodes.
 
-The defining integral is split at t = 1 and its tail folded onto (0, 1] by
-t -> 1/w; both pieces take a further v**8 substitution and run on the ladder
-as one integrand.  Where an endpoint exponent is near -1 (Re s < 1 at t = 0,
-1/lambda - Re s < 1 at t = inf) the leading power is subtracted and its
-integral added back, so that the ladder sees pieces that vanish at v = 0.
+The defining integral is split at t = 1 and its far piece
+integral_1^inf t**(s-1) (1 + c t)**(-1/lambda) dt, at c = lambda, folded
+onto (0, 1] by t -> 1/w; both pieces take a further v**8 substitution and
+run on the ladder as one integrand.  Where an endpoint exponent is near -1
+the leading power is subtracted and its integral added back.
 
-The Hankel path realizes the loop around the origin as two straight edges
-along the negative axis (phases exp(+-i*pi*s)) plus a circle of radius delta;
-together with the 1/(2i sin(pi s)) prefactor this continues the degenerate
-gamma function left of the validity strip.  The edges are truncated at the
-radius R where the analytic tail bound meets the tolerance.  Both loop
-realizations run one body and pass in only their circle integrand, circle
-geometry and interval, and how edge and circle combine.
-
-Node geometry that depends on neither s nor lambda (log v and v**8 on the
-defining integral's interval, the circle's nodes and log(1 -+ delta e^{it})
-at them) is cached per (geometry, interval, radius).
+The Hankel path realizes the loop around the origin as two edges along the
+negative axis plus a circle of radius delta; with the 1/(2i sin(pi s))
+prefactor this continues the function left of the validity strip.  The edge
+integral_delta^inf tau**(s-1) (1 + tau)**(-1/lambda) dtau is delta**s times
+the far piece at c = delta, so it runs to infinity.  Both realizations run
+one body and pass in their circle and the coefficients of edge and circle.
 """
 
 from __future__ import annotations
@@ -35,7 +29,7 @@ import numpy as np
 
 from . import classical
 from .classical import LOG_OVERFLOW
-from .core import DegenerateParameter, EvalMethod, EvalResult, EvalStatus
+from .core import DEFAULT_TOLERANCE, DegenerateParameter, EvalMethod, EvalResult, EvalStatus
 from .errors import (ConvergenceError, DomainError, IntegerArgumentError,
                      ParameterRangeError, StripError)
 
@@ -46,10 +40,8 @@ __all__ = [
     "hankel_gamma_reflected",
 ]
 
-# Margin kept from both strip edges before the defining integral is attempted.
+# Margin kept from the strip's edges (by the contour, from the right one).
 STRIP_MARGIN = 0.01
-# Margin below 1/lambda required by the contour tail bound.
-HANKEL_MARGIN = 0.1
 
 _EPS = math.ulp(1.0)
 
@@ -61,13 +53,11 @@ class QuadratureSpec:
     ``max_level`` is the deepest Clenshaw-Curtis rung, which has
     16 * 2**max_level intervals.  It must be at least 3: the first integrand
     call already evaluates rungs 0-2, so a lower cap would save no integrand
-    evaluation and only forbid the next rung.  The contour's circle is held
-    to min(rel_tolerance, 1e-11).  The contour's truncation radius R is not
-    set here: it is chosen so that the analytic tail bound
-    R**(Re s - 1/lambda)/(1/lambda - Re s) meets the tolerance.
+    evaluation and only forbid the next rung.  The contour's edge is held to
+    rel_tolerance and its circle, of radius ``hankel_radius``, to 1e-11 or less.
     """
 
-    rel_tolerance: float = 1e-10
+    rel_tolerance: float = DEFAULT_TOLERANCE
     max_level: int = 10
     hankel_radius: float = 0.3
 
@@ -97,15 +87,45 @@ def _linear_result(value: complex, err: float, method: EvalMethod) -> EvalResult
 _POWER_K = 8
 
 
-def _power_geometry(v):
+def _power_geometry(v, *delta):
     """Rows log v, v**K and K at nodes v > 0, and 0, 1 and 0 at v = 0.
 
-    Every defining-integral piece vanishes at v = 0; its last row, the
-    piece's factor K, makes it exactly 0 there from finite values.
+    Every far or near piece vanishes at v = 0; the row K, the piece's factor,
+    makes it exactly 0 there from finite values.  Given a radius delta, a
+    fourth row holds log1p(delta / v**K) for the contour edge's far piece.
     """
     live = v > 0.0
     log_v = np.log(np.where(live, v, 1.0))
-    return np.array([log_v, np.exp(_POWER_K * log_v), _POWER_K * live])
+    v_k = np.exp(_POWER_K * log_v)
+    return np.array([log_v, v_k, _POWER_K * live] + [np.log1p(d / v_k) for d in delta])
+
+
+def _far_piece(s: complex, u: float, c: float, log_pre: complex = 0.0):
+    """exp(log_pre) integral_1^inf t**(s-1) (1 + c t)**(-u) dt as K v**(-Ks-1) (1 + c/v**K)**(-u).
+
+    Where u - Re(s) < 1 the integrand runs less its endpoint power c**(-u)
+    v**(K(u-s-1)) and adds back c**(-u)/(u - s); elsewhere c**(-u) may be
+    huge.  log_pre rides in the exponent, where a prefactor and an integral
+    that overflow apart stay in range.  Returns far(geometry) over
+    _power_geometry's rows (log1p(c / v**K) from the fourth, if there), the
+    add-back (inf past exp(LOG_OVERFLOW)) and log|add-back (u - s)|.
+    """
+    gap = u - s
+    if gap.real < 1.0:
+        log_back = log_pre - u * math.log(c)
+
+        def far(geometry):
+            return (np.exp(log_back + (_POWER_K * gap - 1.0) * geometry[0])
+                    * np.expm1(-u * np.log1p(geometry[1] / c)))
+
+        back = cmath.exp(log_back) / gap if log_back.real <= LOG_OVERFLOW else math.inf
+        return far, back, log_back.real
+
+    def far(geometry):
+        damp = geometry[3] if len(geometry) > 3 else np.log1p(c / geometry[1])
+        return np.exp(log_pre - (_POWER_K * s + 1.0) * geometry[0] - u * damp)
+
+    return far, 0.0, -math.inf
 
 
 def direct_integral_gamma(
@@ -113,14 +133,12 @@ def direct_integral_gamma(
 ) -> EvalResult:
     """Degenerate gamma on the validity strip via its defining integral.
 
-    integral_0^inf (1 + lambda*t)**(-1/lambda) t**(s-1) dt, split at t = 1;
-    the tail is folded onto (0, 1] by t -> 1/w, giving the integrand
-    w**(-s-1) (1 + lambda/w)**(-1/lambda).  Both pieces get an additional
-    v**K power substitution, and the Clenshaw-Curtis ladder integrates their
-    sum over v in [0, 1].  Where Re(s) < 1, the near piece runs less
-    t**(s-1) and adds back 1/s; where 1/lambda - Re(s) < 1, the far piece
-    runs less lambda**(-1/lambda) w**(1/lambda-s-1) and adds back
-    lambda**(-1/lambda)/(1/lambda - s).  The ladder stops on rel_tolerance
+    integral_0^inf (1 + lambda*t)**(-1/lambda) t**(s-1) dt, split at t = 1
+    into a near piece and _far_piece at c = lambda.  The near piece gets the
+    same v**K power substitution, and the Clenshaw-Curtis ladder integrates
+    both pieces' sum over v in [0, 1].  Where Re(s) < 1, the near piece runs
+    less t**(s-1) and adds back 1/s; where 1/lambda - Re(s) < 1, the far
+    piece subtracts its endpoint power.  The ladder stops on rel_tolerance
     relative to the value, add-backs included.
 
     Raises DomainError if s is not finite, and StripError unless
@@ -149,40 +167,31 @@ def direct_integral_gamma(
         # terms stay small where the two log Gammas would cancel at small lambda
         ratio = (gap - 0.5) * math.log1p(-sigma / u_max) + sigma + sigma / (12.0 * u_max * gap)
     log_mass = math.lgamma(sigma) + ratio - sigma * math.log(p.lam * u_max)
-    # log lambda**(-u): huge at small lambda, where subtracting its power
-    # would cancel, so the far piece subtracts only where u - Re(s) < 1
-    near_cut, far_cut = sigma < 1.0, gap < 1.0
-    far_log = -u_max * p.log_lambda
-    log_scale = max(log_mass, far_log) if far_cut else log_mass
+    far, far_back, far_log = _far_piece(s, u_max, p.lam)
+    log_scale = max(log_mass, far_log)
     if log_scale > LOG_OVERFLOW:
         raise ConvergenceError(
             f"direct_integral_gamma: at s = {s}, lambda = {p.lam:.6g} the "
             f"integrand reaches exp({log_scale:.6g}) and overflows"
         )
+    near_cut = sigma < 1.0
     near_back = 1.0 / s if near_cut else 0.0
-    far_back = math.exp(far_log) / (u_max - s) if far_cut else 0.0
     added = near_back + far_back
     floor = _EPS * ((2.0 + u_max / abs(u_max - s)) * math.exp(log_mass)
                     + abs(near_back) + abs(far_back))
-    lam = p.lam
-    K = _POWER_K
+    near_power = _POWER_K * s - 1.0
 
     def pieces(_, geometry):
         # near: t = v**K on [0, 1]; far: w = v**K on (0, 1], from t -> 1/w on [1, inf)
         log_v, v_k, scale = geometry
-        damp = -u_max * np.log1p(lam * v_k)
+        damp = -u_max * np.log1p(p.lam * v_k)
         if near_cut:
-            near = np.exp((K * s - 1.0) * log_v) * np.expm1(damp)
+            near = np.exp(near_power * log_v) * np.expm1(damp)
         else:
-            near = np.exp((K * s - 1.0) * log_v + damp)
-        if far_cut:
-            far = np.exp(far_log + (K * (u_max - s) - 1.0) * log_v) * np.expm1(
-                -u_max * np.log1p(v_k / lam))
-        else:
-            far = np.exp(-(K * s + 1.0) * log_v - u_max * np.log1p(lam / v_k))
+            near = np.exp(near_power * log_v + damp)
         # the added-back integrals ride along as a constant, so that the
         # ladder's test is relative to the value and not to what cancels it
-        return scale * (near + far) + added
+        return scale * (near + far(geometry)) + added
 
     with np.errstate(under="ignore"):
         value, quad_err = _mapped_integral(pieces, _power_geometry, 0.0, 1.0, (),
@@ -258,7 +267,6 @@ def _cc_ladder(
     vals = f(_cc_rung(_CC_HEAD_RUNG)[0], 0)
     terms = _cc_head_weights() * vals
     sums, masses = terms.sum(axis=1).tolist(), np.abs(terms).sum(axis=1).tolist()
-    err = math.inf
     for rung in range(1, max_level + 1):
         if rung > _CC_HEAD_RUNG:
             lo = (_CC_N0 << (rung - 1)) + 1
@@ -277,22 +285,18 @@ def _cc_ladder(
     )
 
 
-# Node geometry that depends on neither s nor lambda is kept at the ladder's
-# nodes up to _CACHED_RUNG (1024 intervals) in an LRU cache of the last
+# Node geometry that depends on neither s nor lambda (_power_geometry's rows,
+# the circle's log(1 -+ delta e^{it})) is kept at the ladder's nodes up to
+# _CACHED_RUNG (1024 intervals) in an LRU cache of the last
 # _GEOMETRY_CACHE_SIZE (geometry, interval, radius) keys; deeper rungs form
 # it per call.
 _CACHED_RUNG = 6
 _GEOMETRY_CACHE_SIZE = 8
 
 
-def _loop_circle_log(theta, delta):
-    """log(1 - delta e^{i theta}) on hankel_gamma's circle, theta in [-pi, pi]."""
-    return np.log(1.0 - delta * np.exp(1j * theta))
-
-
-def _reflected_circle_log(phi, delta):
-    """log(1 + delta e^{i phi}) on hankel_gamma_reflected's circle, phi in [0, 2pi]."""
-    return np.log(1.0 + delta * np.exp(1j * phi))
+def _circle_log(theta, delta, sign):
+    """log(1 + sign delta e^{i theta}) on a loop realization's circle."""
+    return np.log(1.0 + sign * delta * np.exp(1j * theta))
 
 
 @functools.lru_cache(maxsize=_GEOMETRY_CACHE_SIZE)
@@ -326,35 +330,23 @@ def _mapped_integral(
     return half * total, half * err
 
 
-def _loop_gamma(
-    s: complex, p: DegenerateParameter, spec: QuadratureSpec | None, name: str,
-    method: EvalMethod, circle, geometry, interval: tuple[float, float], combine,
-) -> EvalResult:
-    """The body of both loop realizations: refusals, edge, circle, lambda**(-s).
-
-    The edge integral_delta^R t**(s-1) (1+t)**(-1/lambda) dt is taken in
-    y = log t, and R**(Re s - 1/lambda)/(1/lambda - Re s) bounds the part
-    beyond the cutoff R.  circle(delta, 1/lambda, t, geometry(t, delta)) is
-    integrated over interval, and combine(edge, edge_err, circle, circle_err)
-    returns the realization's total and error.
-    """
-    spec = spec or QuadratureSpec()
+def _refuse_loop(s: complex, p: DegenerateParameter, spec: QuadratureSpec | None, name: str):
+    """Refuse what the loop cannot take, before its sine prefactor; return s and spec."""
+    s, spec = complex(s), spec or QuadratureSpec()
     # raises DomainError for a non-finite s before the strip test sees it
     classical._refuse_integer(name, "s", s, "where the sine prefactor vanishes",
                               error=IntegerArgumentError)
     u_max = p.inv_lambda
-    if s.real >= u_max - HANKEL_MARGIN:
+    if s.real > u_max - STRIP_MARGIN:
         raise StripError(
             f"{name}: Re(s) = {s.real} must stay below 1/lambda - "
-            f"{HANKEL_MARGIN} = {u_max - HANKEL_MARGIN:.6g} for the "
-            f"contour tail to converge"
+            f"{STRIP_MARGIN} = {u_max - STRIP_MARGIN:.6g} for the edge to converge"
         )
     # The circle's values reach (1 - delta)**(-1/lambda) delta**Re(s)
-    # e^(pi |Im s|) and carry the rounding of their exponent, at most
-    # 1/lambda |log(1 - delta)| + pi (|s| + 3) in size.  Each factor is
-    # formed on its own (the reflected circle's delta**Re(s) as delta times
-    # delta**(s - 1)), and sin(pi s) in the prefactors reaches e^(pi |Im s|)
-    # too, so the bound adds the logs of the factors, each at least 0.
+    # e^(pi |Im s|).  Each factor is formed on its own (the reflected
+    # circle's delta**Re(s) as delta times delta**(s - 1)), and sin(pi s) in
+    # the prefactors reaches e^(pi |Im s|) too, so the bound adds the logs of
+    # the factors, each at least 0.
     delta = spec.hankel_radius
     log_peak = -u_max * math.log1p(-delta)
     log_max = log_peak + math.pi * abs(s.imag) + max((s.real - 1.0) * math.log(delta), 0.0)
@@ -363,34 +355,47 @@ def _loop_gamma(
             f"{name}: at lambda = {p.lam:.6g} and s = {s} the values on the "
             f"circle of radius {delta} reach exp({log_max:.6g}) and overflow"
         )
-    rounding = _EPS * (1.0 + log_peak + math.pi * (abs(s) + 3.0))
-    gap = u_max - s.real
-    cutoff = max(10.0, (spec.rel_tolerance * gap) ** (-1.0 / gap))
-    tail = cutoff ** (-gap) / gap
+    return s, spec
 
-    a = math.log(delta)
-    half = 0.5 * (math.log(cutoff) - a)
-    mid = a + half
 
-    def edge_integrand(x, _):
-        y = mid + half * x
-        return half * np.exp(s * y - u_max * np.logaddexp(0.0, y))
+def _loop_gamma(
+    s: complex, p: DegenerateParameter, spec: QuadratureSpec, name: str, method: EvalMethod,
+    edge_c: complex, circle_c: complex, circle, sign: float, interval: tuple[float, float],
+) -> EvalResult:
+    """Both loop realizations after _refuse_loop: edge, circle, lambda**(-s).
 
+    The edge integral_delta^inf tau**(s-1) (1+tau)**(-1/lambda) dtau is
+    delta**s times _far_piece at c = delta, with s log delta in its exponent,
+    as delta**s may underflow where the far piece overflows.
+    circle(delta, 1/lambda, t, log(1 + sign delta e^{it})) runs over
+    interval, and the loop integral is edge_c * edge + circle_c * circle.
+    """
+    u, delta = p.inv_lambda, spec.hankel_radius
+    # Each ladder's values carry the rounding of their exponent, at most
+    # u |log(1 - delta)| + pi (|s| + 3) in size on the circle, and on the edge, where
+    # tau <= 1 holds most of its mass, |s log delta| + |s + 1/K| |log delta| + u log 2.
+    edge_rounding = _EPS * (1.0 - 2.0 * abs(s) * math.log(delta) + u * math.log(2.0))
+    circle_rounding = _EPS * (1.0 - u * math.log1p(-delta) + math.pi * (abs(s) + 3.0))
+    far, back, _ = _far_piece(s, u, delta, s * math.log(delta))
     with np.errstate(under="ignore"):
-        edge, edge_err = _cc_ladder(edge_integrand, spec.rel_tolerance, spec.max_level)
+        edge, edge_err = _mapped_integral(lambda _, geo: geo[2] * far(geo) + back, _power_geometry,
+                                          0.0, 1.0, (delta,), spec.rel_tolerance, spec.max_level,
+                                          edge_rounding)
     circle_val, circle_err = _mapped_integral(
-        functools.partial(circle, delta, u_max), geometry, *interval, (delta,),
-        min(spec.rel_tolerance, 1e-11), spec.max_level, rounding,
-    )
-    total, err = combine(edge, edge_err, circle_val, circle_err)
+        functools.partial(circle, delta, u), _circle_log, *interval, (delta, sign),
+        min(spec.rel_tolerance, 1e-11), spec.max_level, circle_rounding)
+    total = edge_c * edge + circle_c * circle_val
     # refused where lambda**(-s), or the value, would pass exp(LOG_OVERFLOW)
     log_pow = -s * p.log_lambda
     lam_pow = cmath.exp(log_pow) if log_pow.real <= LOG_OVERFLOW else math.inf
-    if not abs(lam_pow * total) <= math.exp(LOG_OVERFLOW):
+    value = lam_pow * total
+    if not abs(value) <= math.exp(LOG_OVERFLOW):
         raise ConvergenceError(
             f"{name}: at s = {s}, lambda = {p.lam:.6g} lambda**(-s) = exp("
             f"{log_pow.real:.6g}) times the loop integral {abs(total):.3g} overflows")
-    return _linear_result(lam_pow * total, abs(lam_pow) * (err + tail), method)
+    err = abs(lam_pow) * (abs(edge_c) * edge_err + abs(circle_c) * circle_err)
+    # a few ulps of the value for the coefficient products, and log_pow's rounding
+    return _linear_result(value, err + abs(value) * _EPS * (4.0 + abs(log_pow)), method)
 
 
 def hankel_gamma(
@@ -399,7 +404,7 @@ def hankel_gamma(
     """Degenerate gamma via the loop integral around the origin.
 
     The loop decomposes into the two edges along the negative axis, whose
-    phases exp(-+i*pi*s) combine into 2i sin(pi s) * integral_delta^R
+    phases exp(-+i*pi*s) combine into 2i sin(pi s) * integral_delta^inf
     t**(s-1)(1+t)**(-1/lambda) dt, plus the circle term
     integral_{-pi}^{pi} i delta**s e^{i s theta} (1 - delta e^{i theta})**(-1/lambda) dtheta.
     Dividing by 2i sin(pi s) and by lambda**s recovers the function; the
@@ -408,17 +413,14 @@ def hankel_gamma(
 
     Raises DomainError if s is not finite.
     """
-    s = complex(s)
+    s, spec = _refuse_loop(s, p, spec, "hankel_gamma")
 
     def circle(delta, u, theta, log_circle):
         return 1j * cmath.exp(s * math.log(delta)) * np.exp(1j * s * theta - u * log_circle)
 
-    def combine(edge, edge_err, circle_val, circle_err):
-        two_i_sin = 2j * classical.sin_pi(s)
-        return edge + circle_val / two_i_sin, edge_err + circle_err / abs(two_i_sin)
-
-    return _loop_gamma(s, p, spec, "hankel_gamma", EvalMethod.HANKEL, circle,
-                       _loop_circle_log, (-math.pi, math.pi), combine)
+    return _loop_gamma(s, p, spec, "hankel_gamma", EvalMethod.HANKEL,
+                       1.0, 1.0 / (2j * classical.sin_pi(s)), circle, -1.0,
+                       (-math.pi, math.pi))
 
 
 def hankel_gamma_reflected(
@@ -433,18 +435,15 @@ def hankel_gamma_reflected(
 
     Raises DomainError if s is not finite.
     """
-    s = complex(s)
+    s, spec = _refuse_loop(s, p, spec, "hankel_gamma_reflected")
 
     def circle(delta, u, phi, log_circle):
         return (1j * delta * cmath.exp((s - 1.0) * math.log(delta))
                 * np.exp(1j * (s - 1.0) * (phi - math.pi) + 1j * phi - u * log_circle))
 
-    def combine(edge, edge_err, circle_val, circle_err):
-        # (-w)**(s-1) phases on the two passes along the positive axis
-        phase_diff = cmath.exp(1j * math.pi * (s - 1.0)) - cmath.exp(-1j * math.pi * (s - 1.0))
-        prefactor = 1j / (2.0 * classical.sin_pi(s))
-        return (prefactor * (phase_diff * edge + circle_val),
-                abs(prefactor) * (abs(phase_diff) * edge_err + circle_err))
-
+    # (-w)**(s-1) phases on the two passes along the positive axis
+    phase_diff = cmath.exp(1j * math.pi * (s - 1.0)) - cmath.exp(-1j * math.pi * (s - 1.0))
+    prefactor = 1j / (2.0 * classical.sin_pi(s))
     return _loop_gamma(s, p, spec, "hankel_gamma_reflected", EvalMethod.HANKEL_REFLECTED,
-                       circle, _reflected_circle_log, (0.0, 2.0 * math.pi), combine)
+                       prefactor * phase_diff, prefactor, circle, 1.0,
+                       (0.0, 2.0 * math.pi))

@@ -306,7 +306,7 @@ def _residues(family: PoleFamily):
 def _hankel_domain(rng):
     p = DegenerateParameter(rng.uniform(0.2, 0.8))
     s = _sample_complex(
-        rng, (0.15, p.inv_lambda - 0.5), (-1.5, 1.5),
+        rng, (-3.0, p.inv_lambda - 0.5), (-1.5, 1.5),
         lambda w: (
             not _away_from_poles(w, p, 0.1)
             or abs(w.real - round(w.real)) + abs(w.imag) < 0.1
@@ -417,8 +417,7 @@ def run_cross_path_scan(grid: GridSpec, p: DegenerateParameter,
     grid entirely is marked not applicable.
     """
     points = grid.points()
-    qtol = quadrature.QuadratureSpec.rel_tolerance  # the integral paths' default
-    paths = {name: core.gamma_evaluator(name, qtol, product_terms)
+    paths = {name: core.gamma_evaluator(name, core.DEFAULT_TOLERANCE, product_terms)
              for name in ("direct-integral", "hankel", "weierstrass", "euler-limit")}
     per_path = {
         name: {"max_rel_err": 0.0, "evaluated": 0, "skipped": 0, "applicable": True}

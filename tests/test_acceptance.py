@@ -186,8 +186,8 @@ def test_criterion_05_direct_integral():
 
 
 def test_criterion_06_hankel_contour():
-    crit = _Criterion(6, "loop contour: 1e-7 strip agreement, 1e-8 "
-                         "delta-independence, 1e-6 continuation", 60.0)
+    crit = _Criterion(6, "loop contour: 1e-11 strip agreement, 1e-12 "
+                         "delta-independence, 1e-11 continuation", 60.0)
     rng = np.random.default_rng(606)
     # 50 non-integer strip samples vs closed form
     for _ in range(50):
@@ -204,8 +204,8 @@ def test_criterion_06_hankel_contour():
         target = closed(s, p)
         for res in both:
             err = rel(res.value, target)
-            crit.check(err <= 1e-7, ("strip", lam, s, err))
-        crit.check(rel(both[0].value, both[1].value) <= 1e-8,
+            crit.check(err <= 1e-11, ("strip", lam, s, err))
+        crit.check(rel(both[0].value, both[1].value) <= 1e-12,
                    ("realizations", lam, s))
     # delta-independence across {0.1, 0.3, 0.5}
     for s, lam in ((0.7, 0.3), (0.45 - 0.8j, 0.55), (1.6 + 0.4j, 0.25)):
@@ -216,7 +216,7 @@ def test_criterion_06_hankel_contour():
         ]
         for i in range(3):
             for j in range(i + 1, 3):
-                crit.check(rel(vals[i], vals[j]) <= 1e-8,
+                crit.check(rel(vals[i], vals[j]) <= 1e-12,
                            ("delta", s, lam, i, j, rel(vals[i], vals[j])))
     # continuation left of the strip
     for _ in range(20):
@@ -228,7 +228,7 @@ def test_criterion_06_hankel_contour():
             if d >= 0.1 and abs(s.real - round(s.real)) >= 0.1:
                 break
         err = rel(hankel_gamma(s, p).value, closed(s, p))
-        crit.check(err <= 1e-6, ("continuation", lam, s, err))
+        crit.check(err <= 1e-11, ("continuation", lam, s, err))
     crit.finish()
 
 
