@@ -464,18 +464,20 @@ def degenerate_gamma_integer(k: int, p: DegenerateParameter) -> IntegerGammaValu
                 f"lambda = {p.lam} collides with 1/{j}; the integer-argument "
                 f"product (1)_(k+1,lambda) vanishes for k = {k}"
             )
-    falling = falling_factorial(1.0, k + 1, p.lam)
     if k <= 170:
-        value = complex(math.factorial(k - 1)) / falling
+        value = complex(math.factorial(k - 1)) / falling_factorial(1.0, k + 1, p.lam)
     if k > 170 or not cmath.isfinite(value):
-        # log-space route for factorials or values beyond double range
-        log_val = _log_gamma_off_pole(float(k)).real - cmath.log(falling)
-        if log_val.real > LOG_OVERFLOW:
+        # log-space route for factorials or values beyond double range; the
+        # product enters as its factors' logs, as it may itself overflow
+        factors = [1.0 - j * p.lam for j in range(1, k + 1)]
+        log_val = _log_gamma_off_pole(float(k)).real - math.fsum(
+            math.log(abs(f)) for f in factors)
+        if log_val > LOG_OVERFLOW:
             raise OverflowError(
                 f"degenerate_gamma_integer: |dgamma({k})| = "
-                f"exp({log_val.real:.6g}) overflows double precision"
+                f"exp({log_val:.6g}) overflows double precision"
             )
-        value = cmath.exp(log_val)
+        value = complex((-1) ** sum(f < 0.0 for f in factors) * math.exp(log_val))
     return IntegerGammaValue(k=k, lam=p.lam, value=value)
 
 

@@ -389,6 +389,8 @@ def _loop_gamma(
     log_pow = -s * p.log_lambda
     lam_pow = cmath.exp(log_pow) if log_pow.real <= LOG_OVERFLOW else math.inf
     value = lam_pow * total
+    if not s.imag:  # the function is real on the real axis
+        value = value.real + 0j
     if not abs(value) <= math.exp(LOG_OVERFLOW):
         raise ConvergenceError(
             f"{name}: at s = {s}, lambda = {p.lam:.6g} lambda**(-s) = exp("

@@ -7,13 +7,17 @@ others are judged against it.
 
 Each identity is one row of the table ``_CHECKS``: its name, the index of its
 random stream (None for a fixed grid), and a function that produces the
-samples, drawing lambda from a fixed range of its own.  ``CHECK_ROSTER`` is
-the table's names, and :func:`run_identity_suite` is one loop over it that
-judges every sample by its relative error, an approximate path's (here and in
-the cross-path scan) within k times its own estimate.  The perturb hook
-multiplies each sample's observed value in that loop only.  Every report, the
-limit checks' and the cross-path scan's too, is filled by
-``CheckReport.record`` and ``fail``.
+samples, drawing lambda from a fixed range of its own, most through one
+sampler, ``_draw`` (lambda, then s off the poles).  ``CHECK_ROSTER`` is the
+table's names, and :func:`run_identity_suite` is one loop over it that judges
+every sample by its relative error, an approximate path's (here and in the
+cross-path scan) within k times its own estimate.  A row that judges one
+approximate gamma path against the closed form is ``_estimated(tag, domain)``,
+which runs the path through ``core.gamma_evaluator`` by its method tag; each
+such sample and scan cell takes its tag, and so its bound, from the method its
+result reports.  The perturb hook multiplies each sample's observed value in
+that loop only.  Every report, the limit checks' and the cross-path scan's
+too, is filled by ``CheckReport.record`` and ``fail``.
 """
 
 from __future__ import annotations
@@ -118,15 +122,21 @@ def _value(s: complex, p: DegenerateParameter) -> complex:
     return core.degenerate_gamma(s, p).value
 
 
-def _draw_pair(rng, shifted: bool = False):
-    """lambda and s over the strip, s (and s + 1 when ``shifted``) off the poles."""
-    p = DegenerateParameter(rng.uniform(0.1, 0.9))
+def _draw(rng, lams, re_range, im_range, radius=REJECTION_RADIUS, reject=None):
+    """lambda from lams, then s over re_range(1/lambda) x im_range, off the
+    poles by radius and, when given, clear of reject(s, p)."""
+    p = DegenerateParameter(rng.uniform(*lams))
     s = _sample_complex(
-        rng, (-2.5, p.inv_lambda - 1.5), (-5.0, 5.0),
-        lambda s: not _away_from_poles(s, p)
-        or (shifted and not _away_from_poles(s + 1.0, p)),
+        rng, re_range(p.inv_lambda), im_range,
+        lambda w: not _away_from_poles(w, p, radius) or (reject is not None and reject(w, p)),
     )
     return s, p
+
+
+def _draw_pair(rng, shifted: bool = False):
+    """lambda and s over the strip, s (and s + 1 when ``shifted``) off the poles."""
+    return _draw(rng, (0.1, 0.9), lambda u: (-2.5, u - 1.5), (-5.0, 5.0),
+                 reject=lambda w, p: shifted and not _away_from_poles(w + 1.0, p))
 
 
 def _difference_equation(rng, pspec):
@@ -186,16 +196,11 @@ def _integer_values():
 
 
 def _product_domain(rng):
-    p = DegenerateParameter(rng.uniform(0.45, 0.9))
-    s = _sample_complex(
-        rng, (0.2, 1.4), (-0.6, 0.6),
-        lambda z: not _away_from_poles(z, p, 0.1),
-    )
-    return s, p
+    return _draw(rng, (0.45, 0.9), lambda u: (0.2, 1.4), (-0.6, 0.6), 0.1)
 
 
 # Each approximate path is held to k times its own relative error estimate, and
-# at least a floor (path tag -> (k, floor)), so its bound follows its N or tol.
+# at least a floor (method tag -> (k, floor)), so its bound follows its N or tol.
 _ESTIMATE_BOUNDS = {
     "weierstrass": (1.0, 5e-13),
     "euler-limit": (2.0, 1e-12),
@@ -205,18 +210,23 @@ _ESTIMATE_BOUNDS = {
 }
 
 
-def _estimated_sample(s, lam, path, res, expected):
-    """A path's sample, held to its bound in ``_ESTIMATE_BOUNDS``."""
+def _estimated_sample(s, lam, res, expected):
+    """A path's sample, tagged and held to its bound by the result's own method."""
+    path = res.method.value
     k, floor = _ESTIMATE_BOUNDS[path]
     tol = max(k * res.abs_error_estimate / max(abs(expected), _TINY), floor)
     return s, lam, path, res.value, expected, tol
 
 
-def _weierstrass_main(rng, pspec):
-    s, p = _product_domain(rng)
-    return _estimated_sample(s, p.lam, "weierstrass",
-                             representations.weierstrass_gamma(s, p, pspec),
-                             _value(s, p))
+def _estimated(tag: str, domain):
+    """The check of the gamma path ``tag`` on domain(rng) against the closed form."""
+
+    def check(rng, pspec):
+        s, p = domain(rng)
+        path = core.gamma_evaluator(tag, core.DEFAULT_TOLERANCE, pspec.n_terms)
+        return _estimated_sample(s, p.lam, path(s, p), _value(s, p))
+
+    return check
 
 
 def _weierstrass_paired(rng, pspec):
@@ -227,13 +237,6 @@ def _weierstrass_paired(rng, pspec):
         s, p, pspec, euler_constant_form=True
     )
     return s, p.lam, "paired-form", paired.value, main.value, 1e-12
-
-
-def _euler_limit(rng, pspec):
-    s, p = _product_domain(rng)
-    return _estimated_sample(s, p.lam, "euler-limit",
-                             representations.euler_limit_gamma(s, p, pspec),
-                             _value(s, p))
 
 
 def _sine_product(rng, pspec):
@@ -250,15 +253,10 @@ def _sine_product(rng, pspec):
 
 
 def _beta_domain(rng):
-    p = DegenerateParameter(rng.uniform(0.2, 0.8))
-
-    def reject(w):
-        return not _away_from_poles(w, p, 0.1)
-
-    a = _sample_complex(rng, (0.15, 1.2), (-0.5, 0.5), reject)
+    a, p = _draw(rng, (0.2, 0.8), lambda u: (0.15, 1.2), (-0.5, 0.5), 0.1)
     b = _sample_complex(
         rng, (0.15, 1.2), (-0.5, 0.5),
-        lambda w: reject(w) or not _away_from_poles(a + w, p, 0.1),
+        lambda w: not _away_from_poles(w, p, 0.1) or not _away_from_poles(a + w, p, 0.1),
     )
     return a, b, p
 
@@ -271,7 +269,7 @@ def _beta_classical_mixed(rng, pspec):
 
 def _beta_product(rng, pspec):
     a, b, p = _beta_domain(rng)
-    return _estimated_sample(a + b, p.lam, "beta-product",
+    return _estimated_sample(a + b, p.lam,
                              representations.degenerate_beta_product(a, b, p, pspec),
                              core.degenerate_beta(a, b, p).value)
 
@@ -304,28 +302,15 @@ def _residues(family: PoleFamily):
 
 
 def _hankel_domain(rng):
-    p = DegenerateParameter(rng.uniform(0.2, 0.8))
-    s = _sample_complex(
-        rng, (-3.0, p.inv_lambda - 0.5), (-1.5, 1.5),
-        lambda w: (
-            not _away_from_poles(w, p, 0.1)
-            or abs(w.real - round(w.real)) + abs(w.imag) < 0.1
-        ),
-    )
-    return s, p
-
-
-def _hankel_contour(rng, pspec):
-    s, p = _hankel_domain(rng)
-    return _estimated_sample(s, p.lam, "hankel", quadrature.hankel_gamma(s, p),
-                             _value(s, p))
+    return _draw(rng, (0.2, 0.8), lambda u: (-3.0, u - 0.5), (-1.5, 1.5), 0.1,
+                 lambda w, p: abs(w.real - round(w.real)) + abs(w.imag) < 0.1)
 
 
 def _hankel_contour_reflected(rng, pspec):
     s, p = _hankel_domain(rng)
     return (s, p.lam, "hankel-reflected",
             quadrature.hankel_gamma_reflected(s, p).value,
-            quadrature.hankel_gamma(s, p).value, 1e-10)
+            quadrature.hankel_gamma(s, p).value, 1e-12)
 
 
 # The identity checks: (name, random stream, check).  A check with a stream
@@ -341,16 +326,16 @@ _CHECKS = (
     ("lambda-shift-k1", 4, _lambda_shift(1)),
     ("lambda-shift-k2", 5, _lambda_shift(2)),
     ("integer-values", None, _integer_values),
-    ("weierstrass-product-main", 6, _weierstrass_main),
+    ("weierstrass-product-main", 6, _estimated("weierstrass", _product_domain)),
     ("weierstrass-product-paired", 7, _weierstrass_paired),
-    ("euler-limit", 8, _euler_limit),
+    ("euler-limit", 8, _estimated("euler-limit", _product_domain)),
     ("sine-product", 9, _sine_product),
     ("beta-classical-mixed", 10, _beta_classical_mixed),
     ("beta-product", 11, _beta_product),
     ("beta-integer-formula", None, _beta_integer_formula),
     ("residues-nonpositive", None, _residues(PoleFamily.NON_POSITIVE)),
     ("residues-shifted", None, _residues(PoleFamily.SHIFTED_BY_INV_LAMBDA)),
-    ("hankel-contour", 12, _hankel_contour),
+    ("hankel-contour", 12, _estimated("hankel", _hankel_domain)),
     ("hankel-contour-reflected", 13, _hankel_contour_reflected),
 )
 
@@ -438,7 +423,7 @@ def run_cross_path_scan(grid: GridSpec, p: DegenerateParameter,
                 stats["skipped"] += 1
                 continue
             stats["evaluated"] += 1
-            *sample, tol = _estimated_sample(s, p.lam, name, res, ref.value)
+            *sample, tol = _estimated_sample(s, p.lam, res, ref.value)
             err = _rel(res.value, ref.value)
             stats["max_rel_err"] = max(stats["max_rel_err"], err)
             report.record(*sample, err, tol)

@@ -383,6 +383,14 @@ class TestIntegerValues:
         v = degenerate_gamma_integer(k, DegenerateParameter(lam))
         assert rel(v.value, float(v.exact())) <= 1e-13
 
+    @pytest.mark.parametrize("k, lam", [(228, 0.3), (400, 0.3), (207, 0.45), (188, 0.7)])
+    def test_log_route_past_the_product_range(self, k, lam):
+        # (1)_{k+1} itself overflows here, while the value stays in range
+        p = DegenerateParameter(lam)
+        v = degenerate_gamma_integer(k, p)
+        assert cmath.isfinite(v.value) and v.value.imag == 0.0
+        assert abs(v.value.real - float(v.exact())) <= degenerate_gamma(k, p).abs_error_estimate
+
     def test_closed_form_marks_singular_cases_as_poles(self):
         res = degenerate_gamma(2, DegenerateParameter(0.5))
         assert res.status is EvalStatus.AT_POLE

@@ -170,6 +170,18 @@ class TestHankel:
         )
 
 
+@pytest.mark.parametrize("s", [-2.7, -1.5, 0.4, 1.7, 2.2])
+def test_real_argument_gives_a_real_value(s):
+    p = DegenerateParameter(0.3)
+    paths = [hankel_gamma, hankel_gamma_reflected]
+    if 0.0 < s < p.inv_lambda:
+        paths.append(direct_integral_gamma)
+    for path in paths:
+        res = path(s, p)
+        assert res.value.imag == 0.0, path.__name__
+        assert abs(res.value - closed(s, p)) <= res.abs_error_estimate, path.__name__
+
+
 @pytest.mark.parametrize("s, error", [(1.0, IntegerArgumentError),
                                       (3.5, StripError)])
 def test_reflected_loop_errors_name_their_caller(s, error):

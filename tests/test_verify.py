@@ -87,6 +87,7 @@ class TestIdentitySuite:
         ("reflection-symmetry", 1.0 + 1e-5),
         ("integer-values", 1.0 + 1e-5),
         ("hankel-contour", 1.0 + 1e-5),
+        ("hankel-contour-reflected", 1.0 + 1e-11),
         ("beta-product", 1.05),  # product tolerance tracks its own O(1/N) tail
         ("residues-shifted", 1.0 + 1e-4),
     ])
