@@ -1,7 +1,7 @@
 """Numerical-integration paths: the defining integral and the Hankel contour.
 
 Every integral here runs on one nested Clenshaw-Curtis ladder on [-1, 1]
-with rungs of 16, 32, 64, ... intervals: the first three (65 nodes) in one
+with rungs of 16, 32, 64, ... intervals: the first four (129 nodes) in one
 integrand call, each deeper rung on only its new nodes.
 
 The defining integral is split at t = 1 and its far piece
@@ -52,9 +52,9 @@ class QuadratureSpec:
 
     ``max_level`` is the deepest Clenshaw-Curtis rung, which has
     16 * 2**max_level intervals.  It must be at least 3: the first integrand
-    call already evaluates rungs 0-2, so a lower cap would save no integrand
-    evaluation and only forbid the next rung.  The contour's edge is held to
-    rel_tolerance and its circle, of radius ``hankel_radius``, to 1e-11 or less.
+    call already evaluates rungs 0-3, so a lower cap would save no integrand
+    evaluation.  The contour's edge is held to rel_tolerance and its circle,
+    of radius ``hankel_radius``, to 1e-11 or less.
     """
 
     rel_tolerance: float = DEFAULT_TOLERANCE
@@ -68,6 +68,9 @@ class QuadratureSpec:
             raise ValueError("QuadratureSpec: hankel_radius must be in (0, 1)")
         if self.max_level < 3:
             raise ValueError("QuadratureSpec: max_level must be >= 3")
+
+
+_DEFAULT_SPEC = QuadratureSpec()
 
 
 def _linear_result(value: complex, err: float, method: EvalMethod) -> EvalResult:
@@ -144,7 +147,7 @@ def direct_integral_gamma(
     Raises DomainError if s is not finite, and StripError unless
     0 < Re(s) < 1/lambda with margin 0.01.
     """
-    spec = spec or QuadratureSpec()
+    spec = spec or _DEFAULT_SPEC
     s = complex(s)
     if not cmath.isfinite(s):
         raise DomainError(f"direct_integral_gamma: s = {s} is not finite")
@@ -205,7 +208,7 @@ def direct_integral_gamma(
 # rung's new odd-index nodes), so every rung's nodes are the first n + 1 of
 # each deeper rung's.  Rungs 0.._CC_HEAD_RUNG go to the integrand in one call.
 _CC_N0 = 16
-_CC_HEAD_RUNG = 2
+_CC_HEAD_RUNG = 3
 
 
 def _dft(d: np.ndarray) -> np.ndarray:
@@ -251,38 +254,35 @@ def _cc_head_weights() -> np.ndarray:
                      for rung in range(_CC_HEAD_RUNG + 1)])
 
 
-def _cc_ladder(
-    f, tol: float, max_level: int, rounding: float = _EPS
-) -> tuple[complex, float]:
+def _cc_ladder(f, tol: float, max_level: int, rounding: float = _EPS) -> tuple[complex, float]:
     """Integrate over [-1, 1] on the nested Clenshaw-Curtis ladder.
 
     f(x, lo) returns the integrand at the ladder's nodes x, which start at
-    ladder position lo.  The ladder stops at the first rung whose sum Q is
-    within max(tol |Q|, 1e-14 M) of the rung before, where the rung's
-    M = sum |w_i f(x_i)| sets the rounding floor, and returns Q and that
+    ladder position lo.  A rung's sum Q and its M = sum |w_i f(x_i)| are
+    products of its weights with f's values and their moduli, M as every
+    weight is positive.  The ladder stops at the first rung whose Q is within
+    max(tol |Q|, 1e-14 M) of the rung before and returns Q and that
     difference plus rounding M, rounding being the relative rounding of f's
     values (eps unless f amplifies it).  Raises ConvergenceError if rung
     max_level does not.
     """
     vals = f(_cc_rung(_CC_HEAD_RUNG)[0], 0)
-    terms = _cc_head_weights() * vals
-    sums, masses = terms.sum(axis=1).tolist(), np.abs(terms).sum(axis=1).tolist()
+    weights = _cc_head_weights()
+    sums, masses = (weights @ vals).tolist(), (weights @ np.abs(vals)).tolist()
     for rung in range(1, max_level + 1):
         if rung > _CC_HEAD_RUNG:
             lo = (_CC_N0 << (rung - 1)) + 1
             x, w = _cc_rung(rung)
             vals = np.concatenate([vals, f(x[lo:], lo)])
-            terms = w * vals
-            sums.append(complex(terms.sum()))
-            masses.append(float(np.abs(terms).sum()))
+            sums.append(complex(w @ vals))
+            masses.append(float(w @ np.abs(vals)))
         total, mass = sums[rung], masses[rung]
         err = abs(total - sums[rung - 1])
-        if err <= max(tol * abs(total), 1e-14 * mass, 1e-300):
+        bound = max(tol * abs(total), 1e-14 * mass, 1e-300)
+        if err <= bound:
             return total, err + rounding * mass
-    raise ConvergenceError(
-        f"Clenshaw-Curtis ladder: difference {err:.3g} still above tolerance "
-        f"{tol:.3g} at {_CC_N0 << max_level} intervals"
-    )
+    raise ConvergenceError(f"Clenshaw-Curtis ladder: difference {err:.3g} above max(tol |Q|, "
+                           f"1e-14 M) = {bound:.3g} at {_CC_N0 << max_level} intervals")
 
 
 # Node geometry that depends on neither s nor lambda (_power_geometry's rows,
@@ -332,7 +332,7 @@ def _mapped_integral(
 
 def _refuse_loop(s: complex, p: DegenerateParameter, spec: QuadratureSpec | None, name: str):
     """Refuse what the loop cannot take, before its sine prefactor; return s and spec."""
-    s, spec = complex(s), spec or QuadratureSpec()
+    s, spec = complex(s), spec or _DEFAULT_SPEC
     # raises DomainError for a non-finite s before the strip test sees it
     classical._refuse_integer(name, "s", s, "where the sine prefactor vanishes",
                               error=IntegerArgumentError)

@@ -302,7 +302,7 @@ class TestClenshawCurtisLadder:
         exact = (1.0 + 0.5j) * (2.0 / (degree + 1) if degree % 2 == 0 else 0.0)
         assert abs(value - exact) <= 1e-15
         assert err <= 1e-14
-        assert calls == [(0, 65)]
+        assert calls == [(0, (quadrature._CC_N0 << quadrature._CC_HEAD_RUNG) + 1)]
 
     @pytest.mark.parametrize("g, exact", [
         (np.exp, math.e - 1.0 / math.e),
@@ -325,7 +325,7 @@ class TestClenshawCurtisLadder:
 
         value, _ = quadrature._cc_ladder(g, 1e-12, 10)
         assert value == pytest.approx(2.0 * math.sin(90.0) / 90.0, abs=1e-13)
-        assert calls[0] == (0, 65)
+        assert calls[0] == (0, (quadrature._CC_N0 << quadrature._CC_HEAD_RUNG) + 1)
         for (lo, count), (prev_lo, prev_count) in zip(calls[1:], calls):
             assert lo == prev_lo + prev_count
             assert count == lo - 1
@@ -336,6 +336,46 @@ class TestClenshawCurtisLadder:
             self.ladder(lambda x: np.exp(1000j * x), max_level=3)
         value, _ = self.ladder(lambda x: np.exp(1000j * x), max_level=8)
         assert value == pytest.approx(2.0 * math.sin(1000.0) / 1000.0, abs=1e-12)
+
+    def test_convergence_error_names_the_bound_it_tested(self):
+        # the mass floor 1e-14 M = 2e-9 is the bound here, not tol |Q| = 1.9e-10
+        with pytest.raises(ConvergenceError, match=r"^Clenshaw-Curtis ladder: difference \S+ "
+                           r"above max\(tol \|Q\|, 1e-14 M\) = 2e-09 at 128 intervals$"):
+            self.ladder(lambda x: 1e5 * np.exp(1000j * x), max_level=3)
+
+    def test_weights_are_positive_to_the_default_depth(self):
+        # the ladder takes its mass sum |w_i f_i| as sum w_i |f_i|
+        for rung in range(QuadratureSpec().max_level + 1):
+            assert np.all(quadrature._cc_rung(rung)[1] > 0.0), rung
+
+    @pytest.mark.parametrize("g, rung", [
+        (lambda x: 3.0 - 2.0 * x + 0.5 * x**5 - x**8, 1),
+        (lambda x: np.exp(3j * x), 1),
+        (lambda x: 1.0 / (1.02 - x), 4),
+    ], ids=["polynomial", "exp3i", "near-pole"])
+    def test_sums_and_masses_match_an_exact_reference(self, g, rung):
+        # each rung's sum and mass summed exactly from its terms, and the ladder's
+        # stopping rule applied to them
+        sums = []
+        for level in range(rung + 1):
+            x, w = quadrature._cc_rung(level)
+            vals = np.asarray(g(x), dtype=complex)
+            sums.append(complex(math.fsum(w * vals.real), math.fsum(w * vals.imag)))
+            mass = math.fsum(w * np.abs(vals))
+            bound = max(1e-13 * abs(sums[-1]), 1e-14 * mass)
+            assert (level > 0 and abs(sums[-1] - sums[-2]) <= bound) == (level == rung)
+        calls = []
+
+        def f(x, lo):
+            calls.append(len(x))
+            return g(x)
+
+        value, err = quadrature._cc_ladder(f, 1e-13, 10)
+        head = (quadrature._CC_N0 << quadrature._CC_HEAD_RUNG) + 1
+        assert sum(calls) == max(head, (quadrature._CC_N0 << rung) + 1)
+        ulp = math.ulp(1.0)
+        assert abs(value - sums[-1]) <= 4 * ulp * mass
+        assert abs(err - (abs(sums[-1] - sums[-2]) + ulp * mass)) <= 4 * ulp * mass
 
     def test_max_level_bounds_the_contour(self):
         # 0.5 from the strip's edge, the edge needs 256 intervals
@@ -530,3 +570,32 @@ def test_contour_with_a_zero_loop_integral(monkeypatch, path, s, lam, refused):
             path(s, DegenerateParameter(lam))
     else:
         assert path(s, DegenerateParameter(lam)).value == 0
+
+
+def test_integrand_calls_stay_within_the_measured_count(monkeypatch):
+    # a lost head or an extra rung shows as more integrand calls (111 in all),
+    # and the counts repeat exactly; a 65-node head takes 38, 69 and 65
+    limits = {direct_integral_gamma: 27, hankel_gamma: 43, hankel_gamma_reflected: 41}
+    rng = np.random.default_rng(60)
+    ladder, calls = quadrature._cc_ladder, []
+
+    def counted(f, *args):
+        def g(x, lo):
+            calls.append(len(x))
+            return f(x, lo)
+        return ladder(g, *args)
+
+    monkeypatch.setattr(quadrature, "_cc_ladder", counted)
+    counts = {}
+    for path in limits:
+        calls.clear()
+        done = 0
+        while done < 20:
+            p = DegenerateParameter(rng.uniform(0.15, 0.85))
+            lo = 0.05 if path is direct_integral_gamma else -3.0
+            s = complex(rng.uniform(lo, p.inv_lambda - 0.05), rng.uniform(-5.0, 5.0))
+            if nearest_pole(s, p)[0] >= 0.05 and abs(s - round(s.real)) >= 0.05:
+                path(s, p)
+                done += 1
+        counts[path] = len(calls)
+    assert all(counts[path] <= limits[path] for path in limits), counts
