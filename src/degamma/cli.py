@@ -1,19 +1,19 @@
 """Command-line frontend: eval, poles, table, beta, verify.
 
-Records stream to stdout as JSON lines (one object per evaluation, doubles
-with 17 significant digits) or RFC-4180 CSV with ``--format csv``.  Exit
-codes: 0 success, 1 failed verification, 2 numeric/precondition errors,
-64 usage errors.
+Records stream to stdout as JSON lines (one object per evaluation) or
+RFC-4180 CSV with ``--format csv``; one %-template per record shape writes
+each row, doubles with 17 significant digits.  Exit codes: 0 success, 1
+failed verification, 2 numeric/precondition errors, 64 usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import math
 import os
 import re
 import sys
+from functools import partial
+from operator import is_not
 from typing import NamedTuple
 
 from . import core
@@ -120,46 +120,43 @@ class OutputRecord(NamedTuple):
     )
 
 
-def _json_scalar(v) -> str:
-    if isinstance(v, float):
-        if math.isfinite(v):
-            return format(v, ".17g")
-        if math.isnan(v):
-            return "NaN"
-        return "Infinity" if v > 0 else "-Infinity"
-    if v is None:
-        return "null"
-    return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def _csv_scalar(v):
-    """Floats with 17 significant digits; csv writes None as an empty field."""
-    return format(v, ".17g") if isinstance(v, float) else v
-
-
-# One JSON object per row, keys in wire order; the values are preformatted.
-_JSON_ROW = "{{" + ", ".join(f'"{name}": {{}}' for name in OutputRecord.FIELDS) + "}}\n"
+_NOT_NONE = partial(is_not, None)
 
 
 class _Emitter:
-    """Streams OutputRecords as JSON lines or CSV (header always emitted).
+    """Streams OutputRecords as JSON lines or CSV (header with the first row).
 
-    Every row, and the CSV header, is one ``write`` call on the stream.
+    Each record shape, the type of each field, has one %-template, built on
+    first use and applied to the record's non-None values: floats as %.17g,
+    tags as they are (none needs quoting or escaping), None as null or an
+    empty field.  JSON then respells nan and inf, which no finite %.17g
+    output, key or tag contains.  Every row, and the CSV header, is one
+    ``write`` call on the stream.
     """
 
     def __init__(self, fmt: str, stream):
         self.stream = stream
-        self._csv = csv.writer(stream, lineterminator="\n") if fmt == "csv" else None
-        self._wrote_header = False
+        self._json = fmt == "jsonl"
+        self._header = None if self._json else ",".join(OutputRecord.FIELDS) + "\n"
+        self._spelling = ({str: '"%s"', type(None): "null"} if self._json
+                          else {str: "%s", type(None): ""})
+        self._templates = {}
 
     def emit(self, rec: OutputRecord) -> None:
-        if self._csv is None:
-            self.stream.write(_JSON_ROW.format(*map(_json_scalar, rec)))
-            return
-        if not self._wrote_header:
-            self._csv.writerow(OutputRecord.FIELDS)
-            self._wrote_header = True
-        self._csv.writerow([_csv_scalar(v) for v in rec])
+        shape = tuple(map(type, rec))
+        template = self._templates.get(shape)
+        if template is None:
+            cells = [self._spelling.get(kind, "%.17g") for kind in shape]
+            pairs = map('"{}": {}'.format, OutputRecord.FIELDS, cells)
+            template = "{%s}\n" % ", ".join(pairs) if self._json else ",".join(cells) + "\n"
+            self._templates[shape] = template
+        row = template % tuple(filter(_NOT_NONE, rec))
+        if self._json:
+            row = row.replace("nan", "NaN").replace("inf", "Infinity")
+        elif self._header is not None:
+            self.stream.write(self._header)
+            self._header = None
+        self.stream.write(row)
 
 
 def _record_from_result(

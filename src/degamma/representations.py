@@ -170,7 +170,7 @@ def _paired_log_sum(x: complex, u: float, lo: int, hi: int,
         re_sum += np.log1p(v, out=v).sum()
         tr += 1.0
         im_sum += np.arctan2(ti, tr, out=ti).sum()
-    total = head + complex(0.5 * re_sum, im_sum)
+    total = complex(head) + complex(0.5 * re_sum, im_sum)  # Python, not numpy, scalars
     if em_start < hi:
         total += _em_primitive(x, y, u, float(hi)) - _em_primitive(
             x, y, u, float(em_start)

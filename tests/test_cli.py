@@ -1,7 +1,9 @@
 """Tests for the command-line frontend: parsing, records, exit codes."""
 
+import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -12,8 +14,9 @@ from pathlib import Path
 import pytest
 
 import degamma
+import degamma.cli as cli_mod
 from degamma.cli import OutputRecord, main, parse_complex, parse_range
-from degamma.core import DegenerateParameter, EvalStatus, degenerate_gamma
+from degamma.core import GAMMA_METHODS, DegenerateParameter, EvalStatus, degenerate_gamma
 
 
 def run_cli(capsys, *argv):
@@ -498,6 +501,11 @@ class TestEmitterFormats:
         assert lines[0].startswith("s_re,s_im,lambda,")
         assert '"' not in lines[1]
 
+    def test_csv_header_waits_for_the_first_row(self, capsys):
+        code, out, _ = run_cli(capsys, "eval", "--lambda", "0.5", "--s", "3.5",
+                               "--method", "direct-integral", "--format", "csv")
+        assert (code, out) == (2, "")
+
     def test_nan_free_regular_record(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "--lambda", "0.5", "--s", "0.5")
         rec = jsonl(out)[0]
@@ -517,3 +525,97 @@ def test_eval_at_real_s_prints_a_zero_imaginary_part(capsys):
     row = list(csv.DictReader(io.StringIO(out)))[0]
     assert float(row["value_im"]) == 0.0
     assert float(row["value_re"]) == pytest.approx(517557719921.6783, rel=1e-12)
+
+
+def _json_scalar(v) -> str:
+    if isinstance(v, float):
+        if math.isfinite(v):
+            return format(v, ".17g")
+        if math.isnan(v):
+            return "NaN"
+        return "Infinity" if v > 0 else "-Infinity"
+    if v is None:
+        return "null"
+    return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _csv_scalar(v):
+    return format(v, ".17g") if isinstance(v, float) else v
+
+
+_JSON_ROW = "{{" + ", ".join(f'"{name}": {{}}' for name in OutputRecord.FIELDS) + "}}\n"
+
+
+def _reference_text(records, fmt):
+    """The records as the per-field formatter wrote them, one call per field."""
+    buf = io.StringIO()
+    if fmt == "jsonl":
+        buf.writelines(_JSON_ROW.format(*map(_json_scalar, rec)) for rec in records)
+    else:
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(OutputRecord.FIELDS)
+        writer.writerows([_csv_scalar(v) for v in rec] for rec in records)
+    return buf.getvalue()
+
+
+def _method_choices(command):
+    parser = cli_mod._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    (action,) = [a for a in sub.choices[command]._actions if a.dest == "method"]
+    return tuple(action.choices)
+
+
+_BETA_METHODS = _method_choices("beta")
+_TAGS = (*GAMMA_METHODS, *_BETA_METHODS, "residue", "skipped",
+         *(status.value for status in EvalStatus))
+# A prime count of numbers: cycled over fewer fields a record, each field
+# meets every number in as many records as there are numbers.
+_NUMBERS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 0.1, -2.5,
+            1.7976931348623157e308, 2.0**-1022, 123456789.01234567)
+
+
+def _every_record_shape():
+    """Each shape the CLI writes, with every number in every float field."""
+    shapes = []
+    for method in GAMMA_METHODS:
+        for status in ("regular", "near-pole"):
+            shapes.append(OutputRecord(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, method, status))
+        shapes.append(OutputRecord(1.0, 1.0, 1.0, None, None, None, method, "overflow"))
+        shapes.append(OutputRecord(1.0, 1.0, 1.0, None, None, None, method, "skipped"))
+        shapes.append(OutputRecord(1.0, 1.0, 1.0, None, None, None, method, "pole",
+                                   1.0, 1.0))
+    shapes.append(OutputRecord(1.0, 1.0, 1.0, None, None, None, "residue", "pole",
+                               1.0, 1.0))
+    for method in _BETA_METHODS:
+        shapes.append(OutputRecord(1.0, 1.0, 1.0, 1.0, 1.0, 1.0, method, "regular",
+                                   beta_re=1.0, beta_im=1.0))
+        shapes.append(OutputRecord(1.0, 1.0, 1.0, None, None, None, method, "overflow",
+                                   beta_re=1.0, beta_im=1.0))
+    numbers = itertools.cycle(_NUMBERS)
+    return [
+        rec._make(next(numbers) if isinstance(v, float) else v for v in rec)
+        for rec in shapes for _ in _NUMBERS
+    ]
+
+
+class TestEmitterBytes:
+    """One %-template per record shape writes what the per-field formatter did."""
+
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    def test_every_record_shape_matches_the_per_field_formatter(self, fmt):
+        records = _every_record_shape()
+        floats = {repr(v) for rec in records for v in rec if isinstance(v, float)}
+        assert floats == set(map(repr, _NUMBERS))
+        buf = io.StringIO()
+        emitter = cli_mod._Emitter(fmt, buf)
+        for rec in records:
+            emitter.emit(rec)
+        assert buf.getvalue() == _reference_text(records, fmt)
+
+    def test_tags_need_no_quoting_escaping_or_respelling(self):
+        assert _method_choices("eval") == _method_choices("table") == GAMMA_METHODS
+        for tag in _TAGS:
+            assert not set(tag) & set(',"\\\r\n'), tag
+            assert "nan" not in tag and "inf" not in tag, tag
+        for name in OutputRecord.FIELDS:
+            assert "nan" not in name and "inf" not in name and "%" not in name

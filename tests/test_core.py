@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from degamma.classical import LOG_OVERFLOW, gamma, log_gamma, reflection_product, sin_pi
 from degamma.cli import parse_range
 from degamma.core import (
+    DEFAULT_TOLERANCE,
+    GAMMA_METHODS,
     DegenerateParameter,
     EvalStatus,
     PoleFamily,
@@ -25,6 +27,7 @@ from degamma.core import (
     difference_step,
     falling_factorial,
     falling_factorial_exact,
+    gamma_evaluator,
     lambda_shift_recurrence,
     nearest_pole,
     pole_residue,
@@ -40,6 +43,7 @@ from degamma.errors import (
     SingularParameterError,
 )
 from degamma.representations import (
+    ProductSpec,
     degenerate_beta_product,
     euler_limit_gamma,
     sine_product,
@@ -691,6 +695,33 @@ def test_real_value_matches_the_real_closed_form():
             got = degenerate_gamma(float(s), p).value
             assert got.imag == 0.0
             assert rel(got.real, want) <= 1e-12
+
+
+_BETA_PATHS = {
+    "ratio": degenerate_beta,
+    "classical-mixed": degenerate_beta_classical,
+    "product": lambda a, b, p: degenerate_beta_product(a, b, p, ProductSpec(n_terms=2000)),
+}
+
+
+@pytest.mark.parametrize("method", [*GAMMA_METHODS, *_BETA_PATHS])
+def test_results_hold_python_scalars(method):
+    # the CLI keys its row templates by each field's type, and repr shows
+    # a numpy scalar as np.float64(...)
+    p = DegenerateParameter(0.3)
+    if method in _BETA_PATHS:
+        results = [_BETA_PATHS[method](a, b, p)
+                   for a, b in ((0.5, 0.7 + 1j), (0.5, 0.5), (0.5, -0.5))]
+    else:
+        evaluate = gamma_evaluator(method, DEFAULT_TOLERANCE, 2000)
+        points = [0.5 + 1j, 0.5, 1.7 - 0.2j]
+        if method == "closed-form":
+            points += [0.0, -1.00001]  # pole and near-pole
+        results = [evaluate(s, p) for s in points]
+    for res in results:
+        assert type(res.value) is complex
+        assert type(res.abs_error_estimate) is float
+        assert res.log_value is None or type(res.log_value) is complex
 
 
 @pytest.fixture

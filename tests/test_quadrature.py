@@ -43,7 +43,7 @@ class TestEngine:
 
     @pytest.mark.parametrize("max_level", [1, 2])
     def test_shallow_ladders_are_rejected(self, max_level):
-        # the first integrand call already evaluates rungs 0-2
+        # the first integrand call already evaluates rungs 0-3
         with pytest.raises(ValueError, match="max_level must be >= 3"):
             QuadratureSpec(max_level=max_level)
 
