@@ -188,9 +188,11 @@ def inclusive_grid(start: float, stop: float, step: float) -> list[float]:
 class EvalResult:
     """A function value with an absolute error estimate and provenance.
 
-    ``value`` is NaN-encoded when status is AT_POLE (the PoleInfo carries the
-    residue) or OVERFLOW (``log_value`` still holds the finite log-space
-    result).
+    ``abs_error_estimate`` bounds |value - exact|; it is at least
+    math.ulp(0.0), and inf where ``value`` is NaN-encoded: at status AT_POLE
+    (the PoleInfo carries the residue) and OVERFLOW (``log_value`` still
+    holds the finite log-space result).  ``log_value`` is None where there
+    is no finite nonzero value.  ``_finish`` builds every result.
     """
 
     value: complex
@@ -203,36 +205,38 @@ class EvalResult:
 
 
 _NAN = complex(math.nan, math.nan)
+_ESTIMATE_FLOOR = math.ulp(0.0)
 
 
-def _finish(log_val: complex, method: EvalMethod, rel_est: float,
+def _finish(method: EvalMethod, log_val: complex | None = None, rel_est: float = 0.0,
             real: bool = False, status: EvalStatus = EvalStatus.REGULAR,
-            pole: PoleInfo | None = None) -> EvalResult:
-    """The EvalResult of a value computed in log space.
+            pole: PoleInfo | None = None, value: complex = _NAN, abs_est: float = 0.0,
+            note: str | None = None) -> EvalResult:
+    """The EvalResult of a value computed in log space (``log_val``) or linear space.
 
-    Exponentiates once; past LOG_OVERFLOW the value is NaN-encoded, the
-    status is OVERFLOW and only ``log_value`` carries the result.
-    ``rel_est`` is the relative error estimate of the value.  A ``real``
-    value keeps only the real part, +-exp(Re log) with the sign of
-    cos(Im log): Im log is a multiple of pi, and its rounding would leave
-    an imaginary part.
+    Exponentiates ``log_val`` once; past LOG_OVERFLOW the value is
+    NaN-encoded, the status OVERFLOW and only ``log_value`` carries the
+    result.  A linear ``value`` (NaN at a pole) gets log(value) if finite
+    and nonzero.  A ``real`` value keeps only its real part, which rounding
+    (of Im log, a multiple of pi, or of a linear sum) would leave nonzero.
+    The estimate is ``abs_est`` plus |value| (e**rel_est - 1), ``rel_est``
+    bounding the log's error; the term is skipped at rel_est = 0, is inf
+    from 709 on, and the estimate is at least math.ulp(0.0).
     """
-    if log_val.real > LOG_OVERFLOW:
-        value, estimate, status = _NAN, math.inf, EvalStatus.OVERFLOW
+    if log_val is None:
+        if real:
+            value = value.real + 0j
+        log_val = cmath.log(value) if value and cmath.isfinite(value) else None
+    elif log_val.real > LOG_OVERFLOW:
+        value, abs_est, rel_est, status = _NAN, math.inf, 0.0, EvalStatus.OVERFLOW
     else:
         value = cmath.exp(log_val)
         if real:
             value = value.real + 0j
-        # inf * 0 would be NaN where the value underflows
-        estimate = math.inf if math.isinf(rel_est) else abs(value) * rel_est
-    return EvalResult(
-        value=value,
-        abs_error_estimate=estimate,
-        method=method,
-        status=status,
-        pole=pole,
-        log_value=log_val,
-    )
+    if rel_est:
+        # expm1 overflows past 709.78, and inf * 0 would be NaN at an underflowed value
+        abs_est += abs(value) * math.expm1(rel_est) if rel_est < 709.0 else math.inf
+    return EvalResult(value, max(abs_est, _ESTIMATE_FLOOR), method, status, pole, log_val, note)
 
 
 def degenerate_exp(x: complex, t: complex, lam: float) -> complex:
@@ -412,14 +416,8 @@ def degenerate_gamma(s: complex, p: DegenerateParameter) -> EvalResult:
     s = complex(s)
     dist, family, n = nearest_pole(s, p)
     if dist < POLE_TOLERANCE:
-        info = _pole_info(family, n, p)
-        return EvalResult(
-            value=_NAN,
-            abs_error_estimate=math.inf,
-            method=EvalMethod.CLOSED_FORM,
-            status=EvalStatus.AT_POLE,
-            pole=info,
-        )
+        return _finish(EvalMethod.CLOSED_FORM, status=EvalStatus.AT_POLE,
+                       pole=_pole_info(family, n, p), abs_est=math.inf)
     log_val, mag_sum = _closed_form_log(s, p)
     if family is _SHIFTED:  # the other family is >= u/2 away; mag_sum covers it there
         # u and u - s are off by eps*(u + |s|), and |psi(u - s)| ~ 1/dist
@@ -427,9 +425,9 @@ def degenerate_gamma(s: complex, p: DegenerateParameter) -> EvalResult:
     rel_est = 1e-14 + 8e-16 * mag_sum
     if dist < NEAR_POLE_RADIUS:
         rel_est *= NEAR_POLE_RADIUS / dist
-        return _finish(log_val, EvalMethod.CLOSED_FORM, rel_est, not s.imag,
+        return _finish(EvalMethod.CLOSED_FORM, log_val, rel_est, not s.imag,
                        EvalStatus.NEAR_POLE, _pole_info(family, n, p))
-    return _finish(log_val, EvalMethod.CLOSED_FORM, rel_est, not s.imag)
+    return _finish(EvalMethod.CLOSED_FORM, log_val, rel_est, not s.imag)
 
 
 @dataclass(frozen=True)
@@ -589,14 +587,10 @@ def _beta_guard(a: complex, b: complex, p: DegenerateParameter,
     log_est = ((_closed_form_log(a, p, "alpha")[0] + _closed_form_log(b, p, "beta")[0]).real
                - _log_residue(family, n, p)[0]
                + math.log(dist + math.ulp(1.0) * (abs(a) + abs(b) + u)))
-    return EvalResult(
-        value=0.0 + 0.0j,
-        abs_error_estimate=math.exp(log_est) if log_est <= LOG_OVERFLOW else math.inf,
-        method=method,
-        status=EvalStatus.REGULAR,
-        note="alpha+beta sits at a pole of the degenerate gamma function; "
-             "the ratio vanishes in the limit, so 0 is returned",
-    ), 0.0
+    return _finish(method, value=0j,
+                   abs_est=math.exp(log_est) if log_est <= LOG_OVERFLOW else math.inf,
+                   note="alpha+beta sits at a pole of the degenerate gamma function; "
+                        "the ratio vanishes in the limit, so 0 is returned"), 0.0
 
 
 def degenerate_beta(a: complex, b: complex, p: DegenerateParameter) -> EvalResult:
@@ -615,7 +609,7 @@ def degenerate_beta(a: complex, b: complex, p: DegenerateParameter) -> EvalResul
     lab, mab = _closed_form_log(a + b, p, "alpha+beta")
     log_val = la + lb - lab
     rel_est = 1e-14 + 8e-16 * (ma + mb + mab + felt)
-    return _finish(log_val, EvalMethod.CLOSED_FORM, rel_est, not (a.imag or b.imag))
+    return _finish(EvalMethod.CLOSED_FORM, log_val, rel_est, not (a.imag or b.imag))
 
 
 def degenerate_beta_classical(
@@ -644,4 +638,4 @@ def degenerate_beta_classical(
         raise DomainError(f"arguments alpha = {a}, beta = {b} are too large in "
                           "modulus: the closed form's log-gamma terms overflow")
     rel_est = 1e-14 + 8e-16 * (sum(abs(t) for t in terms) + felt)
-    return _finish(log_val, EvalMethod.CLASSICAL_MIXED, rel_est, not (a.imag or b.imag))
+    return _finish(EvalMethod.CLASSICAL_MIXED, log_val, rel_est, not (a.imag or b.imag))

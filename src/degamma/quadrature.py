@@ -29,7 +29,7 @@ import numpy as np
 
 from . import classical
 from .classical import LOG_OVERFLOW
-from .core import DEFAULT_TOLERANCE, DegenerateParameter, EvalMethod, EvalResult, EvalStatus
+from .core import DEFAULT_TOLERANCE, DegenerateParameter, EvalMethod, EvalResult, _finish
 from .errors import (ConvergenceError, DomainError, IntegerArgumentError,
                      ParameterRangeError, StripError)
 
@@ -71,17 +71,6 @@ class QuadratureSpec:
 
 
 _DEFAULT_SPEC = QuadratureSpec()
-
-
-def _linear_result(value: complex, err: float, method: EvalMethod) -> EvalResult:
-    """The EvalResult of a value computed in linear space."""
-    return EvalResult(
-        value=value,
-        abs_error_estimate=err,
-        method=method,
-        status=EvalStatus.REGULAR,
-        log_value=cmath.log(value) if value != 0 else None,
-    )
 
 
 # Power of the substitution t = v**K (w = v**K).  The pieces vanish at v = 0
@@ -199,8 +188,8 @@ def direct_integral_gamma(
     with np.errstate(under="ignore"):
         value, quad_err = _mapped_integral(pieces, _power_geometry, 0.0, 1.0, (),
                                            spec.rel_tolerance, spec.max_level)
-    err = quad_err + abs(value) * 1e-15 + floor
-    return _linear_result(value, err, EvalMethod.DIRECT_INTEGRAL)
+    return _finish(EvalMethod.DIRECT_INTEGRAL, value=value,
+                   abs_est=quad_err + abs(value) * 1e-15 + floor)
 
 
 # The Clenshaw-Curtis ladder on [-1, 1]: rung m has n = _CC_N0 * 2**m
@@ -369,6 +358,9 @@ def _loop_gamma(
     as delta**s may underflow where the far piece overflows.
     circle(delta, 1/lambda, t, log(1 + sign delta e^{it})) runs over
     interval, and the loop integral is edge_c * edge + circle_c * circle.
+    A value past exp(LOG_OVERFLOW) raises ConvergenceError, not OVERFLOW:
+    the ladder can stop falsely on such a circle, so its log would be
+    wrong.  _finish keeps the real part at real s.
     """
     u, delta = p.inv_lambda, spec.hankel_radius
     # Each ladder's values carry the rounding of their exponent, at most
@@ -389,15 +381,14 @@ def _loop_gamma(
     log_pow = -s * p.log_lambda
     lam_pow = cmath.exp(log_pow) if log_pow.real <= LOG_OVERFLOW else math.inf
     value = lam_pow * total
-    if not s.imag:  # the function is real on the real axis
-        value = value.real + 0j
     if not abs(value) <= math.exp(LOG_OVERFLOW):
         raise ConvergenceError(
             f"{name}: at s = {s}, lambda = {p.lam:.6g} lambda**(-s) = exp("
             f"{log_pow.real:.6g}) times the loop integral {abs(total):.3g} overflows")
     err = abs(lam_pow) * (abs(edge_c) * edge_err + abs(circle_c) * circle_err)
     # a few ulps of the value for the coefficient products, and log_pow's rounding
-    return _linear_result(value, err + abs(value) * _EPS * (4.0 + abs(log_pow)), method)
+    return _finish(method, value=value, real=not s.imag,
+                   abs_est=err + abs(value) * _EPS * (4.0 + abs(log_pow)))
 
 
 def hankel_gamma(

@@ -205,17 +205,15 @@ def _tail_bound(args: tuple[complex, ...], u: float, n_terms: int, power: int) -
     return (sum(abs(a) ** power for a in args) + u) / n_terms ** (power - 1)
 
 
-def _finish_product(log_val: complex, method: EvalMethod, rel_est: float,
-                    magnitude: float, tolerance: float | None,
-                    real: bool) -> EvalResult:
-    """A product's result; the estimate gains a few ulps of the terms' ``magnitude``."""
+def _log_estimate(rel_est: float, magnitude: float, tolerance: float | None) -> float:
+    """rel_est plus a few ulps of the terms' ``magnitude``; ConvergenceError past ``tolerance``."""
     rel_est += 4e-16 * magnitude
     if tolerance is not None and not rel_est <= tolerance:
         raise ConvergenceError(
             f"truncation error estimate {rel_est:.3g} exceeds requested "
             f"tolerance {tolerance:.3g}; raise n_terms"
         )
-    return _finish(log_val, method, rel_est, real)
+    return rel_est
 
 
 def _gamma_product_base(z: complex, p: DegenerateParameter) -> complex:
@@ -275,10 +273,8 @@ def weierstrass_gamma(
     else:
         correction, rel_est = 0.0, _tail_bound((z, w), u, N, 2)
     log_val, magnitude = _gamma_product_log(base, u, N + 1.0, log_sum, correction)
-    return _finish_product(
-        log_val, EvalMethod.WEIERSTRASS_PRODUCT, rel_est, magnitude,
-        spec.tolerance, not z.imag,
-    )
+    rel_est = _log_estimate(rel_est, magnitude, spec.tolerance)
+    return _finish(EvalMethod.WEIERSTRASS_PRODUCT, log_val, rel_est, not z.imag)
 
 
 def euler_limit_gamma(
@@ -313,10 +309,8 @@ def euler_limit_gamma(
     log_half = _gamma_product_log(base, u, half, sum_half)[0]
     rel_est = (math.inf if _before_head((z, u - z), n - 1)
                else 1.25 * abs(log_val - log_half))
-    return _finish_product(
-        log_val, EvalMethod.EULER_LIMIT, rel_est, magnitude, spec.tolerance,
-        not z.imag,
-    )
+    rel_est = _log_estimate(rel_est, magnitude, spec.tolerance)
+    return _finish(EvalMethod.EULER_LIMIT, log_val, rel_est, not z.imag)
 
 
 def sine_product(z: complex, n_terms: int) -> complex:
@@ -373,9 +367,7 @@ def degenerate_beta_product(
     )
     end = spec.n_terms + 1
     sum_ab, sum_a, sum_b = (_paired_log_sum(x, u, 1, end) for x in (ab, a, b))
-    rel_est = _tail_bound((ab, uab, a, u - a, b, u - b), 0.0, spec.n_terms, 2)
-    return _finish_product(
-        log_pre + (sum_ab - sum_a - sum_b), EvalMethod.BETA_PRODUCT, rel_est,
-        abs(log_pre) + abs(sum_ab) + abs(sum_a) + abs(sum_b), spec.tolerance,
-        not (a.imag or b.imag),
-    )
+    rel_est = _log_estimate(_tail_bound((ab, uab, a, u - a, b, u - b), 0.0, spec.n_terms, 2),
+                            abs(log_pre) + abs(sum_ab) + abs(sum_a) + abs(sum_b), spec.tolerance)
+    return _finish(EvalMethod.BETA_PRODUCT, log_pre + (sum_ab - sum_a - sum_b), rel_est,
+                   not (a.imag or b.imag))

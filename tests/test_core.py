@@ -794,6 +794,48 @@ class TestEstimateNearPoles:
         assert abs(res.value - complex(_mp_beta(mp, a, b, lam))) <= res.abs_error_estimate
 
 
+class TestRecordsWithoutValue:
+    """The records that carry no value: NaN with estimate inf, or the beta zero."""
+
+    @pytest.mark.parametrize("s, family, n", [
+        (-2.0, PoleFamily.NON_POSITIVE, 2), (3.0, PoleFamily.SHIFTED_BY_INV_LAMBDA, 1),
+    ])
+    def test_pole(self, s, family, n):
+        p = DegenerateParameter(0.5)
+        res = degenerate_gamma(s, p)
+        assert res.status is EvalStatus.AT_POLE
+        assert math.isnan(res.value.real) and math.isnan(res.value.imag)
+        assert res.abs_error_estimate == math.inf
+        assert res.log_value is None
+        assert res.pole.residue == pole_residue(family, n, p)
+
+    @pytest.mark.parametrize("s", [900.5, 900.5 + 1j])
+    def test_overflow(self, s):
+        res = degenerate_gamma(s, DegenerateParameter(0.001))
+        assert res.status is EvalStatus.OVERFLOW
+        assert math.isnan(res.value.real) and math.isnan(res.value.imag)
+        assert res.abs_error_estimate == math.inf
+        assert cmath.isfinite(res.log_value) and res.log_value.real > LOG_OVERFLOW
+
+    @pytest.mark.parametrize("path", _BETA_PATHS.values(), ids=_BETA_PATHS)
+    def test_beta_zero(self, path):
+        res = path(1, 1, DegenerateParameter(0.5))
+        assert res.value == 0j and type(res.value) is complex
+        assert res.status is EvalStatus.REGULAR
+        assert math.ulp(0.0) <= res.abs_error_estimate < math.inf
+        assert res.note.startswith("alpha+beta sits at a pole")
+        assert res.log_value is None
+
+
+class TestSubnormalFloor:
+    """Every estimate is at least one subnormal ulp, the error of a value rounded there."""
+
+    @pytest.mark.parametrize("s", [0.5 + 234j, 0.5 + 240j])
+    def test_estimate_bounds_the_error(self, mp, s):
+        res = degenerate_gamma(s, DegenerateParameter(0.5))
+        assert abs(mp.mpc(res.value) - _mp_dgamma(mp, s, 0.5)) <= res.abs_error_estimate
+
+
 @pytest.mark.parametrize("call, error, message", [
     (lambda p: falling_factorial(1, -1, 0.3), ValueError, "^falling_factorial: "),
     (lambda p: falling_factorial_exact(1, -1, 0.3), ValueError, "^falling_factorial_exact: "),

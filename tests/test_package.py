@@ -1,5 +1,6 @@
-"""The package's import surface: the names it exports, and the modules a path loads."""
+"""The package's surface: its exported names, the modules a path loads, its one result builder."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -69,6 +70,28 @@ def test_unknown_name_raises_attribute_error():
         degamma.no_such_name
     with pytest.raises(ImportError):
         from degamma import no_such_name  # noqa: F401
+
+
+def _eval_result_builders(node, where):
+    """The enclosing function of each EvalResult(...) call under an AST node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _eval_result_builders(child, child.name)
+            continue
+        if isinstance(child, ast.Call) and "EvalResult" in (
+                getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+            yield where
+        yield from _eval_result_builders(child, where)
+
+
+def test_only_the_finish_builds_an_eval_result():
+    """core._finish owns every result rule, so it is the one EvalResult builder."""
+    package = Path(degamma.__file__).resolve().parent
+    builders = [
+        (path.stem, where) for path in sorted(package.glob("*.py"))
+        for where in _eval_result_builders(ast.parse(path.read_text()), "<module>")
+    ]
+    assert builders == [("core", "_finish")]
 
 
 _CONTOURS = """\

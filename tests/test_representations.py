@@ -19,7 +19,7 @@ from degamma.representations import (
     sine_product,
     weierstrass_gamma,
 )
-from test_core import sample_regular
+from test_core import _mp_dgamma, sample_regular
 
 
 def rel(a, b):
@@ -329,6 +329,24 @@ def _log_gap(got, ref):
     """|got - ref| for logs, with the imaginary gap reduced mod 2*pi."""
     d = complex(got) - complex(ref)
     return abs(complex(d.real, math.remainder(d.imag, 2.0 * math.pi)))
+
+
+class TestValueBoundFromLogBound:
+    """|error| <= abs_error_estimate against 40-digit mpmath just past the head.
+
+    A log error of at most eps moves the value by up to (e**eps - 1) |value|,
+    well above eps |value| where eps is of order 1.
+    """
+
+    @pytest.mark.parametrize("path, z, lam, n", [
+        (weierstrass_gamma, -5.6, 0.9, 14),
+        (euler_limit_gamma, -7.3 + 2j, 0.45, 21),
+        (euler_limit_gamma, -7.3 + 2j, 0.45, 64),
+        (euler_limit_gamma, -3.001, 0.85, 10),
+    ])
+    def test_estimate_bounds_the_error(self, mp, path, z, lam, n):
+        res = path(z, DegenerateParameter(lam), ProductSpec(n_terms=n))
+        assert abs(res.value - complex(_mp_dgamma(mp, z, lam))) <= res.abs_error_estimate
 
 
 class TestPairedSumPrecision:
