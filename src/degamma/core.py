@@ -419,8 +419,7 @@ def degenerate_gamma(s: complex, p: DegenerateParameter) -> EvalResult:
         return _finish(EvalMethod.CLOSED_FORM, status=EvalStatus.AT_POLE,
                        pole=_pole_info(family, n, p), abs_est=math.inf)
     log_val, mag_sum = _closed_form_log(s, p)
-    if family is _SHIFTED:  # the other family is >= u/2 away; mag_sum covers it there
-        # u and u - s are off by eps*(u + |s|), and |psi(u - s)| ~ 1/dist
+    if family is _SHIFTED:  # u's rounding (_check_argument's docstring); mag_sum covers the other
         mag_sum += (p.inv_lambda + abs(s)) / dist
     rel_est = 1e-14 + 8e-16 * mag_sum
     if dist < NEAR_POLE_RADIUS:
@@ -549,10 +548,11 @@ def symmetry_partner(s: complex, p: DegenerateParameter) -> complex:
     return p.inv_lambda - complex(s)
 
 
-def _check_argument(name: str, w: complex, p: DegenerateParameter) -> tuple:
-    """Raise PoleError if argument ``name`` = w sits at a pole; else ``nearest_pole``.
+def _check_argument(name: str, w: complex, p: DegenerateParameter) -> float:
+    """Raise PoleError if argument ``name`` = w sits at a pole; else the rounding w feels.
 
-    The error's ``location`` is the pole itself, not the argument.
+    The error's ``location`` is the pole itself.  Next to a shifted pole, log
+    Gamma(u - w) feels u = 1/lambda's rounding as (u + |w|)/dist eps; else 0.
     """
     dist, family, n = nearest_pole(w, p)
     if dist < POLE_TOLERANCE:
@@ -563,7 +563,7 @@ def _check_argument(name: str, w: complex, p: DegenerateParameter) -> tuple:
             location=location,
             argument_name=name,
         )
-    return dist, family, n
+    return (p.inv_lambda + abs(w)) / dist if family is _SHIFTED else 0.0
 
 
 def _beta_guard(a: complex, b: complex, p: DegenerateParameter,
@@ -572,18 +572,17 @@ def _beta_guard(a: complex, b: complex, p: DegenerateParameter,
 
     Raises PoleError when alpha or beta sits at a pole.  Returns the exact-zero
     result when alpha+beta does (the ratio vanishes in the limit), else None,
-    and the rounding felt next to the poles, alpha + beta's own included.
+    and the rounding felt next to the poles: alpha's and beta's from
+    _check_argument, and alpha + beta's, whose float sum adds eps (|a| + |b|).
     The zero's estimate is |dgamma(alpha) dgamma(beta) / Res| times the exact
     alpha + beta's distance from the pole, at most dist + eps*(|a| + |b| + u).
     """
     u = p.inv_lambda
-    dist_a, family_a, _ = _check_argument("alpha", a, p)
-    dist_b, family_b, _ = _check_argument("beta", b, p)
+    felt_a, felt_b = _check_argument("alpha", a, p), _check_argument("beta", b, p)
     dist, family, n = nearest_pole(a + b, p)
     if dist >= POLE_TOLERANCE:
         return None, ((abs(a) + abs(b) + (u if family is _SHIFTED else 0.0)) / dist
-                      + ((u + abs(a)) / dist_a if family_a is _SHIFTED else 0.0)
-                      + ((u + abs(b)) / dist_b if family_b is _SHIFTED else 0.0))
+                      + felt_a + felt_b)
     log_est = ((_closed_form_log(a, p, "alpha")[0] + _closed_form_log(b, p, "beta")[0]).real
                - _log_residue(family, n, p)[0]
                + math.log(dist + math.ulp(1.0) * (abs(a) + abs(b) + u)))

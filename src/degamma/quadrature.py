@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import classical
+from . import classical, core
 from .classical import LOG_OVERFLOW
 from .core import DEFAULT_TOLERANCE, DegenerateParameter, EvalMethod, EvalResult, _finish
 from .errors import (ConvergenceError, DomainError, IntegerArgumentError,
@@ -360,7 +360,7 @@ def _loop_gamma(
     interval, and the loop integral is edge_c * edge + circle_c * circle.
     A value past exp(LOG_OVERFLOW) raises ConvergenceError, not OVERFLOW:
     the ladder can stop falsely on such a circle, so its log would be
-    wrong.  _finish keeps the real part at real s.
+    wrong.  The estimate adds u's rounding; _check_argument cannot raise here.
     """
     u, delta = p.inv_lambda, spec.hankel_radius
     # Each ladder's values carry the rounding of their exponent, at most
@@ -386,9 +386,10 @@ def _loop_gamma(
             f"{name}: at s = {s}, lambda = {p.lam:.6g} lambda**(-s) = exp("
             f"{log_pow.real:.6g}) times the loop integral {abs(total):.3g} overflows")
     err = abs(lam_pow) * (abs(edge_c) * edge_err + abs(circle_c) * circle_err)
-    # a few ulps of the value for the coefficient products, and log_pow's rounding
+    # a few ulps of the value for the coefficient products, log_pow's and u's rounding
+    felt = core._check_argument("s", s, p)
     return _finish(method, value=value, real=not s.imag,
-                   abs_est=err + abs(value) * _EPS * (4.0 + abs(log_pow)))
+                   abs_est=err + abs(value) * _EPS * (4.0 + abs(log_pow) + felt))
 
 
 def hankel_gamma(

@@ -216,10 +216,12 @@ def _log_estimate(rel_est: float, magnitude: float, tolerance: float | None) -> 
     return rel_est
 
 
-def _gamma_product_base(z: complex, p: DegenerateParameter) -> complex:
-    """log(lam**(-z) / (Gamma(u) z (u - z))), u = 1/lam; taken before the paired sum."""
+def _gamma_product_base(z: complex, p: DegenerateParameter) -> tuple[complex, float]:
+    """log(lam**(-z) / (Gamma(u) z (u - z))), u = 1/lam, and z's rounding next to a pole."""
+    # z = 0 and z = u, the prefactor's poles, are poles of the families
+    felt = _check_argument("z", z, p)
     return (-z * p.log_lambda - cmath.log(z) - cmath.log(p.inv_lambda - z)
-            - p.log_gamma_inv_lambda)
+            - p.log_gamma_inv_lambda), felt
 
 
 def _gamma_product_log(base: complex, u: float, m: float, log_sum: complex,
@@ -258,9 +260,7 @@ def weierstrass_gamma(
     """
     spec = spec or ProductSpec()
     z = complex(z)
-    # z = 0 and z = u, the prefactor's poles, are poles of the families
-    _check_argument("z", z, p)
-    base = _gamma_product_base(z, p)
+    base, felt = _gamma_product_base(z, p)
     N = spec.n_terms
     u = p.inv_lambda
     w = u - z
@@ -273,7 +273,7 @@ def weierstrass_gamma(
     else:
         correction, rel_est = 0.0, _tail_bound((z, w), u, N, 2)
     log_val, magnitude = _gamma_product_log(base, u, N + 1.0, log_sum, correction)
-    rel_est = _log_estimate(rel_est, magnitude, spec.tolerance)
+    rel_est = _log_estimate(rel_est, magnitude + felt, spec.tolerance)
     return _finish(EvalMethod.WEIERSTRASS_PRODUCT, log_val, rel_est, not z.imag)
 
 
@@ -296,8 +296,7 @@ def euler_limit_gamma(
     """
     spec = spec or ProductSpec()
     z = complex(z)
-    _check_argument("z", z, p)
-    base = _gamma_product_base(z, p)
+    base, felt = _gamma_product_base(z, p)
     n = spec.n_terms
     u = p.inv_lambda
     half = max(n // 2, 1)
@@ -309,7 +308,7 @@ def euler_limit_gamma(
     log_half = _gamma_product_log(base, u, half, sum_half)[0]
     rel_est = (math.inf if _before_head((z, u - z), n - 1)
                else 1.25 * abs(log_val - log_half))
-    rel_est = _log_estimate(rel_est, magnitude, spec.tolerance)
+    rel_est = _log_estimate(rel_est, magnitude + felt, spec.tolerance)
     return _finish(EvalMethod.EULER_LIMIT, log_val, rel_est, not z.imag)
 
 
@@ -348,7 +347,7 @@ def degenerate_beta_product(
     """
     spec = spec or ProductSpec()
     a, b = complex(a), complex(b)
-    zero, _ = _beta_guard(a, b, p, EvalMethod.BETA_PRODUCT)
+    zero, felt = _beta_guard(a, b, p, EvalMethod.BETA_PRODUCT)
     if zero is not None:
         return zero
     u = p.inv_lambda
@@ -368,6 +367,7 @@ def degenerate_beta_product(
     end = spec.n_terms + 1
     sum_ab, sum_a, sum_b = (_paired_log_sum(x, u, 1, end) for x in (ab, a, b))
     rel_est = _log_estimate(_tail_bound((ab, uab, a, u - a, b, u - b), 0.0, spec.n_terms, 2),
-                            abs(log_pre) + abs(sum_ab) + abs(sum_a) + abs(sum_b), spec.tolerance)
+                            abs(log_pre) + abs(sum_ab) + abs(sum_a) + abs(sum_b) + felt,
+                            spec.tolerance)
     return _finish(EvalMethod.BETA_PRODUCT, log_pre + (sum_ab - sum_a - sum_b), rel_est,
                    not (a.imag or b.imag))

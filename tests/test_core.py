@@ -49,7 +49,12 @@ from degamma.representations import (
     sine_product,
     weierstrass_gamma,
 )
-from degamma.quadrature import direct_integral_gamma
+from degamma.quadrature import (
+    QuadratureSpec,
+    direct_integral_gamma,
+    hankel_gamma,
+    hankel_gamma_reflected,
+)
 from degamma.verify import GridSpec
 
 
@@ -792,6 +797,31 @@ class TestEstimateNearPoles:
     def test_beta(self, mp, path, lam, a, b):
         res = path(a, b, DegenerateParameter(lam))
         assert abs(res.value - complex(_mp_beta(mp, a, b, lam))) <= res.abs_error_estimate
+
+    @pytest.mark.parametrize("lam, z, b", [
+        (lam, 1.0 / lam + 1e-7, 0.37) for lam in (0.45, 0.7)
+    ] + [(lam, z, -0.35) for lam, z in _near_shifted_poles(33, 40)])
+    @pytest.mark.parametrize("path", [weierstrass_gamma, euler_limit_gamma,
+                                      degenerate_beta_product])
+    def test_products(self, mp, path, lam, z, b):
+        # at N = 1e12 the truncation is far below the rounding next to the pole;
+        # b is the beta product's second argument
+        p, spec = DegenerateParameter(lam), ProductSpec(n_terms=10**12)
+        if path is degenerate_beta_product:
+            res, want = path(z, b, p, spec), _mp_beta(mp, z, b, lam)
+        else:
+            res, want = path(z, p, spec), _mp_dgamma(mp, z, lam)
+        assert abs(res.value - complex(want)) <= res.abs_error_estimate
+
+    @pytest.mark.parametrize("lam, s, tol", [
+        (0.45, 1.0 / 0.45 - 0.0101, DEFAULT_TOLERANCE),
+        (0.7, 1.0 / 0.7 - 0.0101, DEFAULT_TOLERANCE),
+        (0.2, 4.9899, 1e-13),
+    ])
+    @pytest.mark.parametrize("path", [hankel_gamma, hankel_gamma_reflected])
+    def test_contours(self, mp, path, lam, s, tol):
+        res = path(s, DegenerateParameter(lam), QuadratureSpec(rel_tolerance=tol))
+        assert abs(res.value - complex(_mp_dgamma(mp, s, lam))) <= res.abs_error_estimate
 
 
 class TestRecordsWithoutValue:

@@ -1,4 +1,5 @@
-"""The package's surface: its exported names, the modules a path loads, its one result builder."""
+"""The package's surface: its exported names, the modules a path loads, its one result
+builder, and the pole checks whose rounding every estimate counts."""
 
 import ast
 import os
@@ -92,6 +93,45 @@ def test_only_the_finish_builds_an_eval_result():
         for where in _eval_result_builders(ast.parse(path.read_text()), "<module>")
     ]
     assert builders == [("core", "_finish")]
+
+
+def _callee(node):
+    """The name a call is made by, bare or through a module."""
+    return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+
+
+def _dropped_pole_roundings(node, where):
+    """(function, callee) where a pole check's rounding is thrown away.
+
+    A _check_argument(...) call as a statement of its own discards the
+    rounding it returns, and _beta_guard's is discarded when unpacked into _.
+    """
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _dropped_pole_roundings(child, child.name)
+            continue
+        if (isinstance(child, ast.Expr) and isinstance(child.value, ast.Call)
+                and _callee(child.value) == "_check_argument"):
+            yield where, "_check_argument"
+        if (isinstance(child, ast.Assign) and isinstance(child.value, ast.Call)
+                and _callee(child.value) == "_beta_guard"
+                and any(getattr(e, "id", None) == "_"
+                        for t in child.targets for e in getattr(t, "elts", ()))):
+            yield where, "_beta_guard"
+        yield from _dropped_pole_roundings(child, where)
+
+
+def test_every_pole_check_counts_its_rounding():
+    """The rounding a pole check returns reaches every estimate next to a pole.
+
+    degenerate_gamma_log is the one caller that has no estimate to add it to.
+    """
+    package = Path(degamma.__file__).resolve().parent
+    dropped = [
+        (path.stem, *found) for path in sorted(package.glob("*.py"))
+        for found in _dropped_pole_roundings(ast.parse(path.read_text()), "<module>")
+    ]
+    assert dropped == [("core", "degenerate_gamma_log", "_check_argument")]
 
 
 _CONTOURS = """\
