@@ -14,7 +14,8 @@ products -- is implemented as an independent evaluation path, and the
 
 Only the integral paths, the product paths and the harness use numpy.  Their
 modules load on the first use of one of their names, so code that needs only
-the closed form never imports numpy.
+the closed form never imports numpy.  Nor does it import ``dataclasses`` (its
+records are named tuples) or ``fractions`` (only falling_factorial_exact does).
 """
 
 from .classical import (

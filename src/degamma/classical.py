@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, PoleError
 
@@ -86,8 +86,7 @@ _LANCZOS_C = (
 _LANCZOS_TERMS = tuple((c, float(k)) for k, c in enumerate(_LANCZOS_C) if k)
 
 
-@dataclass(frozen=True)
-class LogGammaResult:
+class LogGammaResult(NamedTuple):
     """log Gamma split into natural log of |Gamma| and a continuous argument.
 
     ``exp(log_abs + 1j*arg)`` reproduces Gamma(z) wherever the magnitude is

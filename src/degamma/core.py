@@ -14,8 +14,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from typing import NamedTuple
 
 from .classical import POLE_TOLERANCE, LOG_OVERFLOW, _log_gamma_off_pole
 from .errors import (
@@ -57,25 +56,22 @@ __all__ = [
 NEAR_POLE_RADIUS = 1e-4
 
 
-@dataclass(frozen=True)
 class DegenerateParameter:
     """A validated deformation parameter lambda in the open interval (0,1).
 
     Caches 1/lambda, log(lambda) and log Gamma(1/lambda), the derived
     quantities every evaluation path needs; the closed form divides by
-    Gamma(1/lambda) at every s, so it is taken once here.  The cached fields
-    take no part in equality, hashing or repr, which see only ``lam``.
-    Lambda so small that 1/lambda overflows is rejected; below about
-    3.9e-306, reading ``log_gamma_inv_lambda`` raises ParameterRangeError.
+    Gamma(1/lambda) at every s, so it is taken once here.  Immutable: its
+    fields are slots that refuse assignment.  Equality and repr see only
+    ``lam``, and the hash is that of (lam, inv_lambda, log_lambda).  Lambda
+    so small that 1/lambda overflows is rejected; below about 3.9e-306,
+    reading ``log_gamma_inv_lambda`` raises ParameterRangeError.
     """
 
-    lam: float
-    inv_lambda: float = field(init=False, repr=False)
-    log_lambda: float = field(init=False, repr=False)
-    _log_gamma_u: float = field(init=False, repr=False, compare=False)
+    __slots__ = ("lam", "inv_lambda", "log_lambda", "_log_gamma_u")
 
-    def __post_init__(self):
-        lam = float(self.lam)
+    def __init__(self, lam: float):
+        lam = float(lam)
         if not (0.0 < lam < 1.0):
             raise ParameterRangeError(
                 f"lambda must lie strictly inside (0, 1); got {lam!r}"
@@ -89,6 +85,24 @@ class DegenerateParameter:
         object.__setattr__(self, "inv_lambda", inv_lambda)
         object.__setattr__(self, "log_lambda", math.log(lam))
         object.__setattr__(self, "_log_gamma_u", _log_gamma_off_pole(inv_lambda).real)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self.lam == other.lam if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.lam, self.inv_lambda, self.log_lambda))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(lam={self.lam!r})"
+
+    def __reduce__(self):
+        # the default for slots would restore each field by the refusing __setattr__
+        return type(self), (self.lam,)
 
     @property
     def log_gamma_inv_lambda(self) -> float:
@@ -108,8 +122,7 @@ class PoleFamily(enum.Enum):
 _NON_POSITIVE, _SHIFTED = PoleFamily  # globals, cheaper than the enum lookups
 
 
-@dataclass(frozen=True)
-class PoleInfo:
+class PoleInfo(NamedTuple):
     """One simple pole: its family, index n, location, and residue."""
 
     family: PoleFamily
@@ -184,8 +197,7 @@ def inclusive_grid(start: float, stop: float, step: float) -> list[float]:
     return values
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     """A function value with an absolute error estimate and provenance.
 
     ``abs_error_estimate`` bounds |value - exact|; it is at least
@@ -305,6 +317,7 @@ def falling_factorial_exact(x, n: int, lam) -> Fraction:
     With x = a/d and lambda = b/e, each factor is (a e - j b d) / (d e): the
     integer numerators are multiplied, and one Fraction is reduced at the end.
     """
+    from fractions import Fraction  # only the exact paths pay its import
     if n < 0:
         raise ValueError("falling_factorial_exact: n must be non-negative")
     xf, lf = Fraction(x), Fraction(lam)
@@ -429,8 +442,7 @@ def degenerate_gamma(s: complex, p: DegenerateParameter) -> EvalResult:
     return _finish(EvalMethod.CLOSED_FORM, log_val, rel_est, not s.imag)
 
 
-@dataclass(frozen=True)
-class IntegerGammaValue:
+class IntegerGammaValue(NamedTuple):
     """Exact value at a positive integer: Gamma(k) / (1)_{k+1,lambda}."""
 
     k: int
@@ -439,7 +451,7 @@ class IntegerGammaValue:
 
     def exact(self) -> Fraction:
         """The same quantity in exact rational arithmetic (lambda as a binary rational)."""
-        return Fraction(math.factorial(self.k - 1)) / falling_factorial_exact(
+        return math.factorial(self.k - 1) / falling_factorial_exact(
             1, self.k + 1, self.lam
         )
 
@@ -491,8 +503,7 @@ def difference_step(s: complex, p: DegenerateParameter) -> complex:
     return s / den
 
 
-@dataclass(frozen=True)
-class ShiftStep:
+class ShiftStep(NamedTuple):
     """Multiplicative step of the lambda-shift recurrence.
 
     dgamma_{lam}(s+1) = factor * dgamma_{shifted_lambda}(shifted_arg)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -46,9 +46,9 @@ STRIP_MARGIN = 0.01
 _EPS = math.ulp(1.0)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and contour geometry for the integral paths.
+class QuadratureSpec(namedtuple("QuadratureSpec", "rel_tolerance max_level hankel_radius",
+                                defaults=(DEFAULT_TOLERANCE, 10, 0.3))):
+    """Tolerances and contour geometry for the integral paths, as a checked named tuple.
 
     ``max_level`` is the deepest Clenshaw-Curtis rung, which has
     16 * 2**max_level intervals.  It must be at least 3: the first integrand
@@ -57,17 +57,18 @@ class QuadratureSpec:
     of radius ``hankel_radius``, to 1e-11 or less.
     """
 
-    rel_tolerance: float = DEFAULT_TOLERANCE
-    max_level: int = 10
-    hankel_radius: float = 0.3
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.rel_tolerance >= 1e-14:
             raise ValueError("QuadratureSpec: rel_tolerance must be >= 1e-14")
         if not 0.0 < self.hankel_radius < 1.0:
             raise ValueError("QuadratureSpec: hankel_radius must be in (0, 1)")
         if self.max_level < 3:
             raise ValueError("QuadratureSpec: max_level must be >= 3")
+        return self
 
 
 _DEFAULT_SPEC = QuadratureSpec()

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -67,9 +67,9 @@ __all__ = [
 _CHUNK = 1 << 13
 
 
-@dataclass(frozen=True)
-class ProductSpec:
-    """Truncation control for the product representations.
+class ProductSpec(namedtuple("ProductSpec", "n_terms use_tail_correction tolerance",
+                             defaults=(100_000, False, None))):
+    """Truncation control for the product representations, as a checked named tuple.
 
     Parameters
     ----------
@@ -86,15 +86,16 @@ class ProductSpec:
         n_terms exceeds it.
     """
 
-    n_terms: int = 100_000
-    use_tail_correction: bool = False
-    tolerance: float | None = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n_terms < 1:
             raise ValueError("ProductSpec: n_terms must be >= 1")
         if self.tolerance is not None and self.tolerance <= 0.0:
             raise ValueError("ProductSpec: tolerance must be positive")
+        return self
 
 
 def _tail_sums(n_terms: int) -> tuple[float, float]:

@@ -23,9 +23,11 @@ too, is filled by ``CheckReport.record`` and ``fail``.
 from __future__ import annotations
 
 import cmath
+import copy
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,16 +51,18 @@ REJECTION_RADIUS = 0.05
 _TINY = 1e-300
 
 
-@dataclass
-class CheckReport:
-    """Outcome of one identity check over its sample set."""
+class CheckReport(SimpleNamespace):
+    """Outcome of one identity check over its sample set; mutable, equal by value."""
 
-    check_name: str
-    sample_count: int = 0
-    max_rel_err: float = 0.0
-    failures: list = field(default_factory=list)
-    passed: bool = True
-    per_path: dict | None = None
+    def __init__(self, check_name: str, sample_count: int = 0, max_rel_err: float = 0.0,
+                 failures: list | None = None, passed: bool = True, per_path: dict | None = None):
+        super().__init__(check_name=check_name, sample_count=sample_count,
+                         max_rel_err=max_rel_err, failures=[] if failures is None else failures,
+                         passed=passed, per_path=per_path)
+
+    def __reduce__(self):
+        # SimpleNamespace's own would call CheckReport() without its check_name
+        return type(self), tuple(vars(self).values())
 
     def record(self, s, lam, path, observed, expected, err, tol) -> None:
         """Count one compared sample; it fails unless err <= tol."""
@@ -78,14 +82,13 @@ class CheckReport:
         self.passed = False
 
     def to_dict(self) -> dict:
-        out = asdict(self)
+        out = copy.deepcopy(vars(self))
         if self.per_path is None:
             del out["per_path"]
         return out
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(NamedTuple):
     """Rectangle + spacing for the cross-path scan."""
 
     re_start: float

@@ -205,6 +205,10 @@ class TestDegenerateExpLog:
     def test_limit_recovers_exp(self):
         assert rel(degenerate_exp(1, 1, 1e-8), math.e) <= 1e-6
 
+    def test_step_lost_to_rounding(self):
+        # w = lambda*t = 1e-17 leaves 1 + w == 1; log(1 + w) is then w, not 0/0
+        assert degenerate_exp(1.0, 0.1, 1e-16) == cmath.exp(0.1)
+
     def test_branch_point(self):
         with pytest.raises(BranchPointError):
             degenerate_exp(1, -2.0, 0.5)

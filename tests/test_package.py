@@ -1,8 +1,11 @@
 """The package's surface: its exported names, the modules a path loads, its one result
-builder, and the pole checks whose rounding every estimate counts."""
+builder, the pole checks whose rounding every estimate counts, and its records."""
 
 import ast
+import copy
+import importlib
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -95,6 +98,32 @@ def test_only_the_finish_builds_an_eval_result():
     assert builders == [("core", "_finish")]
 
 
+def _imports(node, where):
+    """(imported module, enclosing function) of each absolute import under an AST node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _imports(child, child.name)
+            continue
+        if isinstance(child, ast.Import):
+            yield from ((alias.name, where) for alias in child.names)
+        elif isinstance(child, ast.ImportFrom) and not child.level:
+            yield child.module, where
+        yield from _imports(child, where)
+
+
+def test_no_module_loads_dataclasses_or_fractions():
+    """Importing the package pays for neither: dataclasses pulls in inspect, and
+    fractions decimal, which only the exact-rational falling factorial needs."""
+    package = Path(degamma.__file__).resolve().parent
+    imports = [
+        (path.stem, name.partition(".")[0], where) for path in sorted(package.glob("*.py"))
+        for name, where in _imports(ast.parse(path.read_text()), "<module>")
+    ]
+    assert [i for i in imports if i[1] == "dataclasses"] == []
+    assert [i for i in imports if i[1] == "fractions"] == [
+        ("core", "fractions", "falling_factorial_exact")]
+
+
 def _callee(node):
     """The name a call is made by, bare or through a module."""
     return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
@@ -172,11 +201,17 @@ def _cli_code(argv):
             f"    assert degamma.cli.main({argv!r}) == 0\n")
 
 
+_CLOSED_FORM_PATHS = [("closed-form", _CLOSED_FORM)] + [
+    (" ".join(argv), _cli_code(argv)) for argv in _CLOSED_FORM_COMMANDS]
+
+
 @pytest.mark.parametrize("code, module", [
     (_CONTOURS, "numpy.fft"),
-    (_CLOSED_FORM, "numpy"),
-] + [(_cli_code(argv), "numpy") for argv in _CLOSED_FORM_COMMANDS],
-    ids=["contours", "closed-form"] + [" ".join(argv) for argv in _CLOSED_FORM_COMMANDS])
+] + [(code, "numpy") for _, code in _CLOSED_FORM_PATHS] + [
+    (code, module) for module in ("dataclasses", "fractions") for _, code in _CLOSED_FORM_PATHS
+], ids=["contours"] + [name for name, _ in _CLOSED_FORM_PATHS] + [
+    f"{name}-{module}" for module in ("dataclasses", "fractions") for name, _ in _CLOSED_FORM_PATHS
+])
 def test_path_leaves_module_unloaded(code, module):
     """Run in a fresh interpreter, after which ``module`` must not be loaded."""
     script = (f"import sys, degamma, degamma.cli\n{code}"
@@ -187,3 +222,96 @@ def test_path_leaves_module_unloaded(code, module):
         timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_lazy_submodule_name_loads_the_module(monkeypatch):
+    """``degamma.verify`` comes from the package's __getattr__ until an import binds
+    it: in a fresh interpreter, and here once the binding is dropped."""
+    script = ("import sys, degamma\n"
+              "assert 'degamma.verify' not in sys.modules\n"
+              "assert degamma.verify is sys.modules['degamma.verify']\n")
+    src = Path(degamma.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    monkeypatch.delattr(degamma, "verify", raising=False)
+    assert degamma.verify is importlib.import_module("degamma.verify")
+
+
+def _records():
+    """(id, record, its constructor's field names) for every public record type."""
+    p = degamma.DegenerateParameter(0.3)
+    report = degamma.CheckReport("demo", per_path={"closed-form": {"max_rel_err": 0.0}})
+    report.record(0.5 + 1j, 0.3, "closed-form", 1 + 0j, 1 + 1e-9j, 1e-9, 1e-12)
+    results = ("value", "abs_error_estimate", "method", "status", "pole", "log_value", "note")
+    return [
+        ("DegenerateParameter", p, ("lam",)),
+        ("EvalResult-regular", degamma.degenerate_gamma(0.5 + 1j, p), results),
+        ("EvalResult-pole", degamma.degenerate_gamma(0.0, p), results),
+        ("EvalResult-overflow",
+         degamma.degenerate_gamma(300.0, degamma.DegenerateParameter(0.001)), results),
+        ("PoleInfo", degamma.poles(p, 1)[0], ("family", "index", "location", "residue")),
+        ("LogGammaResult", degamma.log_gamma(-2.5 + 1j), ("log_abs", "arg")),
+        ("IntegerGammaValue", degamma.degenerate_gamma_integer(3, p), ("k", "lam", "value")),
+        ("ShiftStep", degamma.lambda_shift_recurrence(0.5 + 1j, 0, p),
+         ("factor", "shifted_lambda", "shifted_arg")),
+        ("QuadratureSpec", degamma.QuadratureSpec(rel_tolerance=1e-8, max_level=5),
+         ("rel_tolerance", "max_level", "hankel_radius")),
+        ("ProductSpec", degamma.ProductSpec(n_terms=10, use_tail_correction=True, tolerance=0.1),
+         ("n_terms", "use_tail_correction", "tolerance")),
+        ("GridSpec", degamma.GridSpec(0.2, 1.8, 0.4), ("re_start", "re_stop", "re_step")),
+        ("CheckReport", report, ("check_name", "sample_count", "max_rel_err", "failures",
+                                 "passed", "per_path")),
+    ]
+
+
+_RECORDS = _records()
+
+
+def _assert_same(copied, record):
+    """Equal, or repr-equal where a NaN (a pole's or overflow's value) defeats ==."""
+    assert type(copied) is type(record)
+    assert repr(copied) == repr(record)
+    assert copied == record or "nan" in repr(record)
+
+
+def test_records_cover_every_result_status():
+    statuses = {r.status for name, r, _ in _RECORDS if name.startswith("EvalResult")}
+    assert statuses == {degamma.EvalStatus.REGULAR, degamma.EvalStatus.AT_POLE,
+                        degamma.EvalStatus.OVERFLOW}
+
+
+@pytest.mark.parametrize("record, fields", [r[1:] for r in _RECORDS],
+                         ids=[r[0] for r in _RECORDS])
+def test_record_round_trips(record, fields):
+    """pickle, deepcopy and construction by keyword or position give the record back."""
+    values = [getattr(record, name) for name in fields]
+    _assert_same(pickle.loads(pickle.dumps(record)), record)
+    _assert_same(copy.deepcopy(record), record)
+    _assert_same(type(record)(**dict(zip(fields, values))), record)
+    _assert_same(type(record)(*values), record)
+    if isinstance(record, degamma.CheckReport):  # the one mutable record
+        record.passed = record.passed
+        return
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], values[0])
+    with pytest.raises(AttributeError):
+        delattr(record, fields[0])
+
+
+@pytest.mark.parametrize("spec, field, bad", [
+    (degamma.QuadratureSpec(), "rel_tolerance", 1e-15),
+    (degamma.QuadratureSpec(), "max_level", 2),
+    (degamma.QuadratureSpec(), "hankel_radius", 1.0),
+    (degamma.ProductSpec(), "n_terms", 0),
+    (degamma.ProductSpec(), "tolerance", 0.0),
+])
+def test_spec_checks_hold_for_every_builder(spec, field, bad):
+    """A spec built by keyword, by _make or by _replace is checked alike."""
+    values = {**dict(zip(spec._fields, spec)), field: bad}
+    for build in (lambda: type(spec)(**values), lambda: type(spec)._make(values.values()),
+                  lambda: spec._replace(**{field: bad})):
+        with pytest.raises(ValueError, match=field):
+            build()
