@@ -15,6 +15,13 @@ keeps the reflection's rule, which needs only the signs of sin(pi x) and
 cos(pi x).  Past ``math.lgamma``'s range (it overflows from about 2.56e305)
 the complex path takes over.
 
+The kernel is written for the interpreter, whose bytecode costs more than
+its arithmetic: the Lanczos sum is one expression; one exact reduction of x
+mod 2, ``_sincospi``, gives sin(pi x) and cos(pi x) to ``sin_pi``, to the
+reflection's log sine and to the real axis' argument; and
+``_log_gamma_off_pole`` sends Re(z) >= 0.5 off the axis straight to the
+sum.  Each keeps the bits of the term-by-term forms the tests hold it to.
+
 Multi-gamma formulas (beta and everything in :mod:`degamma.core`) are
 assembled as sums of log-gamma values and exponentiated once, so intermediate
 magnitudes such as Gamma(1/lambda) never have to be representable.
@@ -63,9 +70,11 @@ _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _TWO_PI = 2.0 * math.pi
 
 # Lanczos coefficients for g = 607/128, N = 15 (Godfrey's set); relative error
-# below 1e-14 on Re(z) >= 0.5 at double precision.
+# below 1e-14 on Re(z) >= 0.5 at double precision.  Held as complex numbers
+# with zero imaginary part, so that c_k / (z - 1 + k) is one complex division
+# without float's refused attempt first; the bits are those of the real c_k.
 _LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = (
+_LANCZOS_C = tuple(map(complex, (
     0.99999999999999709182,
     57.156235665862923517,
     -59.597960355475491248,
@@ -81,9 +90,7 @@ _LANCZOS_C = (
     0.84418223983852743293e-4,
     -0.26190838401581408670e-4,
     0.36899182659531622704e-5,
-)
-# (c_k, k) for k >= 1: the Lanczos sum adds c_k / (z - 1 + k).
-_LANCZOS_TERMS = tuple((c, float(k)) for k, c in enumerate(_LANCZOS_C) if k)
+)))
 
 
 class LogGammaResult(NamedTuple):
@@ -102,48 +109,43 @@ class LogGammaResult(NamedTuple):
         return complex(self.log_abs, self.arg)
 
 
-def _sinpi_real(x: float) -> float:
-    """sin(pi*x) for real x with exact range reduction of x."""
-    if x < 0.0:
-        return -_sinpi_real(-x)
-    r = math.fmod(x, 2.0)  # exact
-    if r < 0.5:
-        return math.sin(math.pi * r)
-    if r < 1.5:
-        return math.sin(math.pi * (1.0 - r))  # 1 - r is exact here
-    return math.sin(math.pi * (r - 2.0))  # r - 2 is exact here
+def _sincospi(x: float) -> tuple[float, float]:
+    """sin(pi*x) and cos(pi*x) for real x, each the sine of pi times a reduced argument.
 
-
-def _cospi_real(x: float) -> float:
-    """cos(pi*x) for real x, exactly zero at half-integers.
-
-    Routed through the shifted sine so the branch side chosen by the signed
-    zero of Im(sin(pi*z)) stays consistent with the reflection unwinding.
+    r = |x| mod 2 is exact, and so is every shift of r below except 0.5 - r
+    for r < 0.5.  cos(pi*x) is exactly zero at half-integers, with the signed
+    zero that keeps the side of the cut the reflection unwinding expects.
     """
-    x = abs(x)
-    r = math.fmod(x, 2.0)
-    return _sinpi_real(0.5 - r)  # 0.5 - r is exact
+    r = math.fmod(-x if x < 0.0 else x, 2.0)
+    if r <= 0.5:
+        s, c = math.sin(math.pi * r), math.sin(math.pi * (0.5 - r))
+    elif r < 1.0:
+        s, c = math.sin(math.pi * (1.0 - r)), -math.sin(math.pi * (r - 0.5))
+    elif r < 1.5:
+        s, c = math.sin(math.pi * (1.0 - r)), -math.sin(math.pi * (1.5 - r))
+    else:
+        s, c = math.sin(math.pi * (r - 2.0)), -math.sin(math.pi * (1.5 - r))
+    return (-s if x < 0.0 else s), c
 
 
 def sin_pi(z: complex) -> complex:
     """sin(pi*z), accurate for z near (possibly large) integers.
 
-    Overflows for |Im z| beyond ~350/pi; use the internal log form instead
-    when only log(sin(pi*z)) is needed.
+    Raises OverflowError for |Im z| beyond ~710/pi (about 226); use the
+    internal log form instead when only log(sin(pi*z)) is needed.
     """
     z = complex(z)
+    s, c = _sincospi(z.real)
     piy = math.pi * z.imag
-    return complex(
-        _sinpi_real(z.real) * math.cosh(piy),
-        _cospi_real(z.real) * math.sinh(piy),
-    )
+    return complex(s * math.cosh(piy), c * math.sinh(piy))
 
 
 def _log_sin_pi(z: complex) -> complex:
     """Principal log(sin(pi*z)), valid also where sin(pi*z) overflows."""
     piy = math.pi * z.imag
     if abs(piy) < 350.0:
-        return cmath.log(sin_pi(z))
+        s, c = _sincospi(z.real)
+        return cmath.log(complex(s * math.cosh(piy), c * math.sinh(piy)))
     if z.imag < 0.0:
         return _log_sin_pi(z.conjugate()).conjugate()
     # sin(pi z) = (i/2) e^{pi y - i pi x} (1 - e^{2 i pi z}); the correction
@@ -179,13 +181,21 @@ def _refuse_integer(name: str, arg: str, z: complex, why: str, nonpositive=False
 
 
 def _lanczos_log(z: complex) -> complex:
-    """log Gamma(z) on Re(z) >= 0.5 via the Lanczos rational approximation."""
-    acc = _LANCZOS_C[0] + 0.0j
+    """log Gamma(z) on Re(z) >= 0.5 via the Lanczos rational approximation.
+
+    The sum c_0 + sum_k c_k / (z - 1 + k), k = 1..14, is written out rather
+    than looped, which saves the loop's own bytecode; it adds left to right.
+    """
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14 = _LANCZOS_C
     zm1 = z - 1.0
-    for c, k in _LANCZOS_TERMS:
-        acc += c / (zm1 + k)
-    t = z - 0.5 + _LANCZOS_G
-    return _HALF_LOG_TWO_PI + (z - 0.5) * cmath.log(t) - t + cmath.log(acc)
+    acc = (c0 + c1 / (zm1 + 1.0) + c2 / (zm1 + 2.0) + c3 / (zm1 + 3.0)
+           + c4 / (zm1 + 4.0) + c5 / (zm1 + 5.0) + c6 / (zm1 + 6.0) + c7 / (zm1 + 7.0)
+           + c8 / (zm1 + 8.0) + c9 / (zm1 + 9.0) + c10 / (zm1 + 10.0)
+           + c11 / (zm1 + 11.0) + c12 / (zm1 + 12.0) + c13 / (zm1 + 13.0)
+           + c14 / (zm1 + 14.0))
+    zh = z - 0.5
+    t = zh + _LANCZOS_G
+    return _HALF_LOG_TWO_PI + zh * cmath.log(t) - t + cmath.log(acc)
 
 
 def _log_gamma_complex(z: complex) -> complex:
@@ -201,7 +211,8 @@ def _log_gamma_complex(z: complex) -> complex:
         # The reflection below on the real axis: sin(pi z) = sin(pi x) +
         # i cos(pi x) sinh(pi y) with sinh(pi y) a zero of y's sign, so the
         # argument of log sin(pi z) is a signed zero or +-pi.
-        arg = math.atan2(_cospi_real(x) * y, _sinpi_real(x))
+        sin_x, cos_x = _sincospi(x)
+        arg = math.atan2(cos_x * y, sin_x)
         unwind = math.copysign(_TWO_PI, y) * math.floor(0.5 * x + 0.25)
         return complex(log_abs, unwind - arg)
     if x >= 0.5:
@@ -219,7 +230,10 @@ def _log_gamma_complex(z: complex) -> complex:
 
 def _log_gamma_off_pole(z: complex) -> complex:
     """log Gamma(z) for a z the caller has already cleared of poles."""
-    if z.imag == 0.0 and z.real < 0.0:
+    if z.imag:
+        if z.real >= 0.5:
+            return _lanczos_log(z)
+    elif z.real < 0.0:
         # On the cut, take the lower-half-plane limit: Gamma(-0.5) gets arg +pi.
         z = complex(z.real, -0.0)
     return _log_gamma_complex(z)
@@ -274,8 +288,13 @@ def beta(a: complex, b: complex) -> complex:
 def reflection_product(z: complex) -> complex:
     """pi / sin(pi*z), computed directly (equals Gamma(z)Gamma(1-z)).
 
-    Raises DomainError if z is not finite.
+    From pi*|Im z| = LOG_OVERFLOW on (|Im z| about 225.7), where |sin(pi*z)|
+    is near e^709 and the division or sin(pi*z) itself overflows, the value
+    is taken as exp(log pi - log sin(pi*z)).  Raises DomainError if z is not
+    finite.
     """
     z = complex(z)
     _refuse_integer("reflection_product", "z", z, "where sin(pi z) vanishes")
-    return math.pi / sin_pi(z)
+    if abs(math.pi * z.imag) < LOG_OVERFLOW:
+        return math.pi / sin_pi(z)
+    return cmath.exp(_LOG_PI - _log_sin_pi(z))

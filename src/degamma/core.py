@@ -374,9 +374,9 @@ def nearest_pole(s: complex, p: DegenerateParameter) -> tuple[float, PoleFamily,
     s = complex(s)
     if not cmath.isfinite(s):
         raise DomainError(f"argument {s} is not finite")
-    n1 = max(0, int(round(-s.real)))
+    n1 = round(-s.real) if s.real < 0.5 else 0
     d1 = abs(s + n1)
-    n2 = int(round(s.real - p.inv_lambda)) if s.real > p.inv_lambda else 0
+    n2 = round(s.real - p.inv_lambda) if s.real > p.inv_lambda else 0
     d2 = abs(s - (p.inv_lambda + n2))
     if d1 <= d2:
         return d1, _NON_POSITIVE, n1

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import namedtuple
 
 import numpy as np
@@ -50,7 +51,7 @@ from .core import (
     _check_argument,
     _finish,
 )
-from .errors import ConvergenceError
+from .errors import ConvergenceError, ParameterRangeError
 
 __all__ = [
     "ProductSpec",
@@ -77,7 +78,8 @@ class ProductSpec(namedtuple("ProductSpec", "n_terms use_tail_correction toleran
         Truncation level N (default 1e5, which targets ~1e-4 relative error
         for moderate arguments).  It sets the accuracy, not the cost: the far
         tail of every product is summed in closed form, so a call costs
-        O(|z| + 1/lambda) terms for any N.
+        O(|z| + 1/lambda) terms for any N.  ParameterRangeError past the
+        largest float, about 1.8e308.
     use_tail_correction : bool
         Add the second- and third-order analytic tail of the log-product,
         upgrading the O(1/N) truncation error to roughly O(1/N**3).
@@ -93,16 +95,20 @@ class ProductSpec(namedtuple("ProductSpec", "n_terms use_tail_correction toleran
         self = super().__new__(cls, *args, **kwargs)
         if self.n_terms < 1:
             raise ValueError("ProductSpec: n_terms must be >= 1")
+        if self.n_terms > sys.float_info.max:
+            raise ParameterRangeError("ProductSpec: n_terms is past the largest float")
         if self.tolerance is not None and self.tolerance <= 0.0:
             raise ValueError("ProductSpec: tolerance must be positive")
         return self
 
 
 def _tail_sums(n_terms: int) -> tuple[float, float]:
-    # sum_{n>N} 1/n^2 and 1/n^3 by their Euler-Maclaurin expansions
-    N = float(n_terms)
-    s2 = 1.0 / N - 1.0 / (2.0 * N**2) + 1.0 / (6.0 * N**3)
-    s3 = 1.0 / (2.0 * N**2) - 1.0 / (2.0 * N**3) + 1.0 / (4.0 * N**4)
+    # sum_{n>N} 1/n^2 and 1/n^3 by their Euler-Maclaurin expansions, in powers
+    # of r = 1/N, which underflow rather than overflow at large N
+    r = 1.0 / n_terms
+    r2 = r * r
+    s2 = r - r2 / 2.0 + r2 * r / 6.0
+    s3 = r2 / 2.0 - r2 * r / 2.0 + r2 * r2 / 4.0
     return s2, s3
 
 
@@ -184,7 +190,7 @@ def _harmonic_less_gamma(n: int) -> float:
     if n < 100:
         return math.fsum(1.0 / k for k in range(1, n + 1)) - EULER_GAMMA
     # asymptotic series; the first omitted term is below 1/(240 n**8) < 1e-18
-    inv2 = 1.0 / (n * n)
+    inv2 = 1.0 / (float(n) * n)  # in floats, which overflow to inf, not raise
     return (
         math.log(n) + 0.5 / n
         - inv2 * (1.0 / 12.0 - inv2 * (1.0 / 120.0 - inv2 / 252.0))
@@ -200,10 +206,12 @@ def _tail_bound(args: tuple[complex, ...], u: float, n_terms: int, power: int) -
     """(sum |a|**power + u) / N**(power - 1) over the factors' arguments a.
 
     Inf before the head; past it, |log factor_n| <= (sum |a|**2 + u)/n**2.
+    N is taken at most 2**256, so that N**3 stays a float; a smaller N only
+    raises the bound.
     """
     if _before_head(args, n_terms):
         return math.inf
-    return (sum(abs(a) ** power for a in args) + u) / n_terms ** (power - 1)
+    return (sum(abs(a) ** power for a in args) + u) / min(n_terms, 2**256) ** (power - 1)
 
 
 def _log_estimate(rel_est: float, magnitude: float, tolerance: float | None) -> float:
@@ -320,6 +328,8 @@ def sine_product(z: complex, n_terms: int) -> complex:
     """
     if n_terms < 1:
         raise ValueError("sine_product: n_terms must be >= 1")
+    if n_terms > sys.float_info.max:
+        raise ParameterRangeError("sine_product: n_terms is past the largest float")
     z = complex(z)
     if not abs(z) < POLE_TOLERANCE:  # true also for a non-finite z
         _refuse_integer("sine_product", "z", z, "where a factor vanishes")

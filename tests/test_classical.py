@@ -232,6 +232,67 @@ class TestRealAxisPath:
         assert repr(classical._log_gamma_complex(z)) == repr(_complex_path(z))
 
 
+def _sinpi_reference(x):
+    """sin(pi*x) by the recursive reduction the kernel used before _sincospi."""
+    if x < 0.0:
+        return -_sinpi_reference(-x)
+    r = math.fmod(x, 2.0)
+    if r < 0.5:
+        return math.sin(math.pi * r)
+    if r < 1.5:
+        return math.sin(math.pi * (1.0 - r))
+    return math.sin(math.pi * (r - 2.0))
+
+
+def _cospi_reference(x):
+    """cos(pi*x) as the shifted sine, the way the kernel took it before _sincospi."""
+    return _sinpi_reference(0.5 - math.fmod(abs(x), 2.0))
+
+
+# Signed zeros, integers and half-integers (where one of the pair is an exact
+# zero), the reduction's branch edges and their neighbours, and magnitudes up
+# to where every float is an even integer.
+_SINCOS_GRID = tuple(sign * x for sign in (1.0, -1.0) for x in (
+    0.0, 5e-324, 1e-300, 1e-17, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0,
+    *(math.nextafter(e, d) for e in (0.5, 1.0, 1.5, 2.0) for d in (0.0, 3.0)),
+    *(k + 0.0 for k in range(3, 12)), *(k + 0.5 for k in range(2, 12)),
+    2.0**52 - 0.5, 2.0**52 + 1.0, 2.0**53, 1e15 + 0.5, 1e16, 1e16 + 2.0, 1e300,
+))
+
+
+def _assert_sincospi_bits(x):
+    want = (_sinpi_reference(x), _cospi_reference(x))
+    assert repr(classical._sincospi(x)) == repr(want), x
+
+
+class TestKernelBits:
+    """The shared sin/cos-pi reduction and the off-pole dispatch, bit for bit."""
+
+    def test_sincospi_grid(self):
+        for x in _SINCOS_GRID:
+            _assert_sincospi_bits(x)
+
+    @given(st.one_of(st.floats(-8.0, 8.0), st.floats(allow_nan=False, allow_infinity=False)))
+    @settings(max_examples=400, deadline=None)
+    def test_sincospi_sampled(self, x):
+        _assert_sincospi_bits(x)
+
+    @pytest.mark.parametrize("z", [
+        0.5 + 1e-300j, 0.5 - 3j, math.nextafter(0.5, 0.0) + 2j, -0.5 + 0.25j,
+        -7.5 - 1e-9j, -170.3 + 40j, 2.5 + 300j, -2.5 - 300j, 1e6 + 1j, -1e6 + 0.5j,
+        0.25 + 1e5j, -3.7 - 120j, 12.5 - 111.3j,
+    ])
+    def test_off_pole_complex_grid(self, z):
+        assert repr(classical._log_gamma_off_pole(z)) == repr(_complex_path(z))
+
+    @given(st.floats(-80.0, 80.0), st.floats(-80.0, 80.0))
+    @settings(max_examples=300, deadline=None)
+    def test_off_pole_complex_sampled(self, x, y):
+        z = complex(x, y)
+        assume(y != 0.0 and _off_pole(z))
+        assert repr(classical._log_gamma_off_pole(z)) == repr(_complex_path(z))
+
+
 class TestGamma:
     def test_integer_values(self):
         for n in range(1, 21):
@@ -305,6 +366,20 @@ class TestReflection:
     def test_pole_at_integers(self):
         with pytest.raises(PoleError):
             reflection_product(3.0)
+
+    @pytest.mark.parametrize("z", [
+        0.3 + 225.6j, complex(0.3, math.nextafter(709.0 / math.pi, 0.0)),
+        complex(0.3, 709.0 / math.pi), 0.3 + 225.95j, 0.3 + 226.1j, 0.7 - 226j,
+        2.5 + 226.05j, 0.3 + 226.2j, 0.3 + 230j, -5.7 - 230j, 0.3 + 237j,
+        1e6 + 0.25 - 228j, 0.5 + 300j,
+    ])
+    def test_where_sin_pi_overflows(self, z):
+        # sin(pi z) overflows past |Im z| of about 226.15, and pi / sin(pi z)
+        # rounded to 0 a little before (from 226.085 at Re z = 0.3); the
+        # value is representable
+        ref = mp.pi / mp.sin(mp.pi * mp.mpc(z.real, z.imag))
+        got = reflection_product(z)
+        assert abs(mp.mpc(got.real, got.imag) - ref) <= 1e-13 * abs(ref) + math.ulp(0.0)
 
 
 class TestBeta:

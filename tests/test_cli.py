@@ -140,6 +140,12 @@ class TestEval:
         assert err.startswith(f"degamma: {name}: ")
         assert err.rstrip().endswith(" overflows")
 
+    def test_n_terms_past_the_largest_float_exit_2(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--lambda", "0.5", "--s", "1.5+0.5i",
+                                 "--method", "weierstrass", "--n-terms", "1" + "0" * 400)
+        assert (code, out) == (2, "")
+        assert err == "degamma: ProductSpec: n_terms is past the largest float\n"
+
     @pytest.mark.parametrize("method", ["hankel", "hankel-reflected"])
     def test_contour_prefactor_overflow_exit_2(self, capsys, method):
         # sin(pi s) is past double range at |Im s| = 226.5

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from degamma import core
 from degamma.classical import LOG_OVERFLOW, gamma, log_gamma, reflection_product, sin_pi
 from degamma.cli import parse_range
 from degamma.core import (
@@ -906,3 +907,45 @@ def test_grid_spec_ends_at_its_stop(start, stop, step, expected):
     """GridSpec and the CLI's ranges share one rule: no point past the stop."""
     assert GridSpec(start, stop, step).points() == [complex(x, 0.0) for x in expected]
     assert parse_range(f"{start!r}:{stop!r}:{step!r}") == expected
+
+
+def test_closed_form_kernel_calls_match_the_measured_count(monkeypatch):
+    # two log-gamma kernel calls per closed-form value or residue, six per
+    # beta (the zero at a pole sum too); a second pole test or a term taken
+    # twice shows as more calls, and the counts repeat exactly
+    rng = np.random.default_rng(14)
+    params = [DegenerateParameter(lam) for lam in rng.uniform(0.05, 0.95, 12)]
+    kernel, calls = core._log_gamma_off_pole, []
+
+    def counted(z):
+        calls.append(z)
+        return kernel(z)
+
+    monkeypatch.setattr(core, "_log_gamma_off_pole", counted)  # after log Gamma(u)
+    counts = dict.fromkeys(("gamma", "gamma-at-pole", "beta", "beta-zero",
+                            "beta-classical", "gamma-log"), 0)
+
+    def count(key, f, *args):
+        calls.clear()
+        f(*args)
+        counts[key] += len(calls)
+
+    for p in params:
+        u = p.inv_lambda
+        s = sample_regular(rng, p, (-3.0, u + 3.0), 5.0)
+        x = sample_regular(rng, p, (-3.0, u + 3.0), 0.0).real
+        while True:
+            a, b = (sample_regular(rng, p, (-3.0, u + 3.0), 5.0) for _ in range(2))
+            if nearest_pole(a + b, p)[0] >= 0.05:
+                break
+        n = int(rng.integers(0, 4))
+        for w in (s, x):
+            count("gamma", degenerate_gamma, w, p)
+            count("gamma-log", degenerate_gamma_log, w, p)
+        for pole in (-n, u + n):
+            count("gamma-at-pole", degenerate_gamma, pole, p)
+        count("beta", degenerate_beta, a, b, p)
+        count("beta-zero", degenerate_beta, a, -n - a, p)
+        count("beta-classical", degenerate_beta_classical, a, b, p)
+    assert counts == {"gamma": 48, "gamma-at-pole": 48, "beta": 72, "beta-zero": 72,
+                      "beta-classical": 72, "gamma-log": 48}

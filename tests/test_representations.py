@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from degamma.classical import sin_pi
 from degamma.core import DegenerateParameter, degenerate_beta, degenerate_gamma
 from degamma.core import degenerate_beta_classical
-from degamma.errors import ConvergenceError, DomainError, PoleError
+from degamma.errors import ConvergenceError, DomainError, ParameterRangeError, PoleError
 from degamma.representations import (
     ProductSpec,
     _paired_log_sum,
@@ -295,6 +296,43 @@ class TestPoleErrorsNameThePole:
             evaluate(pole + offset, p)
         assert exc.value.location == complex(pole, 0.0)
         assert exc.value.argument_name == name
+
+
+_HUGE_N_PATHS = {
+    "weierstrass": lambda p, n: weierstrass_gamma(1.5 + 0.5j, p, ProductSpec(n)),
+    "weierstrass-tail": lambda p, n: weierstrass_gamma(
+        1.5 + 0.5j, p, ProductSpec(n, use_tail_correction=True)),
+    "euler-limit": lambda p, n: euler_limit_gamma(1.5 + 0.5j, p, ProductSpec(n)),
+    "beta-product": lambda p, n: degenerate_beta_product(1.5 + 0.5j, 0.3, p, ProductSpec(n)),
+}
+
+
+class TestHugeN:
+    """N runs up to the largest float, and is refused past it."""
+
+    @pytest.mark.parametrize("n_terms", [10**200, int(sys.float_info.max)],
+                             ids=["1e200", "float-max"])
+    @pytest.mark.parametrize("path", _HUGE_N_PATHS, ids=str)
+    def test_within_estimate_of_the_closed_form(self, path, n_terms):
+        p = DegenerateParameter(0.5)
+        res = _HUGE_N_PATHS[path](p, n_terms)
+        ref = (degenerate_beta(1.5 + 0.5j, 0.3, p) if path == "beta-product"
+               else degenerate_gamma(1.5 + 0.5j, p))
+        assert abs(res.value - ref.value) <= res.abs_error_estimate + ref.abs_error_estimate
+
+    def test_sine_product(self):
+        assert abs(sine_product(0.5, 10**200) - math.pi / 2.0) <= 1e-14
+
+    @pytest.mark.parametrize("path", _HUGE_N_PATHS, ids=str)
+    def test_past_the_largest_float_refused(self, path):
+        with pytest.raises(ParameterRangeError, match="^ProductSpec: n_terms is past "):
+            _HUGE_N_PATHS[path](DegenerateParameter(0.5), 10**400)
+
+    def test_refused_by_every_builder(self):
+        with pytest.raises(ParameterRangeError):
+            ProductSpec(10)._replace(n_terms=10**400)
+        with pytest.raises(ParameterRangeError, match="^sine_product: n_terms is past "):
+            sine_product(0.5, 10**400)
 
 
 class TestProductSpec:
