@@ -131,10 +131,13 @@ def _sincospi(x: float) -> tuple[float, float]:
 def sin_pi(z: complex) -> complex:
     """sin(pi*z), accurate for z near (possibly large) integers.
 
-    Raises OverflowError for |Im z| beyond ~710/pi (about 226); use the
-    internal log form instead when only log(sin(pi*z)) is needed.
+    Raises DomainError if z is not finite, and OverflowError for |Im z| beyond
+    ~710/pi (about 226); use the internal log form instead when only
+    log(sin(pi*z)) is needed.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"sin_pi: z = {z} is not finite")
     s, c = _sincospi(z.real)
     piy = math.pi * z.imag
     return complex(s * math.cosh(piy), c * math.sinh(piy))

@@ -19,7 +19,7 @@ from degamma.classical import (
     reflection_product,
     sin_pi,
 )
-from degamma.errors import PoleError
+from degamma.errors import DomainError, PoleError
 
 mp.mp.dps = 40
 
@@ -416,6 +416,19 @@ class TestSinPi:
         z = complex(x, y)
         ref = cmath.sin(math.pi * z)
         assert abs(sin_pi(z) - ref) <= 1e-9 * max(abs(ref), 1.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_non_finite_argument_is_refused(self, bad, part):
+        z = complex(bad, 0.3) if part == "re" else complex(0.3, bad)
+        with pytest.raises(DomainError, match="sin_pi"):
+            sin_pi(z)
+
+    def test_overflow_past_the_largest_sinh_stays(self):
+        # the documented policy of errors.py: a representable magnitude
+        # that overflows raises the builtin OverflowError
+        with pytest.raises(OverflowError):
+            sin_pi(0.3 + 230j)
 
 
 class TestEulerConstant:

@@ -1,9 +1,11 @@
 """Tests for the cross-representation verification harness."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from degamma import verify
+from degamma import classical, quadrature, representations, verify
 from degamma.core import DegenerateParameter, degenerate_gamma
 from degamma.verify import (
     CHECK_ROSTER,
@@ -107,6 +109,62 @@ class TestIdentitySuite:
         )
         assert [r.check_name for r in reports if not r.passed] == [check]
 
+    @pytest.mark.parametrize("check", [
+        "difference-equation", "reflection-symmetry", "closed-form-beta-identity",
+        "lambda-shift-k0", "lambda-shift-k1", "lambda-shift-k2", "integer-values",
+        "weierstrass-product-paired", "beta-classical-mixed", "beta-integer-formula",
+        "hankel-contour-reflected",
+    ])
+    def test_exact_identity_is_held_to_one_constant(self, check):
+        # a 1e-11 disagreement is ten times the one exact-identity bound
+        reports = run_identity_suite(
+            seed=1, samples=3, product_terms=10**4, perturb_check=check,
+            perturb_factor=1.0 + 1e-11,
+        )
+        failed = {r.check_name: r for r in reports if not r.passed}
+        assert list(failed) == [check]
+        assert {f["tol"] for f in failed[check].failures} == {verify.EXACT_TOL}
+
+    @pytest.mark.parametrize("scale,fails", [(0.9, False), (1.5, True)])
+    def test_approximate_path_is_held_to_its_own_estimate(self, monkeypatch, scale, fails):
+        # each Euler-limit value moved off the closed form by scale times its
+        # own estimate, which at N = 1e5 is far above the floor
+        euler = representations.euler_limit_gamma
+
+        def moved(s, p, spec):
+            res = euler(s, p, spec)
+            return res._replace(
+                value=degenerate_gamma(s, p).value + scale * res.abs_error_estimate)
+
+        monkeypatch.setattr(representations, "euler_limit_gamma", moved)
+        reports = run_identity_suite(seed=1, samples=3, product_terms=10**5)
+        by_name = {r.check_name: r for r in reports}
+        assert len(by_name["euler-limit"].failures) == (3 if fails else 0)
+        assert all(r.passed for name, r in by_name.items() if name != "euler-limit")
+
+    @pytest.mark.parametrize("rel_err,fails", [(3e-13, False), (7e-13, True)])
+    def test_estimate_below_the_floor_is_held_to_the_floor(self, monkeypatch, rel_err, fails):
+        # an estimate of 0 still leaves the rounding of the reference itself
+        euler = representations.euler_limit_gamma
+
+        def exact(s, p, spec):
+            return euler(s, p, spec)._replace(
+                value=degenerate_gamma(s, p).value * (1.0 + rel_err), abs_error_estimate=0.0)
+
+        monkeypatch.setattr(representations, "euler_limit_gamma", exact)
+        by_name = {r.check_name: r for r in run_identity_suite(seed=1, samples=3)}
+        assert {f["tol"] for f in by_name["euler-limit"].failures} == (
+            {verify.ESTIMATE_FLOOR} if fails else set())
+
+    @pytest.mark.parametrize("check", ["residues-nonpositive", "residues-shifted"])
+    def test_residue_rows_see_a_1e_8_fault(self, check):
+        # the four-angle limit reaches about 1e-12 at every fixed point
+        reports = run_identity_suite(
+            seed=1, samples=1, product_terms=10**4, perturb_check=check,
+            perturb_factor=1.0 + 1e-8,
+        )
+        assert [r.check_name for r in reports if not r.passed] == [check]
+
     def test_samples_validated(self):
         with pytest.raises(ValueError):
             run_identity_suite(seed=0, samples=0)
@@ -117,6 +175,66 @@ class TestIdentitySuite:
         for seed in np.random.default_rng([0, 3]).integers(0, 2**31, size=100):
             for rep in run_identity_suite(seed=int(seed), samples=3):
                 assert rep.passed, (int(seed), rep.check_name, rep.failures[:2])
+
+
+def _shifted(fn, f):
+    """fn with f added to its value, a log: a relative fault f in what it stands for."""
+    return lambda *args, **kwargs: fn(*args, **kwargs) + f
+
+
+def _scaled(fn, f):
+    return lambda *args, **kwargs: fn(*args, **kwargs) * (1.0 + f)
+
+
+def _faulty_ladder(ladder, f):
+    def faulty(*args, **kwargs):
+        total, err = ladder(*args, **kwargs)
+        return total * (1.0 + f), err
+    return faulty
+
+
+def _faulty_far_piece(piece, f):
+    def faulty(*args, **kwargs):
+        far, back, log_back = piece(*args, **kwargs)
+        return (lambda geometry: far(geometry) * (1.0 + f)), back * (1.0 + f), log_back
+    return faulty
+
+
+# Every kernel that more than one path runs: (owner, attribute, maker of the
+# faulty replacement from the original and a relative fault f).  sin_pi is
+# faulted only where the contours call it, through quadrature's own view of
+# the classical module.
+SHARED_KERNELS = {
+    "paired-log-sum": (representations, "_paired_log_sum", _shifted),
+    "lanczos-log": (classical, "_lanczos_log", _shifted),
+    "cc-ladder": (quadrature, "_cc_ladder", _faulty_ladder),
+    "sin-pi-in-quadrature": (quadrature, "classical", lambda module, f: SimpleNamespace(
+        **{**vars(module), "sin_pi": _scaled(module.sin_pi, f)})),
+    "log-gamma-inv-lambda": (DegenerateParameter, "log_gamma_inv_lambda",
+                             lambda prop, f: property(_shifted(prop.fget, f))),
+    "far-piece": (quadrature, "_far_piece", _faulty_far_piece),
+}
+
+
+@pytest.mark.parametrize("kernel", SHARED_KERNELS)
+def test_every_shared_kernel_is_caught(monkeypatch, kernel):
+    # a relative 1e-10 fault in any shared kernel fails at least one check of
+    # what ``degamma verify`` runs, at its default product truncation
+    owner, name, make_faulty = SHARED_KERNELS[kernel]
+    monkeypatch.setattr(owner, name, make_faulty(getattr(owner, name), 1e-10))
+    reports = run_identity_suite(seed=0, samples=10) + run_limit_checks()
+    reports.append(run_cross_path_scan(GridSpec(0.2, 1.8, 0.4), DegenerateParameter(0.5)))
+    assert [r.check_name for r in reports if not r.passed]
+
+
+def test_products_run_at_1e12_in_the_suite_and_the_scan(monkeypatch):
+    # at N = 1e5 a product's own estimate, about 3e-5 relative, hides the fault
+    owner, name, make_faulty = SHARED_KERNELS["paired-log-sum"]
+    monkeypatch.setattr(owner, name, make_faulty(getattr(owner, name), 1e-10))
+    failed = {r.check_name for r in run_identity_suite(seed=0, samples=3) if not r.passed}
+    assert {"weierstrass-product-main", "euler-limit", "beta-product", "sine-product"} <= failed
+    scan = run_cross_path_scan(GridSpec(0.2, 1.8, 0.4), DegenerateParameter(0.5))
+    assert {f["path"] for f in scan.failures} == {"weierstrass", "euler-limit"}
 
 
 class _StubRng:
