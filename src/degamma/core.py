@@ -311,21 +311,27 @@ def falling_factorial(x: complex, n: int, lam: float) -> complex:
     return out
 
 
-def falling_factorial_exact(x, n: int, lam) -> Fraction:
-    """Exact-rational falling factorial; floats convert exactly to Fractions.
+def _falling_factorial_ratio(x, n: int, lam) -> tuple[int, int]:
+    """The exact falling factorial as an unreduced (numerator, denominator).
 
-    With x = a/d and lambda = b/e, each factor is (a e - j b d) / (d e): the
-    integer numerators are multiplied, and one Fraction is reduced at the end.
+    With x = a/d and lambda = b/e (ints, floats or Fractions), each factor is
+    (a e - j b d) / (d e): the integer numerators are multiplied.
     """
-    from fractions import Fraction  # only the exact paths pay its import
-    if n < 0:
-        raise ValueError("falling_factorial_exact: n must be non-negative")
-    xf, lf = Fraction(x), Fraction(lam)
-    a, b = xf.numerator * lf.denominator, lf.numerator * xf.denominator
+    xn, xd = x.as_integer_ratio()
+    ln, ld = lam.as_integer_ratio()
+    a, b = xn * ld, ln * xd
     num = 1
     for j in range(n):
         num *= a - j * b
-    return Fraction(num, (xf.denominator * lf.denominator) ** n)
+    return num, (xd * ld) ** n
+
+
+def falling_factorial_exact(x, n: int, lam) -> Fraction:
+    """Exact-rational falling factorial; floats convert exactly to Fractions."""
+    from fractions import Fraction  # only the exact paths pay its import
+    if n < 0:
+        raise ValueError("falling_factorial_exact: n must be non-negative")
+    return Fraction(*_falling_factorial_ratio(Fraction(x), n, Fraction(lam)))
 
 
 def pole_residue(family: PoleFamily, n: int, p: DegenerateParameter) -> complex:

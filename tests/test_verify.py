@@ -1,14 +1,17 @@
 """Tests for the cross-representation verification harness."""
 
+import cmath
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from degamma import classical, quadrature, representations, verify
-from degamma.core import DegenerateParameter, degenerate_gamma
+from degamma.core import DegenerateParameter, degenerate_gamma, degenerate_gamma_integer
 from degamma.verify import (
     CHECK_ROSTER,
+    CheckReport,
     GridSpec,
     _sample_complex,
     reports_to_json,
@@ -237,6 +240,51 @@ def test_products_run_at_1e12_in_the_suite_and_the_scan(monkeypatch):
     assert {f["path"] for f in scan.failures} == {"weierstrass", "euler-limit"}
 
 
+@pytest.mark.parametrize("samples", [3, 10])
+def test_paired_row_catches_a_naive_log1p(monkeypatch, samples):
+    # _log1p_real keeps the Euler-Maclaurin stretch off complex log1p, which
+    # is off by about 1e-11 relative near 1e-5; at N = 2000 or 4000 the direct
+    # sum stops too early to see it, which is why the row runs at 1e4
+    monkeypatch.setattr(representations, "_log1p_real", lambda c, t: cmath.log(1 + c / t))
+    by_name = {r.check_name: r for r in run_identity_suite(seed=0, samples=samples)}
+    assert by_name["weierstrass-product-paired"].failures
+
+
+def test_paired_row_sums_at_most_paired_terms_directly(monkeypatch):
+    # the direct sum costs O(N): one call per sample, and none past 1e4 terms
+    calls = []
+    weierstrass = representations.weierstrass_gamma
+
+    def counted(z, p, spec=None, euler_constant_form=False):
+        calls.append((euler_constant_form, spec.n_terms))
+        return weierstrass(z, p, spec, euler_constant_form)
+
+    monkeypatch.setattr(representations, "weierstrass_gamma", counted)
+    run_identity_suite(seed=0, samples=3)
+    direct = [n for form, n in calls if form]
+    assert len(direct) == 3
+    assert all(n <= verify.PAIRED_TERMS <= 10**4 for n in direct)
+
+
+def test_integer_references_keep_their_bits():
+    # the integer ratio rounds once, as float(Fraction) does: every reference
+    # on both grids is the float of the exact Fraction
+    def exact(k, lam):
+        return degenerate_gamma_integer(k, DegenerateParameter(lam)).exact()
+
+    rows = list(verify._integer_values())
+    assert len(rows) == 40
+    for s, lam, _, _, expected, _ in rows:
+        k = int(s.real)
+        assert Fraction(*verify._integer_ratio(k, lam)) == exact(k, lam)
+        assert expected == complex(float(exact(k, lam)))
+    rows = list(verify._beta_integer_formula())
+    assert len(rows) == 36
+    for s, lam, _, _, expected, _ in rows:
+        m, n = int(s.real), int(s.imag)
+        assert expected == complex(float(exact(m, lam) * exact(n, lam) / exact(m + n, lam)))
+
+
 class _StubRng:
     """Feeds scripted uniform draws, then a near-pole point, then good ones."""
 
@@ -328,6 +376,21 @@ class TestLimitChecks:
 
 
 class TestSerialization:
+    def test_to_dict_is_an_independent_copy(self):
+        rep = CheckReport("demo", per_path={"hankel": {"evaluated": 1, "skipped": 0}})
+        rep.fail(0.5 + 1j, 0.3, "hankel", 1 + 0j, 2 + 0j, 0.5, 1e-12)
+        before = rep.to_dict()
+        out = rep.to_dict()
+        out["failures"][0]["rel_err"] = 9.0
+        out["failures"].append({})
+        out["per_path"]["hankel"]["evaluated"] = 7
+        out["per_path"]["weierstrass"] = {}
+        out["check_name"] = "other"
+        assert rep.to_dict() == before
+        assert rep.failures[0]["rel_err"] == 0.5
+        assert rep.per_path == {"hankel": {"evaluated": 1, "skipped": 0}}
+        assert "per_path" not in CheckReport("bare").to_dict()
+
     def test_reports_sorted_in_json(self):
         reports = run_limit_checks()[::-1]
         text = reports_to_json(reports)
