@@ -11,6 +11,7 @@ and recovers the classical gamma function as lambda -> 0.  Every
 representation -- closed form, defining integral, loop contour, infinite
 products -- is implemented as an independent evaluation path, and the
 :mod:`degamma.verify` harness cross-checks them against each other.
+Each module's ``__all__`` (``errors``: its exception classes) is its public surface.
 
 Only the integral paths, the product paths and the harness use numpy.  Their
 modules load on the first use of one of their names, so code that needs only
@@ -18,53 +19,10 @@ the closed form never imports numpy.  Nor does it import ``dataclasses`` (its
 records are named tuples) or ``fractions`` (only falling_factorial_exact does).
 """
 
-from .classical import (
-    EULER_GAMMA,
-    LOG_OVERFLOW,
-    POLE_TOLERANCE,
-    LogGammaResult,
-    beta,
-    gamma,
-    log_beta,
-    log_gamma,
-    reflection_product,
-    sin_pi,
-)
-from .core import (
-    DegenerateParameter,
-    EvalMethod,
-    EvalResult,
-    EvalStatus,
-    IntegerGammaValue,
-    PoleFamily,
-    PoleInfo,
-    ShiftStep,
-    degenerate_beta,
-    degenerate_beta_classical,
-    degenerate_exp,
-    degenerate_gamma,
-    degenerate_gamma_integer,
-    degenerate_gamma_log,
-    degenerate_log,
-    difference_step,
-    falling_factorial,
-    falling_factorial_exact,
-    lambda_shift_recurrence,
-    pole_residue,
-    poles,
-    symmetry_partner,
-)
-from .errors import (
-    BranchPointError,
-    ConvergenceError,
-    DegammaError,
-    DomainError,
-    IntegerArgumentError,
-    ParameterRangeError,
-    PoleError,
-    SingularParameterError,
-    StripError,
-)
+# The closed-form modules load with the package; _LAZY names the numpy ones.
+from .classical import *
+from .core import *
+from .errors import *
 
 _LAZY = {
     **dict.fromkeys(("QuadratureSpec", "direct_integral_gamma", "hankel_gamma",

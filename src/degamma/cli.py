@@ -12,7 +12,7 @@ import argparse
 import os
 import re
 import sys
-from functools import partial
+from functools import cache, partial
 from operator import is_not
 from typing import NamedTuple
 
@@ -243,9 +243,7 @@ def _cmd_beta(args, parser, emitter) -> None:
 
 def _cmd_verify(args) -> int:
     from . import verify
-    reports = verify.run_identity_suite(
-        seed=args.seed, samples=args.samples, perturb_check=args.fault_inject,
-    )
+    reports = verify.run_identity_suite(seed=args.seed, samples=args.samples)
     reports += verify.run_limit_checks()
     reports += [verify.run_cross_path_scan(
         verify.GridSpec(0.2, 1.8, 0.4), DegenerateParameter(0.5)
@@ -268,6 +266,7 @@ def _cmd_verify(args) -> int:
     return 0
 
 
+@cache  # one parser per process: in-process callers of main pay its build once
 def _build_parser() -> _Parser:
     parser = _Parser(prog="degamma", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True,
@@ -314,7 +313,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--samples", type=_int_at_least(1), default=100)
     sp.add_argument("--report-path", default="degamma-verify-report.json")
-    sp.add_argument("--fault-inject", default=None, help=argparse.SUPPRESS)
 
     return parser
 

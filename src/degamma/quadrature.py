@@ -15,7 +15,7 @@ negative axis plus a circle of radius delta; with the 1/(2i sin(pi s))
 prefactor this continues the function left of the validity strip.  The edge
 integral_delta^inf tau**(s-1) (1 + tau)**(-1/lambda) dtau is delta**s times
 the far piece at c = delta, so it runs to infinity.  Both realizations run
-one body and pass in their circle and the coefficients of edge and circle.
+one body, which refuses first; each passes in its circle and its coefficients.
 """
 
 from __future__ import annotations
@@ -320,50 +320,47 @@ def _mapped_integral(
     return half * total, half * err
 
 
-def _refuse_loop(s: complex, p: DegenerateParameter, spec: QuadratureSpec | None, name: str):
-    """Refuse what the loop cannot take, before its sine prefactor; return s and spec."""
+def _loop_gamma(
+    s: complex, p: DegenerateParameter, spec: QuadratureSpec | None, name: str,
+    method: EvalMethod, coefficients, circle, sign: float, interval: tuple[float, float],
+) -> EvalResult:
+    """Both loop realizations: the refusals, then edge, circle, lambda**(-s).
+
+    Refuses integer s, s at or past the strip's right edge less 0.01 and a
+    circle whose values overflow, before the sine prefactor, which
+    coefficients(s, sin(pi s)) turns into (edge_c, circle_c).  The edge
+    integral_delta^inf tau**(s-1) (1+tau)**(-1/lambda) dtau is delta**s times
+    _far_piece at c = delta, with s log delta in its exponent, as delta**s may
+    underflow where the far piece overflows.
+    circle(s, delta, 1/lambda, t, log(1 + sign delta e^{it})) runs over
+    interval, and the loop integral is edge_c * edge + circle_c * circle.
+    A value past exp(LOG_OVERFLOW) raises ConvergenceError, not OVERFLOW:
+    the ladder can stop falsely on such a circle, so its log would be
+    wrong.  The estimate adds u's rounding; _check_argument cannot raise here.
+    """
     s, spec = complex(s), spec or _DEFAULT_SPEC
     # raises DomainError for a non-finite s before the strip test sees it
     classical._refuse_integer(name, "s", s, "where the sine prefactor vanishes",
                               error=IntegerArgumentError)
-    u_max = p.inv_lambda
-    if s.real > u_max - STRIP_MARGIN:
+    u, delta = p.inv_lambda, spec.hankel_radius
+    if s.real > u - STRIP_MARGIN:
         raise StripError(
             f"{name}: Re(s) = {s.real} must stay below 1/lambda - "
-            f"{STRIP_MARGIN} = {u_max - STRIP_MARGIN:.6g} for the edge to converge"
+            f"{STRIP_MARGIN} = {u - STRIP_MARGIN:.6g} for the edge to converge"
         )
     # The circle's values reach (1 - delta)**(-1/lambda) delta**Re(s)
     # e^(pi |Im s|).  Each factor is formed on its own (the reflected
     # circle's delta**Re(s) as delta times delta**(s - 1)), and sin(pi s) in
     # the prefactors reaches e^(pi |Im s|) too, so the bound adds the logs of
     # the factors, each at least 0.
-    delta = spec.hankel_radius
-    log_peak = -u_max * math.log1p(-delta)
+    log_peak = -u * math.log1p(-delta)
     log_max = log_peak + math.pi * abs(s.imag) + max((s.real - 1.0) * math.log(delta), 0.0)
     if log_max > LOG_OVERFLOW:
         raise ParameterRangeError(
             f"{name}: at lambda = {p.lam:.6g} and s = {s} the values on the "
             f"circle of radius {delta} reach exp({log_max:.6g}) and overflow"
         )
-    return s, spec
-
-
-def _loop_gamma(
-    s: complex, p: DegenerateParameter, spec: QuadratureSpec, name: str, method: EvalMethod,
-    edge_c: complex, circle_c: complex, circle, sign: float, interval: tuple[float, float],
-) -> EvalResult:
-    """Both loop realizations after _refuse_loop: edge, circle, lambda**(-s).
-
-    The edge integral_delta^inf tau**(s-1) (1+tau)**(-1/lambda) dtau is
-    delta**s times _far_piece at c = delta, with s log delta in its exponent,
-    as delta**s may underflow where the far piece overflows.
-    circle(delta, 1/lambda, t, log(1 + sign delta e^{it})) runs over
-    interval, and the loop integral is edge_c * edge + circle_c * circle.
-    A value past exp(LOG_OVERFLOW) raises ConvergenceError, not OVERFLOW:
-    the ladder can stop falsely on such a circle, so its log would be
-    wrong.  The estimate adds u's rounding; _check_argument cannot raise here.
-    """
-    u, delta = p.inv_lambda, spec.hankel_radius
+    edge_c, circle_c = coefficients(s, classical.sin_pi(s))
     # Each ladder's values carry the rounding of their exponent, at most
     # u |log(1 - delta)| + pi (|s| + 3) in size on the circle, and on the edge, where
     # tau <= 1 holds most of its mass, |s log delta| + |s + 1/K| |log delta| + u log 2.
@@ -375,7 +372,7 @@ def _loop_gamma(
                                           0.0, 1.0, (delta,), spec.rel_tolerance, spec.max_level,
                                           edge_rounding)
     circle_val, circle_err = _mapped_integral(
-        functools.partial(circle, delta, u), _circle_log, *interval, (delta, sign),
+        functools.partial(circle, s, delta, u), _circle_log, *interval, (delta, sign),
         min(spec.rel_tolerance, 1e-11), spec.max_level, circle_rounding)
     total = edge_c * edge + circle_c * circle_val
     # refused where lambda**(-s), or the value, would pass exp(LOG_OVERFLOW)
@@ -408,13 +405,11 @@ def hankel_gamma(
 
     Raises DomainError if s is not finite.
     """
-    s, spec = _refuse_loop(s, p, spec, "hankel_gamma")
-
-    def circle(delta, u, theta, log_circle):
+    def circle(s, delta, u, theta, log_circle):
         return 1j * cmath.exp(s * math.log(delta)) * np.exp(1j * s * theta - u * log_circle)
 
     return _loop_gamma(s, p, spec, "hankel_gamma", EvalMethod.HANKEL,
-                       1.0, 1.0 / (2j * classical.sin_pi(s)), circle, -1.0,
+                       lambda s, sine: (1.0, 1.0 / (2j * sine)), circle, -1.0,
                        (-math.pi, math.pi))
 
 
@@ -430,15 +425,15 @@ def hankel_gamma_reflected(
 
     Raises DomainError if s is not finite.
     """
-    s, spec = _refuse_loop(s, p, spec, "hankel_gamma_reflected")
-
-    def circle(delta, u, phi, log_circle):
+    def circle(s, delta, u, phi, log_circle):
         return (1j * delta * cmath.exp((s - 1.0) * math.log(delta))
                 * np.exp(1j * (s - 1.0) * (phi - math.pi) + 1j * phi - u * log_circle))
 
-    # (-w)**(s-1) phases on the two passes along the positive axis
-    phase_diff = cmath.exp(1j * math.pi * (s - 1.0)) - cmath.exp(-1j * math.pi * (s - 1.0))
-    prefactor = 1j / (2.0 * classical.sin_pi(s))
+    def coefficients(s, sine):
+        # (-w)**(s-1) phases on the two passes along the positive axis
+        phase_diff = cmath.exp(1j * math.pi * (s - 1.0)) - cmath.exp(-1j * math.pi * (s - 1.0))
+        prefactor = 1j / (2.0 * sine)
+        return prefactor * phase_diff, prefactor
+
     return _loop_gamma(s, p, spec, "hankel_gamma_reflected", EvalMethod.HANKEL_REFLECTED,
-                       prefactor * phase_diff, prefactor, circle, 1.0,
-                       (0.0, 2.0 * math.pi))
+                       coefficients, circle, 1.0, (0.0, 2.0 * math.pi))

@@ -481,12 +481,12 @@ class TestVerifyCommand:
         names = [entry["check_name"] for entry in payload]
         assert names == sorted(names)
 
-    def test_fault_injection_exits_1_and_names_check(self, capsys, tmp_path):
+    def test_fault_injection_exits_1_and_names_check(self, capsys, tmp_path, perturb):
         report = tmp_path / "report.json"
+        perturb("reflection-symmetry")
         code, out, err = run_cli(
             capsys, "verify", "--seed", "0", "--samples", "3",
             "--report-path", str(report),
-            "--fault-inject", "reflection-symmetry",
         )
         assert code == 1
         assert "reflection-symmetry" in err
@@ -496,6 +496,34 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--samples", "0"])
         assert exc.value.code == 64
+
+    def test_fault_inject_flag_is_gone(self, capsys):
+        # faults are injected through the tests' perturb fixture, not the CLI
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--fault-inject", "reflection-symmetry"])
+        assert exc.value.code == 64
+        assert "--fault-inject" in capsys.readouterr().err
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    # in-process callers (the benchmark's table and verify loops) call main
+    # repeatedly; each call after the first reuses the parser
+    built = []
+    init = cli_mod._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli_mod._Parser, "__init__", counting)
+    cli_mod._build_parser.cache_clear()
+    try:
+        for _ in range(2):
+            code, out, _ = run_cli(capsys, "eval", "--lambda", "0.5", "--s", "1.5")
+            assert code == 0 and jsonl(out)[0]["status"] == "regular"
+    finally:
+        cli_mod._build_parser.cache_clear()
+    assert built.count("degamma") == 1
 
 
 class TestEmitterFormats:

@@ -77,11 +77,9 @@ class TestIdentitySuite:
         b = run_identity_suite(seed=4, samples=4, product_terms=10**4)
         assert reports_to_json(a) != reports_to_json(b)
 
-    def test_perturbed_path_fails_its_check(self):
-        reports = run_identity_suite(
-            seed=0, samples=4, product_terms=10**4,
-            perturb_check="difference-equation",
-        )
+    def test_perturbed_path_fails_its_check(self, perturb):
+        perturb("difference-equation")
+        reports = run_identity_suite(seed=0, samples=4, product_terms=10**4)
         by_name = {r.check_name: r for r in reports}
         assert not by_name["difference-equation"].passed
         for name, rep in by_name.items():
@@ -96,20 +94,16 @@ class TestIdentitySuite:
         ("beta-product", 1.05),  # product tolerance tracks its own O(1/N) tail
         ("residues-shifted", 1.0 + 1e-4),
     ])
-    def test_every_check_is_sensitive(self, check, factor):
-        reports = run_identity_suite(
-            seed=1, samples=3, product_terms=10**4, perturb_check=check,
-            perturb_factor=factor,
-        )
+    def test_every_check_is_sensitive(self, perturb, check, factor):
+        perturb(check, factor)
+        reports = run_identity_suite(seed=1, samples=3, product_terms=10**4)
         by_name = {r.check_name: r for r in reports}
         assert not by_name[check].passed
 
     @pytest.mark.parametrize("check", CHECK_ROSTER)
-    def test_perturbation_fails_exactly_its_check(self, check):
-        reports = run_identity_suite(
-            seed=1, samples=3, product_terms=10**4, perturb_check=check,
-            perturb_factor=1.05,
-        )
+    def test_perturbation_fails_exactly_its_check(self, perturb, check):
+        perturb(check, 1.05)
+        reports = run_identity_suite(seed=1, samples=3, product_terms=10**4)
         assert [r.check_name for r in reports if not r.passed] == [check]
 
     @pytest.mark.parametrize("check", [
@@ -118,12 +112,10 @@ class TestIdentitySuite:
         "weierstrass-product-paired", "beta-classical-mixed", "beta-integer-formula",
         "hankel-contour-reflected",
     ])
-    def test_exact_identity_is_held_to_one_constant(self, check):
+    def test_exact_identity_is_held_to_one_constant(self, perturb, check):
         # a 1e-11 disagreement is ten times the one exact-identity bound
-        reports = run_identity_suite(
-            seed=1, samples=3, product_terms=10**4, perturb_check=check,
-            perturb_factor=1.0 + 1e-11,
-        )
+        perturb(check, 1.0 + 1e-11)
+        reports = run_identity_suite(seed=1, samples=3, product_terms=10**4)
         failed = {r.check_name: r for r in reports if not r.passed}
         assert list(failed) == [check]
         assert {f["tol"] for f in failed[check].failures} == {verify.EXACT_TOL}
@@ -160,12 +152,10 @@ class TestIdentitySuite:
             {verify.ESTIMATE_FLOOR} if fails else set())
 
     @pytest.mark.parametrize("check", ["residues-nonpositive", "residues-shifted"])
-    def test_residue_rows_see_a_1e_8_fault(self, check):
+    def test_residue_rows_see_a_1e_8_fault(self, perturb, check):
         # the four-angle limit reaches about 1e-12 at every fixed point
-        reports = run_identity_suite(
-            seed=1, samples=1, product_terms=10**4, perturb_check=check,
-            perturb_factor=1.0 + 1e-8,
-        )
+        perturb(check, 1.0 + 1e-8)
+        reports = run_identity_suite(seed=1, samples=1, product_terms=10**4)
         assert [r.check_name for r in reports if not r.passed] == [check]
 
     def test_samples_validated(self):
