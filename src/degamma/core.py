@@ -565,6 +565,13 @@ def symmetry_partner(s: complex, p: DegenerateParameter) -> complex:
     return p.inv_lambda - complex(s)
 
 
+def _count(value, least: int, message: str) -> int:
+    """value as an int; ValueError(message) unless it is a whole number >= least (NaN is not)."""
+    if not (value >= least and value % 1 == 0):
+        raise ValueError(message)
+    return int(value)
+
+
 def _check_argument(name: str, w: complex, p: DegenerateParameter) -> float:
     """Raise PoleError if argument ``name`` = w sits at a pole; else the rounding w feels.
 

@@ -15,7 +15,10 @@ negative axis plus a circle of radius delta; with the 1/(2i sin(pi s))
 prefactor this continues the function left of the validity strip.  The edge
 integral_delta^inf tau**(s-1) (1 + tau)**(-1/lambda) dtau is delta**s times
 the far piece at c = delta, so it runs to infinity.  Both realizations run
-one body, which refuses first; each passes in its circle and its coefficients.
+one body, which refuses first; each passes in its coefficients and its
+circle's sign and center.  Each contour integrand is one exp of a product of
+complex coefficients with cached node rows, and the circle's constant
+prefactor multiplies the ladder's value and error, not every node.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import classical, core
 from .classical import LOG_OVERFLOW
-from .core import DEFAULT_TOLERANCE, DegenerateParameter, EvalMethod, EvalResult, _finish
+from .core import DEFAULT_TOLERANCE, DegenerateParameter, EvalMethod, EvalResult, _count, _finish
 from .errors import (ConvergenceError, DomainError, IntegerArgumentError,
                      ParameterRangeError, StripError)
 
@@ -51,10 +54,11 @@ class QuadratureSpec(namedtuple("QuadratureSpec", "rel_tolerance max_level hanke
     """Tolerances and contour geometry for the integral paths, as a checked named tuple.
 
     ``max_level`` is the deepest Clenshaw-Curtis rung, which has
-    16 * 2**max_level intervals.  It must be at least 3: the first integrand
-    call already evaluates rungs 0-3, so a lower cap would save no integrand
-    evaluation.  The contour's edge is held to rel_tolerance and its circle,
-    of radius ``hankel_radius``, to 1e-11 or less.
+    16 * 2**max_level intervals.  It must be a whole number (a whole float is
+    kept as an int), at least 3: the first integrand call already evaluates
+    rungs 0-3, so a lower cap would save no integrand evaluation.  The
+    contour's edge is held to rel_tolerance and its circle, of radius
+    ``hankel_radius``, to 1e-11 or less.
     """
 
     __slots__ = ()
@@ -66,9 +70,8 @@ class QuadratureSpec(namedtuple("QuadratureSpec", "rel_tolerance max_level hanke
             raise ValueError("QuadratureSpec: rel_tolerance must be >= 1e-14")
         if not 0.0 < self.hankel_radius < 1.0:
             raise ValueError("QuadratureSpec: hankel_radius must be in (0, 1)")
-        if self.max_level < 3:
-            raise ValueError("QuadratureSpec: max_level must be >= 3")
-        return self
+        max_level = _count(self.max_level, 3, "QuadratureSpec: max_level must be >= 3 and whole")
+        return self if type(self.max_level) is int else self._replace(max_level=max_level)
 
 
 _DEFAULT_SPEC = QuadratureSpec()
@@ -85,12 +88,14 @@ def _power_geometry(v, *delta):
 
     Every far or near piece vanishes at v = 0; the row K, the piece's factor,
     makes it exactly 0 there from finite values.  Given a radius delta, a
-    fourth row holds log1p(delta / v**K) for the contour edge's far piece.
+    fourth row holds log1p(delta / v**K) for the contour edge's far piece,
+    and the rows are complex, so that its exponent is one complex product.
     """
     live = v > 0.0
     log_v = np.log(np.where(live, v, 1.0))
     v_k = np.exp(_POWER_K * log_v)
-    return np.array([log_v, v_k, _POWER_K * live] + [np.log1p(d / v_k) for d in delta])
+    return np.array([log_v, v_k, _POWER_K * live] + [np.log1p(d / v_k) for d in delta],
+                    dtype=complex if delta else float)
 
 
 def _far_piece(s: complex, u: float, c: float, log_pre: complex = 0.0):
@@ -109,14 +114,17 @@ def _far_piece(s: complex, u: float, c: float, log_pre: complex = 0.0):
 
         def far(geometry):
             return (np.exp(log_back + (_POWER_K * gap - 1.0) * geometry[0])
-                    * np.expm1(-u * np.log1p(geometry[1] / c)))
+                    * np.expm1(-u * np.log1p(geometry[1].real / c)))
 
         back = cmath.exp(log_back) / gap if log_back.real <= LOG_OVERFLOW else math.inf
         return far, back, log_back.real
 
+    coefficients = np.array([-(_POWER_K * s + 1.0), -u])
+
     def far(geometry):
-        damp = geometry[3] if len(geometry) > 3 else np.log1p(c / geometry[1])
-        return np.exp(log_pre - (_POWER_K * s + 1.0) * geometry[0] - u * damp)
+        # the exponent is one product with the rows log v and log1p(c / v**K)
+        rows = geometry[::3] if len(geometry) > 3 else (geometry[0], np.log1p(c / geometry[1]))
+        return np.exp(log_pre + coefficients @ rows)
 
     return far, 0.0, -math.inf
 
@@ -237,11 +245,12 @@ def _cc_rung(rung: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.cache
-def _cc_head_weights() -> np.ndarray:
-    """Rungs 0.._CC_HEAD_RUNG's weights over the head's nodes, one row each."""
+def _cc_head_weights() -> tuple[np.ndarray, np.ndarray]:
+    """Rungs 0.._CC_HEAD_RUNG's weights over the head's nodes, one row each, and a complex copy."""
     size = (_CC_N0 << _CC_HEAD_RUNG) + 1
-    return np.array([np.pad(_cc_rung(rung)[1], (0, size - (_CC_N0 << rung) - 1))
-                     for rung in range(_CC_HEAD_RUNG + 1)])
+    weights = np.array([np.pad(_cc_rung(rung)[1], (0, size - (_CC_N0 << rung) - 1))
+                        for rung in range(_CC_HEAD_RUNG + 1)])
+    return weights, weights.astype(complex)
 
 
 def _cc_ladder(f, tol: float, max_level: int, rounding: float = _EPS) -> tuple[complex, float]:
@@ -257,8 +266,8 @@ def _cc_ladder(f, tol: float, max_level: int, rounding: float = _EPS) -> tuple[c
     max_level does not.
     """
     vals = f(_cc_rung(_CC_HEAD_RUNG)[0], 0)
-    weights = _cc_head_weights()
-    sums, masses = (weights @ vals).tolist(), (weights @ np.abs(vals)).tolist()
+    weights, complex_weights = _cc_head_weights()
+    sums, masses = (complex_weights @ vals).tolist(), (weights @ np.abs(vals)).tolist()
     for rung in range(1, max_level + 1):
         if rung > _CC_HEAD_RUNG:
             lo = (_CC_N0 << (rung - 1)) + 1
@@ -276,17 +285,16 @@ def _cc_ladder(f, tol: float, max_level: int, rounding: float = _EPS) -> tuple[c
 
 
 # Node geometry that depends on neither s nor lambda (_power_geometry's rows,
-# the circle's log(1 -+ delta e^{it})) is kept at the ladder's nodes up to
-# _CACHED_RUNG (1024 intervals) in an LRU cache of the last
-# _GEOMETRY_CACHE_SIZE (geometry, interval, radius) keys; deeper rungs form
-# it per call.
+# the circle's rows) is kept at the ladder's nodes up to _CACHED_RUNG (1024
+# intervals) in an LRU cache of the last _GEOMETRY_CACHE_SIZE (geometry,
+# interval, radius) keys; deeper rungs form it per call.
 _CACHED_RUNG = 6
 _GEOMETRY_CACHE_SIZE = 8
 
 
-def _circle_log(theta, delta, sign):
-    """log(1 + sign delta e^{i theta}) on a loop realization's circle."""
-    return np.log(1.0 + sign * delta * np.exp(1j * theta))
+def _circle_rows(theta, delta, sign, center):
+    """Rows theta - center and log(1 + sign delta e^{i theta}) on a loop realization's circle."""
+    return np.array([theta - center, np.log(1.0 + sign * delta * np.exp(1j * theta))])
 
 
 @functools.lru_cache(maxsize=_GEOMETRY_CACHE_SIZE)
@@ -322,18 +330,19 @@ def _mapped_integral(
 
 def _loop_gamma(
     s: complex, p: DegenerateParameter, spec: QuadratureSpec | None, name: str,
-    method: EvalMethod, coefficients, circle, sign: float, interval: tuple[float, float],
+    method: EvalMethod, coefficients, sign: float, center: float,
 ) -> EvalResult:
     """Both loop realizations: the refusals, then edge, circle, lambda**(-s).
 
     Refuses integer s, s at or past the strip's right edge less 0.01 and a
     circle whose values overflow, before the sine prefactor, which
-    coefficients(s, sin(pi s)) turns into (edge_c, circle_c).  The edge
+    coefficients(s, sin(pi s), delta) turns into (edge_c, circle_c).  The edge
     integral_delta^inf tau**(s-1) (1+tau)**(-1/lambda) dtau is delta**s times
     _far_piece at c = delta, with s log delta in its exponent, as delta**s may
-    underflow where the far piece overflows.
-    circle(s, delta, 1/lambda, t, log(1 + sign delta e^{it})) runs over
-    interval, and the loop integral is edge_c * edge + circle_c * circle.
+    underflow where the far piece overflows.  The circle's values over
+    t in center -+ pi are exp(i s (t - center) - u log(1 + sign delta e^{it})),
+    one product with _circle_rows; circle_c holds its prefactor.  The loop
+    integral is edge_c * edge + circle_c * circle.
     A value past exp(LOG_OVERFLOW) raises ConvergenceError, not OVERFLOW:
     the ladder can stop falsely on such a circle, so its log would be
     wrong.  The estimate adds u's rounding; _check_argument cannot raise here.
@@ -360,7 +369,7 @@ def _loop_gamma(
             f"{name}: at lambda = {p.lam:.6g} and s = {s} the values on the "
             f"circle of radius {delta} reach exp({log_max:.6g}) and overflow"
         )
-    edge_c, circle_c = coefficients(s, classical.sin_pi(s))
+    edge_c, circle_c = coefficients(s, classical.sin_pi(s), delta)
     # Each ladder's values carry the rounding of their exponent, at most
     # u |log(1 - delta)| + pi (|s| + 3) in size on the circle, and on the edge, where
     # tau <= 1 holds most of its mass, |s log delta| + |s + 1/K| |log delta| + u log 2.
@@ -371,9 +380,11 @@ def _loop_gamma(
         edge, edge_err = _mapped_integral(lambda _, geo: geo[2] * far(geo) + back, _power_geometry,
                                           0.0, 1.0, (delta,), spec.rel_tolerance, spec.max_level,
                                           edge_rounding)
+    circle_exponent = np.array([1j * s, -u])
     circle_val, circle_err = _mapped_integral(
-        functools.partial(circle, s, delta, u), _circle_log, *interval, (delta, sign),
-        min(spec.rel_tolerance, 1e-11), spec.max_level, circle_rounding)
+        lambda _, rows: np.exp(circle_exponent @ rows), _circle_rows, center - math.pi,
+        center + math.pi, (delta, sign, center), min(spec.rel_tolerance, 1e-11), spec.max_level,
+        circle_rounding)
     total = edge_c * edge + circle_c * circle_val
     # refused where lambda**(-s), or the value, would pass exp(LOG_OVERFLOW)
     log_pow = -s * p.log_lambda
@@ -405,12 +416,9 @@ def hankel_gamma(
 
     Raises DomainError if s is not finite.
     """
-    def circle(s, delta, u, theta, log_circle):
-        return 1j * cmath.exp(s * math.log(delta)) * np.exp(1j * s * theta - u * log_circle)
-
-    return _loop_gamma(s, p, spec, "hankel_gamma", EvalMethod.HANKEL,
-                       lambda s, sine: (1.0, 1.0 / (2j * sine)), circle, -1.0,
-                       (-math.pi, math.pi))
+    return _loop_gamma(s, p, spec, "hankel_gamma", EvalMethod.HANKEL,  # i delta**s / 2i sin(pi s)
+                       lambda s, sine, delta: (1.0, cmath.exp(s * math.log(delta)) / (2.0 * sine)),
+                       -1.0, 0.0)
 
 
 def hankel_gamma_reflected(
@@ -425,15 +433,13 @@ def hankel_gamma_reflected(
 
     Raises DomainError if s is not finite.
     """
-    def circle(s, delta, u, phi, log_circle):
-        return (1j * delta * cmath.exp((s - 1.0) * math.log(delta))
-                * np.exp(1j * (s - 1.0) * (phi - math.pi) + 1j * phi - u * log_circle))
-
-    def coefficients(s, sine):
-        # (-w)**(s-1) phases on the two passes along the positive axis
+    def coefficients(s, sine, delta):
+        # (-w)**(s-1) phases on the two passes along the positive axis; the
+        # circle's i delta delta**(s-1) e^{i(s-1)(phi-pi) + i phi} is
+        # -i delta delta**(s-1) e^{is(phi-pi)}, whose -i cancels the prefactor's i
         phase_diff = cmath.exp(1j * math.pi * (s - 1.0)) - cmath.exp(-1j * math.pi * (s - 1.0))
-        prefactor = 1j / (2.0 * sine)
-        return prefactor * phase_diff, prefactor
+        return (1j * phase_diff / (2.0 * sine),
+                delta * cmath.exp((s - 1.0) * math.log(delta)) / (2.0 * sine))
 
     return _loop_gamma(s, p, spec, "hankel_gamma_reflected", EvalMethod.HANKEL_REFLECTED,
-                       coefficients, circle, 1.0, (0.0, 2.0 * math.pi))
+                       coefficients, 1.0, math.pi)

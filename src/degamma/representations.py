@@ -26,6 +26,11 @@ log((1 + x/n)(1 + (u - x)/n)) over n:
   same real arithmetic as the tail: complex log1p of arguments near 1e-5 is
   off by about 1e-11 relative, and the antiderivative multiplies that by t.
 
+Where M <= _SHORT + 1 = 257, as in every product ``degamma verify`` runs,
+the head's principal logs take every term below M in one log1p pass over a
+cached table of n, since there numpy calls, not terms, set the cost; the
+fused tail serves longer stretches and ``direct=True``.
+
 A product therefore costs O(max(|x|, |u - x|, 1)) terms whatever its
 truncation level.  The head and tail terms are summed with numpy's pairwise
 summation over chunks; reassociation stays at the 1 ulp level.  The Euler
@@ -49,6 +54,7 @@ from .core import (
     EvalResult,
     _beta_guard,
     _check_argument,
+    _count,
     _finish,
 )
 from .errors import ConvergenceError, ParameterRangeError
@@ -67,6 +73,12 @@ __all__ = [
 # array pays its page faults, and each term cost about three times as much.
 _CHUNK = 1 << 13
 
+# A stretch below the Euler-Maclaurin start M <= _SHORT + 1 is summed in one
+# pass over this table of n = 1.._SHORT: the head and fused tail's 20 numpy
+# calls on arrays of a few dozen terms cost more than the terms themselves.
+_SHORT = 256
+_N_TABLE = np.arange(1.0, _SHORT + 1.0)
+
 
 class ProductSpec(namedtuple("ProductSpec", "n_terms use_tail_correction tolerance",
                              defaults=(100_000, False, None))):
@@ -79,7 +91,8 @@ class ProductSpec(namedtuple("ProductSpec", "n_terms use_tail_correction toleran
         for moderate arguments).  It sets the accuracy, not the cost: the far
         tail of every product is summed in closed form, so a call costs
         O(|z| + 1/lambda) terms for any N.  ParameterRangeError past the
-        largest float, about 1.8e308.
+        largest float, about 1.8e308; ValueError for NaN or a fraction.  A
+        whole float such as 1e5 is kept as an int.
     use_tail_correction : bool
         Add the second- and third-order analytic tail of the log-product,
         upgrading the O(1/N) truncation error to roughly O(1/N**3).
@@ -93,13 +106,12 @@ class ProductSpec(namedtuple("ProductSpec", "n_terms use_tail_correction toleran
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.n_terms < 1:
-            raise ValueError("ProductSpec: n_terms must be >= 1")
         if self.n_terms > sys.float_info.max:
             raise ParameterRangeError("ProductSpec: n_terms is past the largest float")
+        n_terms = _count(self.n_terms, 1, "ProductSpec: n_terms must be >= 1 and whole")
         if self.tolerance is not None and self.tolerance <= 0.0:
             raise ValueError("ProductSpec: tolerance must be positive")
-        return self
+        return self if type(self.n_terms) is int else self._replace(n_terms=n_terms)
 
 
 def _tail_sums(n_terms: int) -> tuple[float, float]:
@@ -149,7 +161,8 @@ def _paired_log_sum(x: complex, u: float, lo: int, hi: int,
     """sum_{lo <= n < hi} log((1 + x/n)(1 + (u - x)/n)), for lo >= 1.
 
     Head, fused tail and Euler-Maclaurin stretch as in the module docstring;
-    the head bound n0 is the one :func:`_tail_bound` uses.
+    the head bound n0 is the one :func:`_tail_bound` uses.  Below M <= _SHORT + 1
+    every term takes the head's principal logs, in one pass; longer stretches the tail.
     ``direct=True`` sums every term up to hi instead, at a cost of O(hi - lo):
     the reference the Euler-Maclaurin stretch is checked against.
     """
@@ -158,26 +171,30 @@ def _paired_log_sum(x: complex, u: float, lo: int, hi: int,
     m = max(abs(x), abs(y), 1.0)
     split = max(lo, min(hi, math.ceil(2.0 * m) + 1))
     em_start = hi if direct else max(split, min(hi, max(32, math.ceil(8.0 * m))))
-    head = 0.0 + 0.0j
-    for a in range(lo, split, _CHUNK):
-        n = np.arange(a, min(a + _CHUNK, split), dtype=np.float64)
-        head += np.sum(np.log1p(x / n) + np.log1p(y / n))
-    re_sum = im_sum = 0.0
-    for a in range(split, em_start, _CHUNK):
-        r = np.arange(a, min(a + _CHUNK, em_start), dtype=np.float64)
-        np.reciprocal(r, out=r)
-        tr = q.real * r
-        tr += u
-        tr *= r  # Re t = u/n + Re(q)/n^2
-        ti = np.multiply(r, r, out=r)
-        ti *= q.imag  # Im t = Im(q)/n^2
-        v = tr + 2.0
-        v *= tr
-        v += ti * ti  # |1 + t|^2 - 1
-        re_sum += np.log1p(v, out=v).sum()
-        tr += 1.0
-        im_sum += np.arctan2(ti, tr, out=ti).sum()
-    total = complex(head) + complex(0.5 * re_sum, im_sum)  # Python, not numpy, scalars
+    if not direct and em_start <= _SHORT + 1:
+        n = _N_TABLE[lo - 1 : em_start - 1]
+        total = complex(np.log1p(np.divide.outer((x, y), n)).sum())
+    else:
+        head = 0.0 + 0.0j
+        for a in range(lo, split, _CHUNK):
+            n = np.arange(a, min(a + _CHUNK, split), dtype=np.float64)
+            head += np.sum(np.log1p(x / n) + np.log1p(y / n))
+        re_sum = im_sum = 0.0
+        for a in range(split, em_start, _CHUNK):
+            r = np.arange(a, min(a + _CHUNK, em_start), dtype=np.float64)
+            np.reciprocal(r, out=r)
+            tr = q.real * r
+            tr += u
+            tr *= r  # Re t = u/n + Re(q)/n^2
+            ti = np.multiply(r, r, out=r)
+            ti *= q.imag  # Im t = Im(q)/n^2
+            v = tr + 2.0
+            v *= tr
+            v += ti * ti  # |1 + t|^2 - 1
+            re_sum += np.log1p(v, out=v).sum()
+            tr += 1.0
+            im_sum += np.arctan2(ti, tr, out=ti).sum()
+        total = complex(head) + complex(0.5 * re_sum, im_sum)  # Python, not numpy, scalars
     if em_start < hi:
         total += _em_primitive(x, y, u, float(hi)) - _em_primitive(
             x, y, u, float(em_start)
@@ -326,10 +343,9 @@ def sine_product(z: complex, n_terms: int) -> complex:
 
     z = 0 is fine (every factor is 1); nonzero integers are poles.
     """
-    if n_terms < 1:
-        raise ValueError("sine_product: n_terms must be >= 1")
     if n_terms > sys.float_info.max:
         raise ParameterRangeError("sine_product: n_terms is past the largest float")
+    n_terms = _count(n_terms, 1, "sine_product: n_terms must be >= 1 and whole")
     z = complex(z)
     if not abs(z) < POLE_TOLERANCE:  # true also for a non-finite z
         _refuse_integer("sine_product", "z", z, "where a factor vanishes")

@@ -1,5 +1,6 @@
 """Tests for the quadrature spec, the defining integral, and the Hankel loop."""
 
+import cmath
 import math
 import sys
 import threading
@@ -46,6 +47,20 @@ class TestEngine:
         # the first integrand call already evaluates rungs 0-3
         with pytest.raises(ValueError, match="max_level must be >= 3"):
             QuadratureSpec(max_level=max_level)
+
+    @pytest.mark.parametrize("max_level", [3.5, math.nan, math.inf])
+    def test_fractional_or_nan_depth_is_refused(self, max_level):
+        # these failed late, with a raw TypeError inside the ladder
+        with pytest.raises(ValueError, match="max_level must be >= 3 and whole"):
+            QuadratureSpec(max_level=max_level)
+        with pytest.raises(ValueError, match="max_level"):
+            QuadratureSpec()._replace(max_level=max_level)
+
+    def test_whole_float_depth_is_kept_as_an_int(self):
+        spec = QuadratureSpec(max_level=10.0)
+        assert type(spec.max_level) is int and spec == QuadratureSpec()
+        assert hankel_gamma(0.5 + 0.5j, DegenerateParameter(0.5), spec) == hankel_gamma(
+            0.5 + 0.5j, DegenerateParameter(0.5))
 
 
 class TestDirectIntegral:
@@ -599,3 +614,94 @@ def test_integrand_calls_stay_within_the_measured_count(monkeypatch):
                 done += 1
         counts[path] = len(calls)
     assert all(counts[path] <= limits[path] for path in limits), counts
+
+
+def _integrands(monkeypatch, path, s, p):
+    """The integrands f(x, lo) that one contour call hands to the ladder: edge, then circle."""
+    ladder, captured = quadrature._cc_ladder, []
+
+    def capture(f, *args):
+        captured.append(f)
+        return ladder(f, *args)
+
+    monkeypatch.setattr(quadrature, "_cc_ladder", capture)
+    path(s, p)
+    assert len(captured) == 2
+    return captured
+
+
+def _edge_reference(s, u, delta, v):
+    """The edge's integrand at node v, as the elementwise formula it replaced.
+
+    Returns the value and the size of what it is formed from: the exponent's
+    terms times the exponential, plus the added-back term.
+    """
+    k = quadrature._POWER_K
+    log_v = math.log(v) if v > 0.0 else 0.0
+    v_k = math.exp(k * log_v)
+    log_pre = s * math.log(delta)
+    gap = u - s
+    if gap.real < 1.0:
+        log_back = log_pre - u * math.log(delta)
+        damp = -u * math.log1p(v_k / delta)
+        far = cmath.exp(log_back + (k * gap - 1.0) * log_v) * math.expm1(damp)
+        size = abs(log_back) + abs(k * gap - 1.0) * abs(log_v) + abs(damp)
+        back = cmath.exp(log_back) / gap
+    else:
+        damp = -u * math.log1p(delta / v_k)
+        far = cmath.exp(log_pre - (k * s + 1.0) * log_v + damp)
+        size = abs(log_pre) + abs(k * s + 1.0) * abs(log_v) + abs(damp)
+        back = 0.0
+    scale = k if v > 0.0 else 0.0
+    return scale * far + back, (1.0 + size) * abs(scale * far) + abs(back)
+
+
+def _circle_reference(path, s, u, delta, x):
+    """A circle's integrand at ladder node x, as the elementwise formula it replaced.
+
+    Returns the value, its constant prefactor, now taken outside the ladder,
+    and the size of what the value is formed from.
+    """
+    if path is hankel_gamma:
+        theta = math.pi * x
+        exponent = 1j * s * theta - u * cmath.log(1.0 - delta * cmath.exp(1j * theta))
+        prefactor = 1j * cmath.exp(s * math.log(delta))
+        size = abs(s) * abs(theta) + abs(exponent) + abs(s * math.log(delta))
+        return prefactor * cmath.exp(exponent), prefactor, size
+    phi = math.pi + math.pi * x
+    exponent = (1j * (s - 1.0) * (phi - math.pi) + 1j * phi
+                - u * cmath.log(1.0 + delta * cmath.exp(1j * phi)))
+    # i delta**(s-1) e^{i(s-1)(phi-pi) + i phi} = -i delta**(s-1) e^{is(phi-pi)}
+    log_power = (s - 1.0) * math.log(delta)
+    prefactor = -1j * delta * cmath.exp(log_power)
+    size = abs(s - 1.0) * abs(phi - math.pi) + abs(phi) + abs(exponent) + abs(log_power)
+    return 1j * delta * cmath.exp(log_power) * cmath.exp(exponent), prefactor, size
+
+
+def _reference_points():
+    """Contour points left of and inside the strip, and within 1 of its right edge."""
+    points = _contour_points(47, 24)
+    for lam, gap, im in ((0.3, 0.5, 0.7), (0.5, 0.02, -3.0), (0.85, 0.99, 1.5), (0.15, 0.2, 0.0)):
+        p = DegenerateParameter(lam)
+        points.append((complex(p.inv_lambda - gap, im), p))
+    return points
+
+
+@pytest.mark.parametrize("path", [hankel_gamma, hankel_gamma_reflected],
+                         ids=lambda f: f.__name__)
+def test_contour_integrands_match_the_elementwise_formulas(monkeypatch, path):
+    # the edge's and the circle's one-product exponents against the per-node
+    # formulas they replaced, at the head's 129 nodes, within 64 eps times the
+    # size of what each value is formed from
+    x = quadrature._cc_rung(quadrature._CC_HEAD_RUNG)[0]
+    delta = QuadratureSpec().hankel_radius
+    tol = 64 * np.finfo(float).eps
+    for s, p in _reference_points():
+        edge, circle = (f(x, 0) for f in _integrands(monkeypatch, path, s, p))
+        u = p.inv_lambda
+        for xi, got in zip(x.tolist(), edge.tolist()):
+            want, size = _edge_reference(s, u, delta, 0.5 + 0.5 * xi)
+            assert abs(got - want) <= tol * size, (s, p.lam, xi, got, want)
+        for xi, got in zip(x.tolist(), circle.tolist()):
+            want, prefactor, size = _circle_reference(path, s, u, delta, xi)
+            assert abs(prefactor * got - want) <= tol * (1.0 + size) * abs(want), (s, p.lam, xi)

@@ -1,13 +1,16 @@
 """Tests for the product and limit representations."""
 
 import cmath
+import collections
 import math
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from degamma import representations, verify
 from degamma.classical import sin_pi
 from degamma.core import DegenerateParameter, degenerate_beta, degenerate_gamma
 from degamma.core import degenerate_beta_classical
@@ -342,6 +345,31 @@ class TestProductSpec:
         with pytest.raises(ValueError):
             ProductSpec(n_terms=10, tolerance=-1.0)
 
+    @pytest.mark.parametrize("n_terms", [math.nan, 2.5, 10.5, 1e5 + 0.5])
+    def test_fractional_or_nan_count_is_refused(self, n_terms):
+        # NaN gave nan+nanj with status regular, a fraction a raw TypeError
+        with pytest.raises(ValueError, match="^ProductSpec: n_terms must be >= 1 and whole$"):
+            ProductSpec(n_terms=n_terms)
+        with pytest.raises(ValueError, match="n_terms"):
+            ProductSpec()._replace(n_terms=n_terms)
+        with pytest.raises(ValueError, match="^sine_product: n_terms must be >= 1 and whole$"):
+            sine_product(0.5 + 0.25j, n_terms)
+
+    @pytest.mark.parametrize("n_terms", [10, 10**5])
+    def test_whole_float_count_serves_every_product(self, n_terms):
+        # a whole float is kept as an int; euler_limit_gamma and the beta
+        # product took only ints, weierstrass_gamma's direct form too
+        spec, int_spec = ProductSpec(n_terms=float(n_terms)), ProductSpec(n_terms=n_terms)
+        assert type(spec.n_terms) is int and spec == int_spec
+        p = DegenerateParameter(0.5)
+        z = 0.7 + 0.2j
+        for path in (weierstrass_gamma, euler_limit_gamma):
+            assert path(z, p, spec) == path(z, p, int_spec)
+        assert weierstrass_gamma(z, p, spec, True) == weierstrass_gamma(z, p, int_spec, True)
+        assert (degenerate_beta_product(0.7, 0.4, p, spec)
+                == degenerate_beta_product(0.7, 0.4, p, int_spec))
+        assert sine_product(z, float(n_terms)) == sine_product(z, n_terms)
+
 
 @pytest.fixture
 def mp():
@@ -510,3 +538,104 @@ class TestEulerMaclaurinTail:
                 # same branch as summing every term
                 direct = _paired_log_sum(x, u, 1, hi, direct=True)
                 assert abs(got.imag - direct.imag) < 1.0, (x, hi)
+
+
+def _reference_paired_sum(x, u, lo, hi):
+    """sum_{lo <= n < hi} of the paired terms, by the elementwise formulas the one pass replaced.
+
+    Terms n <= n0 = ceil(2 max(|x|, |u - x|, 1)) take np.log1p of each factor
+    (c / n in numpy's complex division, as there), the others the fused real
+    log1p and arctan2 of the pair; the parts are added by math.fsum.  Returns
+    the sum and the magnitude sum of the factors' logs, which the one pass adds.
+    """
+    y = u - x
+    q = x * y
+    split = max(lo, min(hi, math.ceil(2.0 * max(abs(x), abs(y), 1.0)) + 1))
+    terms, size = [], 0.0
+    for n in range(lo, hi):
+        factors = [complex(np.log1p(np.complex128(c) / n)) for c in (x, y)]
+        size += abs(factors[0]) + abs(factors[1])
+        if n < split:
+            terms += factors
+        else:
+            r = 1.0 / n
+            tr = (u + q.real * r) * r
+            ti = q.imag * r * r
+            terms.append(complex(0.5 * math.log1p(tr * (2.0 + tr) + ti * ti),
+                                 math.atan2(ti, 1.0 + tr)))
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms)), size
+
+
+def _short_stretch_draws(seed, count):
+    """(x, u, kind) with the Euler-Maclaurin start M at most _SHORT + 1.
+
+    Two thirds are regular, over the products' arguments at lambda in
+    (0.1, 0.9) and one u = 0 in ten (the sine product); a third put one
+    factor 1e-6 to 1e-2 from a pole, x or u - x next to -k, k = 1..10.
+    """
+    rng = np.random.default_rng(seed)
+    draws = []
+    for i in range(count):
+        u = 0.0 if i % 10 == 0 else 1.0 / rng.uniform(0.1, 0.9)
+        if i % 3:
+            draws.append((complex(rng.uniform(-2.5, 2.5), rng.uniform(-1.0, 1.0)), u, "regular"))
+            continue
+        w = -float(rng.integers(1, 11)) + 10.0 ** rng.uniform(-6.0, -2.0) * cmath.exp(
+            1j * rng.uniform(0.0, 2.0 * math.pi))
+        draws.append((w if rng.random() < 0.5 else u - w, u, "pole"))
+    return draws
+
+
+def _em_start(x, u):
+    return max(32, math.ceil(8.0 * max(abs(x), abs(u - x), 1.0)))
+
+
+class TestOnePassStretch:
+    """Every term below the Euler-Maclaurin start M <= _SHORT + 1 is one log1p pass."""
+
+    def test_matches_the_elementwise_sum(self):
+        # the one pass reassociates the head's and the fused tail's terms; 64
+        # eps of the terms' magnitude sum bounds what that may move
+        tol = 64 * np.finfo(float).eps
+        rng = np.random.default_rng(29)
+        for x, u, _ in _short_stretch_draws(28, 240):
+            m = _em_start(x, u)
+            assert m <= representations._SHORT + 1
+            for lo in (1, int(rng.integers(1, m + 1))):
+                want, size = _reference_paired_sum(x, u, lo, m)
+                assert abs(_paired_log_sum(x, u, lo, m) - want) <= tol * size, (x, u, lo)
+
+    def test_against_mpmath(self, mp):
+        # 1e-14 on regular draws; next to a pole the input's conditioning sets
+        # the error, and the one pass adds no more than its reassociation
+        tol = 64 * np.finfo(float).eps
+        for x, u, kind in _short_stretch_draws(31, 210):
+            m = _em_start(x, u)
+            ref = _mp_paired_log_sum(mp, x, u, m - 1)
+            err = _log_gap(_paired_log_sum(x, u, 1, m), ref)
+            if kind == "regular":
+                assert err <= 1e-14, (x, u, err)
+            else:
+                want, size = _reference_paired_sum(x, u, 1, m)
+                assert err <= _log_gap(want, ref) + tol * size, (x, u, err)
+
+
+def test_paired_sum_over_the_product_domain_is_one_log1p_pass(monkeypatch):
+    # at N = 1e12 over the domain verify's product rows draw from, each sum
+    # is one np.log1p pass and the Euler-Maclaurin stretch; the fused tail's
+    # np.arctan2 never runs
+    calls = collections.Counter()
+
+    def counted(name):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return getattr(np, name)(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(representations, "np", SimpleNamespace(
+        **{**vars(np), "log1p": counted("log1p"), "arctan2": counted("arctan2")}))
+    rng = np.random.default_rng(14)
+    for _ in range(40):
+        s, p = verify._product_domain(rng)
+        _paired_log_sum(s, p.inv_lambda, 1, 10**12 + 1)
+    assert calls == {"log1p": 40}
