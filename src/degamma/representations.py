@@ -98,7 +98,7 @@ class ProductSpec(namedtuple("ProductSpec", "n_terms use_tail_correction toleran
         upgrading the O(1/N) truncation error to roughly O(1/N**3).
     tolerance : float or None
         When set, raise ConvergenceError if the a-priori tail bound at
-        n_terms exceeds it.
+        n_terms exceeds it.  ValueError unless it is positive (NaN too).
     """
 
     __slots__ = ()
@@ -109,7 +109,7 @@ class ProductSpec(namedtuple("ProductSpec", "n_terms use_tail_correction toleran
         if self.n_terms > sys.float_info.max:
             raise ParameterRangeError("ProductSpec: n_terms is past the largest float")
         n_terms = _count(self.n_terms, 1, "ProductSpec: n_terms must be >= 1 and whole")
-        if self.tolerance is not None and self.tolerance <= 0.0:
+        if self.tolerance is not None and not self.tolerance > 0.0:
             raise ValueError("ProductSpec: tolerance must be positive")
         return self if type(self.n_terms) is int else self._replace(n_terms=n_terms)
 

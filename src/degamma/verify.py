@@ -8,14 +8,16 @@ others are judged against it.
 Each identity is one row of the table ``_CHECKS``: its name, the index of its
 random stream (None for a fixed grid), and a function that produces the
 samples, drawing lambda from a fixed range of its own, most through one
-sampler, ``_draw`` (lambda, then s off the poles).  ``CHECK_ROSTER`` is the
-table's names, and :func:`run_identity_suite` is one loop over it that judges
-every sample by its relative error: an exact identity within ``EXACT_TOL``, an
-approximate path (here and in the cross-path scan) within its own estimate.
-The residues, the sine product and the degeneration limits measure a limit or
-a truncation and keep bounds of their own.  A row that judges one approximate
-gamma path against the closed form is ``_estimated(tag, domain)``, which runs
-the path through ``core.gamma_evaluator`` by its method tag.
+sampler, ``_draw`` (lambda, then s off the poles).  A draw over (lo, hi) is
+lo + (hi - lo) * u for the stream's next double u, read in blocks: that is
+``Generator.uniform``.  ``CHECK_ROSTER`` is the table's names, and
+:func:`run_identity_suite` is one loop over it that judges every sample by its
+relative error: an exact identity within ``EXACT_TOL``, an approximate path
+(here and in the cross-path scan) within its own estimate.  The residues, the
+sine product and the degeneration limits measure a limit or a truncation and
+keep bounds of their own.  A row that judges one approximate gamma path
+against the closed form is ``_estimated(tag, domain)``, which runs the path
+through ``core.gamma_evaluator`` by its method tag, built once a run.
 ``CheckReport.record`` and ``fail`` fill every report, the limit checks' and
 the cross-path scan's too.
 """
@@ -23,6 +25,8 @@ the cross-path scan's too.
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import json
 import math
 from types import SimpleNamespace
@@ -113,6 +117,17 @@ def _rel(a: complex, b: complex) -> float:
     return abs(a - b) / max(abs(a), abs(b), _TINY)
 
 
+_BLOCK = 64
+
+
+def _stream(rng) -> SimpleNamespace:
+    """One row's generator, read _BLOCK doubles at a time.  uniform(lo, hi) is
+    lo + (hi - lo) * u over its successive doubles u: Generator.uniform's own
+    formula, one double a draw, so the row draws what the generator would."""
+    doubles = itertools.chain.from_iterable(iter(lambda: rng.random(_BLOCK).tolist(), None))
+    return SimpleNamespace(uniform=lambda lo, hi: lo + (hi - lo) * next(doubles))
+
+
 def _sample_complex(rng, re_range, im_range, reject) -> complex:
     """Draw until the rejection predicate clears; deterministic given rng."""
     for _ in range(10_000):
@@ -149,14 +164,14 @@ def _draw_pair(rng, shifted: bool = False):
                  reject=lambda w, p: shifted and not _away_from_poles(w + 1.0, p))
 
 
-def _difference_equation(rng, pspec):
+def _difference_equation(rng, run):
     # dgamma(s+1) = s/(1 - lam*(s+1)) * dgamma(s)
     s, p = _draw_pair(rng, shifted=True)
     return (s, p.lam, "difference-step", _value(s + 1.0, p),
             core.difference_step(s, p) * _value(s, p), EXACT_TOL)
 
 
-def _reflection_symmetry(rng, pspec):
+def _reflection_symmetry(rng, run):
     # lam^s dgamma(s) = lam^(u-s) dgamma(u-s), as the ratio of the two sides
     # from their logs; exp absorbs the logs' 2 pi i branch offsets
     s, p = _draw_pair(rng)
@@ -166,7 +181,7 @@ def _reflection_symmetry(rng, pspec):
     return s, p.lam, "symmetry", cmath.exp(l1 - l2), 1.0 + 0.0j, EXACT_TOL
 
 
-def _closed_form_beta_identity(rng, pspec):
+def _closed_form_beta_identity(rng, run):
     # closed form against the classical-beta grouping lam^{-s} B(s, u-s)
     s, p = _draw_pair(rng)
     return (s, p.lam, "beta-grouping", _value(s, p),
@@ -175,36 +190,45 @@ def _closed_form_beta_identity(rng, pspec):
 
 
 def _lambda_shift(k: int):
-    """The lambda-shift recurrence by k + 1 steps."""
+    """The lambda-shift recurrence by k + 1 steps, to the shifted parameter q."""
+    lams = (0.1, 1.0 / (k + 2) - 0.02)
 
-    def shifted(p):
-        return DegenerateParameter(p.lam / (1.0 - (k + 1) * p.lam))
-
-    def check(rng, pspec):
-        s, p = _draw(rng, (0.1, 1.0 / (k + 2) - 0.02),
-                     lambda u: (k + 0.1, min(u - 1.0 - 0.1, k + 8.0)), (-3.0, 3.0),
-                     reject=lambda w, p: (not _away_from_poles(w + 1.0, p)
-                                          or not _away_from_poles(w - k, shifted(p))))
+    def check(rng, run):
+        p = DegenerateParameter(rng.uniform(*lams))
+        q = DegenerateParameter(p.lam / (1.0 - (k + 1) * p.lam))
+        s = _sample_complex(
+            rng, (k + 0.1, min(p.inv_lambda - 1.0 - 0.1, k + 8.0)), (-3.0, 3.0),
+            lambda w: not (_away_from_poles(w, p) and _away_from_poles(w + 1.0, p)
+                           and _away_from_poles(w - k, q)))
         step = core.lambda_shift_recurrence(s, k, p)
         return (s, p.lam, f"shift-k{k}", _value(s + 1.0, p),
-                step.factor * _value(step.shifted_arg, shifted(p)), EXACT_TOL)
+                step.factor * _value(step.shifted_arg, q), EXACT_TOL)
 
     return check
 
 
+def _integer_ratios(lam: float, count: int):
+    """IntegerGammaValue.exact(), Gamma(k) / (1)_{k+1,lambda} for k = 1 ... count,
+    as unreduced integer ratios, one int / int division rounding each as float()
+    does.  With lambda = b/e, (1)_{k+1,lambda} = prod_{j<=k} (e - j b) / e**(k+1)."""
+    b, e = lam.as_integer_ratio()
+    num, fact = e, 1
+    for k in range(1, count + 1):
+        num *= e - k * b
+        yield fact * e ** (k + 1), num
+        fact *= k
+
+
 def _integer_ratio(k: int, lam: float) -> tuple[int, int]:
-    """IntegerGammaValue.exact(), Gamma(k) / (1)_{k+1,lambda}, as an unreduced
-    integer ratio: one int / int division rounds it correctly, as float() does."""
-    num, den = core._falling_factorial_ratio(1, k + 1, lam)
-    return math.factorial(k - 1) * den, num
+    """The last of _integer_ratios(lam, k)."""
+    return list(_integer_ratios(lam, k))[-1]
 
 
 def _integer_values():
     # integer arguments against exact rational products
     for lam in (0.05, 0.09, 0.11, 0.3):
         p = DegenerateParameter(lam)
-        for k in range(1, 11):
-            a, b = _integer_ratio(k, lam)
+        for k, (a, b) in enumerate(_integer_ratios(lam, 10), 1):
             yield (complex(k), lam, "integer-product", _value(complex(k), p),
                    complex(a / b), EXACT_TOL)
 
@@ -223,10 +247,9 @@ def _estimated_sample(s, lam, res, expected):
 def _estimated(tag: str, domain):
     """The check of the gamma path ``tag`` on domain(rng) against the closed form."""
 
-    def check(rng, pspec):
+    def check(rng, run):
         s, p = domain(rng)
-        path = core.gamma_evaluator(tag, core.DEFAULT_TOLERANCE, pspec.n_terms)
-        return _estimated_sample(s, p.lam, path(s, p), _value(s, p))
+        return _estimated_sample(s, p.lam, run.path(tag)(s, p), _value(s, p))
 
     return check
 
@@ -236,10 +259,10 @@ def _estimated(tag: str, domain):
 PAIRED_TERMS = 10**4
 
 
-def _weierstrass_paired(rng, pspec):
+def _weierstrass_paired(rng, run):
     # the directly summed product against the Euler-Maclaurin one, at N <= PAIRED_TERMS
     s, p = _product_domain(rng)
-    pspec = pspec._replace(n_terms=min(pspec.n_terms, PAIRED_TERMS))
+    pspec = run.pspec._replace(n_terms=min(run.pspec.n_terms, PAIRED_TERMS))
     main = representations.weierstrass_gamma(s, p, pspec)
     paired = representations.weierstrass_gamma(
         s, p, pspec, euler_constant_form=True
@@ -247,13 +270,13 @@ def _weierstrass_paired(rng, pspec):
     return s, p.lam, "paired-form", paired.value, main.value, EXACT_TOL
 
 
-def _sine_product(rng, pspec):
+def _sine_product(rng, run):
     # sine product against pi z / sin(pi z)
     z = _sample_complex(
         rng, (-2.5, 2.5), (-1.5, 1.5),
         lambda w: abs(w.real - round(w.real)) < 0.1 and abs(w.imag) < 0.1,
     )
-    terms = pspec.n_terms
+    terms = run.pspec.n_terms
     observed = representations.sine_product(z, terms)
     expected = math.pi * z / classical.sin_pi(z) if z != 0 else 1.0 + 0.0j
     tol = 3.0 * (abs(z) ** 2 + 1.0) / terms
@@ -269,16 +292,16 @@ def _beta_domain(rng):
     return a, b, p
 
 
-def _beta_classical_mixed(rng, pspec):
+def _beta_classical_mixed(rng, run):
     a, b, p = _beta_domain(rng)
     return (a + b, p.lam, "classical-mixed", core.degenerate_beta(a, b, p).value,
             core.degenerate_beta_classical(a, b, p).value, EXACT_TOL)
 
 
-def _beta_product(rng, pspec):
+def _beta_product(rng, run):
     a, b, p = _beta_domain(rng)
     return _estimated_sample(a + b, p.lam,
-                             representations.degenerate_beta_product(a, b, p, pspec),
+                             representations.degenerate_beta_product(a, b, p, run.pspec),
                              core.degenerate_beta(a, b, p).value)
 
 
@@ -287,7 +310,7 @@ def _beta_integer_formula():
     # the ratio of the exact integer values Gamma(k) / (1)_{k+1}
     for lam in (0.07, 0.1, 0.16, 0.22):
         p = DegenerateParameter(lam)
-        exact = {k: _integer_ratio(k, lam) for k in range(1, 7)}
+        exact = dict(enumerate(_integer_ratios(lam, 6), 1))
         for m in range(1, 4):
             for n in range(1, 4):
                 (a, b), (c, d), (e, f) = exact[m], exact[n], exact[m + n]
@@ -315,7 +338,7 @@ def _hankel_domain(rng):
                  lambda w, p: abs(w.real - round(w.real)) + abs(w.imag) < 0.1)
 
 
-def _hankel_contour_reflected(rng, pspec):
+def _hankel_contour_reflected(rng, run):
     s, p = _hankel_domain(rng)
     return (s, p.lam, "hankel-reflected",
             quadrature.hankel_gamma_reflected(s, p).value,
@@ -323,11 +346,12 @@ def _hankel_contour_reflected(rng, pspec):
 
 
 # The identity checks: (name, random stream, check).  A check with a stream
-# index draws from default_rng([seed, index]) and maps (rng, product spec) to
-# one sample (s, lambda, path, observed, expected, tol); one with stream None
-# walks a fixed grid and yields them all.  A sample passes when its relative
-# error is within tol: EXACT_TOL for an exact identity, its own estimate for an
-# approximate path.
+# index maps (rng, run) to one sample (s, lambda, path, observed, expected,
+# tol): rng.uniform(lo, hi) is lo + (hi - lo) * u over the successive doubles u
+# of default_rng([seed, index]), which is Generator.uniform, and run holds the
+# run's product spec and path evaluators.  One with stream None walks a fixed
+# grid and yields them all.  A sample passes when its relative error is within
+# tol: EXACT_TOL for an exact identity, its own estimate for an approximate path.
 _CHECKS = (
     ("difference-equation", 0, _difference_equation),
     ("reflection-symmetry", 1, _reflection_symmetry),
@@ -365,19 +389,25 @@ def run_identity_suite(seed: int, samples: int, product_terms: int = 10**12) -> 
     if samples < 1:
         raise ValueError("run_identity_suite: samples must be >= 1")
     pspec = representations.ProductSpec(n_terms=product_terms)
+    # each approximate path's evaluator by method tag, built once a run
+    run = SimpleNamespace(pspec=pspec, path=functools.cache(
+        lambda tag: core.gamma_evaluator(tag, core.DEFAULT_TOLERANCE, product_terms)))
     reports = []
     for name, stream, check in _CHECKS:
         if stream is None:
             rows = check()
         else:
-            rng = np.random.default_rng([seed, stream])
-            rows = (check(rng, pspec) for _ in range(samples))
+            rng = _stream(np.random.default_rng([seed, stream]))
+            rows = (check(rng, run) for _ in range(samples))
         report = CheckReport(name)
         for s, lam, path, observed, expected, tol in rows:
             report.record(s, lam, path, observed, expected, _rel(observed, expected), tol)
         reports.append(report)
     reports.sort(key=lambda r: r.check_name)
     return reports
+
+
+_RESIDUE_OFFSETS = tuple(1e-4 * cmath.exp(0.5j * math.pi * k) for k in range(4))
 
 
 def _residue_limit(location: complex, p: DegenerateParameter) -> complex:
@@ -387,10 +417,8 @@ def _residue_limit(location: complex, p: DegenerateParameter) -> complex:
     radius-1e-4 circle already determines the residue to ~1e-12.
     """
     total = 0.0 + 0.0j
-    for k in range(4):
-        offset = 1e-4 * cmath.exp(0.5j * math.pi * k)
-        s = location + offset
-        total += offset * core.degenerate_gamma(s, p).value
+    for offset in _RESIDUE_OFFSETS:
+        total += offset * core.degenerate_gamma(location + offset, p).value
     return total / 4.0
 
 
@@ -453,17 +481,17 @@ def run_limit_checks() -> list[CheckReport]:
     reports = []
     for name, path, points, reference, lam_at, final_tol in _LIMITS:
         report = CheckReport(name)
+        steps = [(DegenerateParameter(lam_at(eps)), final_tol if eps == 1e-6 else math.inf)
+                 for eps in (1e-2, 1e-4, 1e-6)]
         for s in points:
+            ref = reference(s)
             devs = []
-            for eps in (1e-2, 1e-4, 1e-6):
-                lam = lam_at(eps)
-                val = core.degenerate_gamma(s, DegenerateParameter(lam)).value
-                ref = reference(s)
+            for p, tol in steps:
+                val = core.degenerate_gamma(s, p).value
                 devs.append(_rel(val, ref))
-                tol = final_tol if eps == 1e-6 else math.inf
-                report.record(complex(s), lam, path, val, ref, devs[-1], tol)
+                report.record(complex(s), p.lam, path, val, ref, devs[-1], tol)
             if not (devs[0] > devs[1] > devs[2]):
-                report.fail(complex(s), lam, f"{path}-monotone",
+                report.fail(complex(s), p.lam, f"{path}-monotone",
                             complex(devs[0], devs[1]), complex(devs[2], 0.0),
                             max(devs), 0.0)
         reports.append(report)

@@ -345,6 +345,17 @@ class TestProductSpec:
         with pytest.raises(ValueError):
             ProductSpec(n_terms=10, tolerance=-1.0)
 
+    def test_nan_tolerance_is_refused(self):
+        # NaN passed `tolerance <= 0`, and every product call then raised a
+        # ConvergenceError that said to raise n_terms; inf still asks nothing
+        with pytest.raises(ValueError, match="^ProductSpec: tolerance must be positive$"):
+            ProductSpec(tolerance=math.nan)
+        with pytest.raises(ValueError, match="tolerance"):
+            ProductSpec()._replace(tolerance=math.nan)
+        p = DegenerateParameter(0.5)
+        assert (weierstrass_gamma(0.7, p, ProductSpec(tolerance=math.inf))
+                == weierstrass_gamma(0.7, p, ProductSpec()))
+
     @pytest.mark.parametrize("n_terms", [math.nan, 2.5, 10.5, 1e5 + 0.5])
     def test_fractional_or_nan_count_is_refused(self, n_terms):
         # NaN gave nan+nanj with status regular, a fraction a raw TypeError

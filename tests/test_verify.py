@@ -1,13 +1,14 @@
 """Tests for the cross-representation verification harness."""
 
 import cmath
+import collections
 from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from degamma import classical, quadrature, representations, verify
+from degamma import classical, core, quadrature, representations, verify
 from degamma.core import DegenerateParameter, degenerate_gamma, degenerate_gamma_integer
 from degamma.verify import (
     CHECK_ROSTER,
@@ -273,6 +274,87 @@ def test_integer_references_keep_their_bits():
     for s, lam, _, _, expected, _ in rows:
         m, n = int(s.real), int(s.imag)
         assert expected == complex(float(exact(m, lam) * exact(n, lam) / exact(m + n, lam)))
+
+
+def _per_call_stream(rng):
+    """The reference sampler: a stream row draws each value by one scalar
+    Generator.uniform call, in place of reading blocks of doubles."""
+    return rng
+
+
+@pytest.mark.parametrize("seed,samples", [
+    (0, 3), (1, 3), (17, 3), (1608637542, 3), (2**31 - 1, 3), (5, 100)])
+def test_block_streams_keep_every_report(monkeypatch, seed, samples):
+    # at 100 samples every stream row draws past its first block
+    blocks = [r.to_dict() for r in run_identity_suite(seed=seed, samples=samples)]
+    monkeypatch.setattr(verify, "_stream", _per_call_stream)
+    assert blocks == [r.to_dict() for r in run_identity_suite(seed=seed, samples=samples)]
+
+
+def test_block_uniform_is_generator_uniform_on_every_range(monkeypatch):
+    # every (lo, hi) the rows draw over at three seeds, draw by draw across
+    # two block refills
+    ranges = set()
+    stream = verify._stream
+
+    def recorded(rng):
+        uniform = stream(rng).uniform
+        return SimpleNamespace(uniform=lambda lo, hi: ranges.add((lo, hi)) or uniform(lo, hi))
+
+    monkeypatch.setattr(verify, "_stream", recorded)
+    for seed in range(3):
+        run_identity_suite(seed=seed, samples=3)
+    assert len(ranges) > 30
+    draws = 2 * verify._BLOCK + 1
+    for lo, hi in ranges:
+        for seed in range(4):
+            blocks, per_call = stream(np.random.default_rng(seed)), np.random.default_rng(seed)
+            assert ([blocks.uniform(lo, hi) for _ in range(draws)]
+                    == [per_call.uniform(lo, hi) for _ in range(draws)]), (lo, hi, seed)
+
+
+class _CountedGenerator:
+    """A Generator whose method calls are counted by name."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self._calls[name] += 1
+            return method(*args, **kwargs)
+        return counted
+
+
+def test_the_harness_does_its_fixed_work_once_per_run(monkeypatch):
+    # a work guard: one generator per stream row, read in one
+    # block of doubles (3 samples draw fewer than _BLOCK) and never by a
+    # scalar Generator.uniform, and one evaluator per approximate row
+    streams, evaluators = [], collections.Counter()
+
+    def default_rng(seed):
+        streams.append(collections.Counter())
+        return _CountedGenerator(np.random.default_rng(seed), streams[-1])
+
+    def gamma_evaluator(tag, *args):
+        evaluators[tag] += 1
+        return evaluate(tag, *args)
+
+    evaluate = core.gamma_evaluator
+    monkeypatch.setattr(verify, "np", SimpleNamespace(
+        **{**vars(np), "random": SimpleNamespace(default_rng=default_rng)}))
+    monkeypatch.setattr(core, "gamma_evaluator", gamma_evaluator)
+    counts = []
+    for _ in range(2):
+        streams.clear()
+        evaluators.clear()
+        run_identity_suite(seed=0, samples=3)
+        counts.append(([dict(c) for c in streams], dict(evaluators)))
+    assert counts[0] == counts[1]
+    assert counts[0][0] == [{"random": 1}] * 14
+    assert counts[0][1] == {"weierstrass": 1, "euler-limit": 1, "hankel": 1}
 
 
 class _StubRng:
