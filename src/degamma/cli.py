@@ -12,8 +12,8 @@ import argparse
 import os
 import re
 import sys
-from functools import cache, partial
-from operator import is_not
+from functools import cache
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import core
@@ -24,6 +24,7 @@ __all__ = ["main", "OutputRecord", "parse_complex", "parse_range"]
 
 USAGE_EXIT = 64
 NUMERIC_EXIT = 2
+_AT_POLE, _OVERFLOW = EvalStatus.AT_POLE, EvalStatus.OVERFLOW  # globals, cheaper than lookups
 
 
 def _tolerance(tol: float | None) -> float:
@@ -120,18 +121,15 @@ class OutputRecord(NamedTuple):
     )
 
 
-_NOT_NONE = partial(is_not, None)
-
-
 class _Emitter:
     """Streams OutputRecords as JSON lines or CSV (header with the first row).
 
-    Each record shape, the type of each field, has one %-template, built on
-    first use and applied to the record's non-None values: floats as %.17g,
-    tags as they are (none needs quoting or escaping), None as null or an
-    empty field.  JSON then respells nan and inf, which no finite %.17g
-    output, key or tag contains.  Every row, and the CSV header, is one
-    ``write`` call on the stream.
+    Each record shape, the type of each field, has one %-template and one
+    picker of its non-None fields, built on first use: a row is the template
+    of the picked values, floats as %.17g, tags as they are (none needs
+    quoting or escaping), None as null or an empty field.  JSON then respells
+    nan and inf, which no finite %.17g output, key or tag contains.  Every
+    row, and the CSV header, is one ``write`` call on the stream.
     """
 
     def __init__(self, fmt: str, stream):
@@ -140,17 +138,22 @@ class _Emitter:
         self._header = None if self._json else ",".join(OutputRecord.FIELDS) + "\n"
         self._spelling = ({str: '"%s"', type(None): "null"} if self._json
                           else {str: "%s", type(None): ""})
-        self._templates = {}
+        self._formats = {}
+
+    def _format(self, shape: tuple) -> tuple:
+        """Keeps and returns one record shape's template and picker of its non-None fields."""
+        cells = [self._spelling.get(kind, "%.17g") for kind in shape]
+        pairs = map('"{}": {}'.format, OutputRecord.FIELDS, cells)
+        template = "{%s}\n" % ", ".join(pairs) if self._json else ",".join(cells) + "\n"
+        kept = [i for i, kind in enumerate(shape) if kind is not type(None)]
+        # itemgetter of one index returns a bare value, which % takes as well; of none it raises
+        pick = itemgetter(*kept) if kept else lambda rec: ()
+        return self._formats.setdefault(shape, (template, pick))
 
     def emit(self, rec: OutputRecord) -> None:
         shape = tuple(map(type, rec))
-        template = self._templates.get(shape)
-        if template is None:
-            cells = [self._spelling.get(kind, "%.17g") for kind in shape]
-            pairs = map('"{}": {}'.format, OutputRecord.FIELDS, cells)
-            template = "{%s}\n" % ", ".join(pairs) if self._json else ",".join(cells) + "\n"
-            self._templates[shape] = template
-        row = template % tuple(filter(_NOT_NONE, rec))
+        template, pick = self._formats.get(shape) or self._format(shape)
+        row = template % pick(rec)
         if self._json:
             row = row.replace("nan", "NaN").replace("inf", "Infinity")
         elif self._header is not None:
@@ -164,15 +167,15 @@ def _record_from_result(
 ) -> OutputRecord:
     """The record of one result; EvalStatus values are the wire's status strings."""
     status = result.status
-    if status is EvalStatus.AT_POLE:
+    if status is _AT_POLE:
         residue = result.pole.residue
         return OutputRecord(s.real, s.imag, lam, None, None, None, method,
-                            status.value, residue.real, residue.imag)
-    if status is EvalStatus.OVERFLOW:
-        return OutputRecord(s.real, s.imag, lam, None, None, None, method, status.value)
+                            status._value_, residue.real, residue.imag)
+    if status is _OVERFLOW:
+        return OutputRecord(s.real, s.imag, lam, None, None, None, method, status._value_)
     value = result.value
     return OutputRecord(s.real, s.imag, lam, value.real, value.imag,
-                        result.abs_error_estimate, method, status.value)
+                        result.abs_error_estimate, method, status._value_)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -210,19 +213,22 @@ def _cmd_table(args, parser, emitter) -> None:
         if args.s is None:
             parser.error("--s is required when --lambda is a range")
         points = [(args.s, lam) for lam in args.lam]
-    # The first row's lambda is checked before the specs, as in eval.
+    # The first row's lambda is checked before the specs, as in eval, and the
+    # last after them: the grid increases, so a refused range writes no row.
     p = DegenerateParameter(points[0][1])
     evaluate = core.gamma_evaluator(args.method, args.tol, args.n_terms)
+    if points[-1][1] >= 1.0:
+        DegenerateParameter(points[-1][1])
+    emit, method = emitter.emit, args.method
     for s, lam in points:
         if lam != p.lam:
             p = DegenerateParameter(lam)
         try:
             result = evaluate(s, p)
         except DegammaError:
-            emitter.emit(OutputRecord(s.real, s.imag, lam, None, None, None,
-                                      args.method, "skipped"))
+            emit(OutputRecord(s.real, s.imag, lam, None, None, None, method, "skipped"))
             continue
-        emitter.emit(_record_from_result(s, lam, args.method, result))
+        emit(_record_from_result(s, lam, method, result))
 
 
 def _cmd_beta(args, parser, emitter) -> None:

@@ -218,6 +218,7 @@ class EvalResult(NamedTuple):
 
 _NAN = complex(math.nan, math.nan)
 _ESTIMATE_FLOOR = math.ulp(0.0)
+_CLOSED_FORM = EvalMethod.CLOSED_FORM  # a global, cheaper than the enum lookup
 
 
 def _finish(method: EvalMethod, log_val: complex | None = None, rel_est: float = 0.0,
@@ -248,7 +249,8 @@ def _finish(method: EvalMethod, log_val: complex | None = None, rel_est: float =
     if rel_est:
         # expm1 overflows past 709.78, and inf * 0 would be NaN at an underflowed value
         abs_est += abs(value) * math.expm1(rel_est) if rel_est < 709.0 else math.inf
-    return EvalResult(value, max(abs_est, _ESTIMATE_FLOOR), method, status, pole, log_val, note)
+    abs_est = _ESTIMATE_FLOOR if abs_est < _ESTIMATE_FLOOR else abs_est  # NaN stays NaN
+    return EvalResult(value, abs_est, method, status, pole, log_val, note)
 
 
 def degenerate_exp(x: complex, t: complex, lam: float) -> complex:
@@ -350,18 +352,19 @@ def pole_residue(family: PoleFamily, n: int, p: DegenerateParameter) -> complex:
 
 def _log_residue(family: PoleFamily, n: int, p: DegenerateParameter) -> tuple[float, float]:
     """log |residue| and the residue's sign at the n-th pole of a family."""
-    log_mag = (_log_gamma_off_pole(p.inv_lambda + n).real
-               - _log_gamma_off_pole(n + 1.0).real - p.log_gamma_inv_lambda)
-    if family is PoleFamily.NON_POSITIVE:
+    log_mag = -p.log_gamma_inv_lambda  # first: below lambda ~ 3.9e-306 it raises
+    log_un = _log_gamma_off_pole(p.inv_lambda + n).real
+    if log_un < math.inf:
+        log_mag += log_un - _log_gamma_off_pole(n + 1.0).real
+    else:  # past lgamma's range (2.56e305), where n |log lambda| > 1e289 leaves 0 or inf
+        log_mag += min((p.inv_lambda - 1.0) * math.log(n), 1e308)  # the leading term, finite
+    if family is _NON_POSITIVE:
         return log_mag + n * p.log_lambda, (-1.0 if n % 2 else 1.0)
     return log_mag + (-n - p.inv_lambda) * p.log_lambda, (1.0 if n % 2 else -1.0)
 
 
 def _pole_info(family: PoleFamily, n: int, p: DegenerateParameter) -> PoleInfo:
-    if family is PoleFamily.NON_POSITIVE:
-        location = complex(-n, 0.0)
-    else:
-        location = complex(p.inv_lambda + n, 0.0)
+    location = complex(-n if family is _NON_POSITIVE else p.inv_lambda + n, 0.0)
     return PoleInfo(family, n, location, pole_residue(family, n, p))
 
 
@@ -435,7 +438,7 @@ def degenerate_gamma(s: complex, p: DegenerateParameter) -> EvalResult:
     s = complex(s)
     dist, family, n = nearest_pole(s, p)
     if dist < POLE_TOLERANCE:
-        return _finish(EvalMethod.CLOSED_FORM, status=EvalStatus.AT_POLE,
+        return _finish(_CLOSED_FORM, status=EvalStatus.AT_POLE,
                        pole=_pole_info(family, n, p), abs_est=math.inf)
     log_val, mag_sum = _closed_form_log(s, p)
     if family is _SHIFTED:  # u's rounding (_check_argument's docstring); mag_sum covers the other
@@ -443,9 +446,9 @@ def degenerate_gamma(s: complex, p: DegenerateParameter) -> EvalResult:
     rel_est = 1e-14 + 8e-16 * mag_sum
     if dist < NEAR_POLE_RADIUS:
         rel_est *= NEAR_POLE_RADIUS / dist
-        return _finish(EvalMethod.CLOSED_FORM, log_val, rel_est, not s.imag,
+        return _finish(_CLOSED_FORM, log_val, rel_est, not s.imag,
                        EvalStatus.NEAR_POLE, _pole_info(family, n, p))
-    return _finish(EvalMethod.CLOSED_FORM, log_val, rel_est, not s.imag)
+    return _finish(_CLOSED_FORM, log_val, rel_est, not s.imag)
 
 
 class IntegerGammaValue(NamedTuple):
@@ -624,7 +627,7 @@ def degenerate_beta(a: complex, b: complex, p: DegenerateParameter) -> EvalResul
     is 0 with an explanatory note.  Real a and b give a real value.
     """
     a, b = complex(a), complex(b)
-    zero, felt = _beta_guard(a, b, p, EvalMethod.CLOSED_FORM)
+    zero, felt = _beta_guard(a, b, p, _CLOSED_FORM)
     if zero is not None:
         return zero
     la, ma = _closed_form_log(a, p, "alpha")
@@ -632,7 +635,7 @@ def degenerate_beta(a: complex, b: complex, p: DegenerateParameter) -> EvalResul
     lab, mab = _closed_form_log(a + b, p, "alpha+beta")
     log_val = la + lb - lab
     rel_est = 1e-14 + 8e-16 * (ma + mb + mab + felt)
-    return _finish(EvalMethod.CLOSED_FORM, log_val, rel_est, not (a.imag or b.imag))
+    return _finish(_CLOSED_FORM, log_val, rel_est, not (a.imag or b.imag))
 
 
 def degenerate_beta_classical(

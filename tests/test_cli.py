@@ -1,6 +1,7 @@
 """Tests for the command-line frontend: parsing, records, exit codes."""
 
 import argparse
+import collections
 import csv
 import io
 import itertools
@@ -15,6 +16,7 @@ import pytest
 
 import degamma
 import degamma.cli as cli_mod
+from degamma import core
 from degamma.cli import OutputRecord, main, parse_complex, parse_range
 from degamma.core import GAMMA_METHODS, DegenerateParameter, EvalStatus, degenerate_gamma
 
@@ -390,6 +392,74 @@ class TestTableContract:
             assert "pole" in statuses
 
 
+_WORK_SWEEPS = {
+    # sweep: (rows, distinct lambdas, record shapes)
+    ("--lambda=0.25", "--s-re=-2.5:5.5:0.125"): (65, 1, 2),
+    ("--s=4", "--lambda=0.0625:0.9375:0.0078125"): (113, 113, 2),
+}
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("sweep", list(_WORK_SWEEPS), ids=["s-re", "lambda"])
+def test_table_does_one_evaluation_and_one_write_per_row(sweep, fmt, monkeypatch):
+    # a work guard: one degenerate_gamma call and one write per row (and the
+    # CSV header), one DegenerateParameter per distinct lambda and one
+    # template per record shape; the counts repeat from run to run
+    counts = collections.Counter()
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(core, "degenerate_gamma", counted("gamma", core.degenerate_gamma))
+    monkeypatch.setattr(cli_mod, "DegenerateParameter",
+                        counted("parameter", DegenerateParameter))
+    monkeypatch.setattr(cli_mod._Emitter, "_format",
+                        counted("template", cli_mod._Emitter._format))
+    runs = []
+    for _ in range(2):
+        counts.clear()
+        stream = _CountingStream()
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert main(["table", *sweep, f"--format={fmt}"]) == 0
+        runs.append((dict(counts), len(stream.writes)))
+    rows, lambdas, shapes = _WORK_SWEEPS[sweep]
+    header = fmt == "csv"
+    assert runs[0] == runs[1] == (
+        {"gamma": rows, "parameter": lambdas, "template": shapes}, rows + header)
+    wire = [_parse_wire_row(text, fmt) for text in stream.writes[header:]]
+    assert len(wire) == rows
+    assert len({tuple(map(type, row.values())) for row in wire}) == shapes
+    assert len({row["lambda"] for row in wire}) == lambdas
+
+
+class TestTableRefusesBeforeAnyRow:
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("grid, last", [("0.5:1.5:0.5", "1.5"), ("0.2:1.0:0.4", "1.0")])
+    def test_a_lambda_range_leaving_the_interval(self, capsys, grid, last, fmt):
+        code, out, err = run_cli(capsys, "table", f"--lambda={grid}", "--s=1.5",
+                                 f"--format={fmt}")
+        assert (code, out) == (2, "")
+        assert err == f"degamma: lambda must lie strictly inside (0, 1); got {last}\n"
+
+    def test_an_in_range_lambda_sweep_is_unchanged(self, capsys):
+        code, out, _ = run_cli(capsys, "table", "--lambda=0.1:0.9:0.2", "--s=1.5")
+        assert code == 0
+        rows = out.splitlines(keepends=True)
+        assert len(rows) == 5
+        for row, lam in zip(rows, parse_range("0.1:0.9:0.2")):
+            assert run_cli(capsys, "eval", f"--lambda={lam!r}", "--s=1.5") == (0, row, "")
+
+
+def test_a_pole_past_the_log_gamma_range_has_an_infinite_residue(capsys):
+    code, out, _ = run_cli(capsys, "table", "--lambda=0.5", "--s-re=1e308:1.7e308:1e308")
+    assert code == 0
+    (rec,) = jsonl(out)
+    assert (rec["status"], rec["residue_re"], rec["residue_im"]) == ("pole", -math.inf, 0.0)
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_degamma(self):
         src = Path(degamma.__file__).resolve().parent.parent
@@ -653,3 +723,15 @@ class TestEmitterBytes:
             assert "nan" not in tag and "inf" not in tag, tag
         for name in OutputRecord.FIELDS:
             assert "nan" not in name and "inf" not in name and "%" not in name
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_the_emitter_writes_records_with_no_or_one_value(fmt):
+    # itemgetter picks no field only by raising, and one as a bare value
+    records = [OutputRecord(*[None] * 8), OutputRecord(*[None] * 6, "closed-form", None),
+               OutputRecord(-0.0, *[None] * 7), OutputRecord(math.nan, *[None] * 7)]
+    buf = io.StringIO()
+    emitter = cli_mod._Emitter(fmt, buf)
+    for rec in records:
+        emitter.emit(rec)
+    assert buf.getvalue() == _reference_text(records, fmt)

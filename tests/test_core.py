@@ -550,6 +550,35 @@ class TestPoles:
                 assert rel(total / 4.0, info.residue) <= 1e-6
 
 
+# 3.91e-306: (u - 1) log n alone overflows at n = 1e306
+@pytest.mark.parametrize("lam", [0.3, 0.5, 1.0 - 1e-9, 3.91e-306])
+def test_residues_past_the_log_gamma_range_are_zero_or_infinite_by_parity(lam):
+    # past math.lgamma's range (about 2.56e305) both log-gamma terms of a
+    # residue are inf; n |log lambda| > 1e289 leaves 0 or an infinity, never NaN
+    p = DegenerateParameter(lam)
+    for n in (10**306, 10**306 + 1):
+        sign = -1.0 if n % 2 else 1.0
+        res = pole_residue(PoleFamily.NON_POSITIVE, n, p)
+        assert (res.real, math.copysign(1.0, res.real), res.imag) == (0.0, sign, 0.0)
+        assert pole_residue(PoleFamily.SHIFTED_BY_INV_LAMBDA, n, p) == complex(
+            -sign * math.inf, 0.0)
+    for s, family in ((3e305, PoleFamily.SHIFTED_BY_INV_LAMBDA),
+                      (-3e305, PoleFamily.NON_POSITIVE)):
+        res = degenerate_gamma(s, p)
+        assert res.status is EvalStatus.AT_POLE and res.pole.family is family
+        assert res.pole.residue == pole_residue(family, res.pole.index, p)
+        assert not cmath.isnan(res.pole.residue)
+
+
+def test_a_residue_whose_u_plus_n_alone_passes_the_log_gamma_range():
+    # at lambda = 4e-306, u + n passes math.lgamma's range while n + 1 does not;
+    # 40-digit mpmath gives log |residue| -6.99e306 and -7.01e307 at s = -n
+    p = DegenerateParameter(4e-306)
+    for n in (10**304, 10**305):
+        assert pole_residue(PoleFamily.NON_POSITIVE, n, p) == 0.0
+        assert pole_residue(PoleFamily.SHIFTED_BY_INV_LAMBDA, n, p) == complex(-math.inf, 0.0)
+
+
 class TestSymmetry:
     def test_partner(self):
         p = DegenerateParameter(0.5)
