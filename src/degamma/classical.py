@@ -136,8 +136,7 @@ def sin_pi(z: complex) -> complex:
     log(sin(pi*z)) is needed.
     """
     z = complex(z)
-    if not cmath.isfinite(z):
-        raise DomainError(f"sin_pi: z = {z} is not finite")
+    _refuse_non_finite("sin_pi", "z", z)
     s, c = _sincospi(z.real)
     piy = math.pi * z.imag
     return complex(s * math.cosh(piy), c * math.sinh(piy))
@@ -157,12 +156,18 @@ def _log_sin_pi(z: complex) -> complex:
     return complex(piy - math.log(2.0), phase)
 
 
+def _refuse_non_finite(name: str, arg: str, z: complex) -> None:
+    """DomainError, naming function ``name`` and argument ``arg``, for a non-finite z."""
+    if not cmath.isfinite(z):
+        raise DomainError(f"{name}: {arg} = {z} is not finite")
+
+
 def _integer_distance(name: str, arg: str, z: complex, nonpositive=False) -> tuple[float, int]:
     """Distance from z to the nearest integer n (n <= 0 if nonpositive), and n.
 
     DomainError, naming function ``name`` and argument ``arg``, for a non-finite z.
     """
-    if not cmath.isfinite(z):
+    if not cmath.isfinite(z):  # inline: every log_gamma call passes here
         raise DomainError(f"{name}: {arg} = {z} is not finite")
     n = 0 if nonpositive and z.real > 0.5 else round(z.real)
     return math.hypot(z.real - n, z.imag), n
@@ -275,12 +280,15 @@ def gamma(z: complex) -> complex:
 
 
 def log_beta(a: complex, b: complex) -> complex:
-    """log B(a, b) = log Gamma(a) + log Gamma(b) - log Gamma(a+b)."""
+    """log B(a, b) = log Gamma(a) + log Gamma(b) - log Gamma(a+b); DomainError if one overflows."""
     a, b = complex(a), complex(b)
     for name, w in (("a", a), ("b", b), ("a+b", a + b)):
         _refuse_integer("log_beta", name, w, "a pole of Gamma", nonpositive=True,
                         argument_name=name)
-    return _log_gamma_off_pole(a) + _log_gamma_off_pole(b) - _log_gamma_off_pole(a + b)
+    val = _log_gamma_off_pole(a) + _log_gamma_off_pole(b) - _log_gamma_off_pole(a + b)
+    if not cmath.isfinite(val):
+        raise DomainError(f"log_beta: a = {a}, b = {b} are too large in modulus")
+    return val
 
 
 def beta(a: complex, b: complex) -> complex:

@@ -16,7 +16,7 @@ import enum
 import math
 from typing import NamedTuple
 
-from .classical import POLE_TOLERANCE, LOG_OVERFLOW, _log_gamma_off_pole
+from .classical import POLE_TOLERANCE, LOG_OVERFLOW, _log_gamma_off_pole, _refuse_non_finite
 from .errors import (
     BranchPointError,
     DomainError,
@@ -257,12 +257,16 @@ def degenerate_exp(x: complex, t: complex, lam: float) -> complex:
     """(1 + lambda*t)**(x/lambda) on the principal branch.
 
     Defined for any nonzero real lambda (the gamma-side machinery is stricter
-    and requires lambda in (0,1)).  Recovers exp(x*t) as lambda -> 0.
+    and requires lambda in (0,1)).  Recovers exp(x*t) as lambda -> 0.  Raises
+    DomainError if x or t is not finite, and OverflowError where the exponent
+    passes exp's range, as at degenerate_exp(1e16, 1.0, 1e-200).
     """
     lam = float(lam)
     if lam == 0.0 or not math.isfinite(lam):
         raise ParameterRangeError("degenerate_exp: lambda must be a nonzero real")
     x, t = complex(x), complex(t)
+    _refuse_non_finite("degenerate_exp", "x", x)
+    _refuse_non_finite("degenerate_exp", "t", t)
     w = lam * t
     if abs(1.0 + w) < POLE_TOLERANCE:
         raise BranchPointError(
@@ -277,6 +281,7 @@ def degenerate_log(t: complex, lam: float) -> complex:
     if lam == 0.0 or not math.isfinite(lam):
         raise ParameterRangeError("degenerate_log: lambda must be a nonzero real")
     t = complex(t)
+    _refuse_non_finite("degenerate_log", "t", t)
     if t == 0.0:
         raise DomainError("degenerate_log: t = 0 is outside the domain")
     return _cexpm1(lam * cmath.log(t)) / lam
@@ -502,6 +507,7 @@ def degenerate_gamma_integer(k: int, p: DegenerateParameter) -> IntegerGammaValu
 def difference_step(s: complex, p: DegenerateParameter) -> complex:
     """The factor s / (1 - lambda*(s+1)) in dgamma(s+1) = factor * dgamma(s)."""
     s = complex(s)
+    _refuse_non_finite("difference_step", "s", s)
     den = 1.0 - p.lam * (s + 1.0)
     if abs(den) < POLE_TOLERANCE:
         raise PoleError(

@@ -48,7 +48,7 @@ class StripError(DegammaError):
 
 
 class ConvergenceError(DegammaError):
-    """A quadrature or truncated product could not meet the requested tolerance."""
+    """A quadrature could not meet the requested tolerance, or its value overflows."""
 
 
 class IntegerArgumentError(DegammaError):

@@ -32,9 +32,8 @@ import numpy as np
 
 from . import classical, core
 from .classical import LOG_OVERFLOW
-from .core import DEFAULT_TOLERANCE, DegenerateParameter, EvalMethod, EvalResult, _count, _finish
-from .errors import (ConvergenceError, DomainError, IntegerArgumentError,
-                     ParameterRangeError, StripError)
+from .core import DEFAULT_TOLERANCE, DegenerateParameter, EvalMethod, EvalResult, _finish
+from .errors import ConvergenceError, IntegerArgumentError, ParameterRangeError, StripError
 
 __all__ = [
     "QuadratureSpec",
@@ -49,15 +48,11 @@ STRIP_MARGIN = 0.01
 _EPS = math.ulp(1.0)
 
 
-class QuadratureSpec(namedtuple("QuadratureSpec", "rel_tolerance max_level hankel_radius",
-                                defaults=(DEFAULT_TOLERANCE, 10, 0.3))):
+class QuadratureSpec(namedtuple("QuadratureSpec", "rel_tolerance hankel_radius",
+                                defaults=(DEFAULT_TOLERANCE, 0.3))):
     """Tolerances and contour geometry for the integral paths, as a checked named tuple.
 
-    ``max_level`` is the deepest Clenshaw-Curtis rung, which has
-    16 * 2**max_level intervals.  It must be a whole number (a whole float is
-    kept as an int), at least 3: the first integrand call already evaluates
-    rungs 0-3, so a lower cap would save no integrand evaluation.  The
-    contour's edge is held to rel_tolerance and its circle, of radius
+    The contour's edge is held to rel_tolerance and its circle, of radius
     ``hankel_radius``, to 1e-11 or less.
     """
 
@@ -70,8 +65,7 @@ class QuadratureSpec(namedtuple("QuadratureSpec", "rel_tolerance max_level hanke
             raise ValueError("QuadratureSpec: rel_tolerance must be >= 1e-14")
         if not 0.0 < self.hankel_radius < 1.0:
             raise ValueError("QuadratureSpec: hankel_radius must be in (0, 1)")
-        max_level = _count(self.max_level, 3, "QuadratureSpec: max_level must be >= 3 and whole")
-        return self if type(self.max_level) is int else self._replace(max_level=max_level)
+        return self
 
 
 _DEFAULT_SPEC = QuadratureSpec()
@@ -147,8 +141,7 @@ def direct_integral_gamma(
     """
     spec = spec or _DEFAULT_SPEC
     s = complex(s)
-    if not cmath.isfinite(s):
-        raise DomainError(f"direct_integral_gamma: s = {s} is not finite")
+    classical._refuse_non_finite("direct_integral_gamma", "s", s)
     u_max = p.inv_lambda
     if not (STRIP_MARGIN <= s.real <= u_max - STRIP_MARGIN):
         raise StripError(
@@ -182,7 +175,7 @@ def direct_integral_gamma(
                     + abs(near_back) + abs(far_back))
     near_power = _POWER_K * s - 1.0
 
-    def pieces(_, geometry):
+    def pieces(geometry):
         # near: t = v**K on [0, 1]; far: w = v**K on (0, 1], from t -> 1/w on [1, inf)
         log_v, v_k, scale = geometry
         damp = -u_max * np.log1p(p.lam * v_k)
@@ -196,7 +189,7 @@ def direct_integral_gamma(
 
     with np.errstate(under="ignore"):
         value, quad_err = _mapped_integral(pieces, _power_geometry, 0.0, 1.0, (),
-                                           spec.rel_tolerance, spec.max_level)
+                                           spec.rel_tolerance)
     return _finish(EvalMethod.DIRECT_INTEGRAL, value=value,
                    abs_est=quad_err + abs(value) * 1e-15 + floor)
 
@@ -207,6 +200,7 @@ def direct_integral_gamma(
 # each deeper rung's.  Rungs 0.._CC_HEAD_RUNG go to the integrand in one call.
 _CC_N0 = 16
 _CC_HEAD_RUNG = 3
+_CC_MAX_RUNG = 10  # the integral paths' deepest rung: 16,384 intervals
 
 
 def _dft(d: np.ndarray) -> np.ndarray:
@@ -298,33 +292,30 @@ def _circle_rows(theta, delta, sign, center):
 
 
 @functools.lru_cache(maxsize=_GEOMETRY_CACHE_SIZE)
-def _ladder_geometry(geometry, a: float, b: float, *args) -> tuple[np.ndarray, np.ndarray]:
-    """Ladder nodes on [a, b] in ladder order, and geometry(t, *args) at them."""
-    t = 0.5 * (a + b) + 0.5 * (b - a) * _cc_rung(_CACHED_RUNG)[0]
-    return t, geometry(t, *args)
+def _ladder_geometry(geometry, a: float, b: float, *args) -> np.ndarray:
+    """geometry(t, *args) at the ladder's nodes t on [a, b], in ladder order."""
+    return geometry(0.5 * (a + b) + 0.5 * (b - a) * _cc_rung(_CACHED_RUNG)[0], *args)
 
 
 def _mapped_integral(
-    g, geometry, a: float, b: float, args: tuple, tol: float, max_level: int,
-    rounding: float = _EPS,
+    g, geometry, a: float, b: float, args: tuple, tol: float, rounding: float = _EPS,
 ) -> tuple[complex, float]:
-    """Integral of g over [a, b] on the Clenshaw-Curtis ladder.
+    """Integral over [a, b] on the Clenshaw-Curtis ladder, to rung _CC_MAX_RUNG.
 
-    g(t, geo) takes numpy arrays of parameter values and of geometry(t, *args)
-    at them, whose last axis runs over t; rounding is as in _cc_ladder.  The
+    g(geo) takes a numpy array of geometry(t, *args) at parameter values t,
+    whose last axis runs over t; rounding is as in _cc_ladder.  The
     circle integrands are analytic but not periodic (the e^{i s theta}
     factor), which a Chebyshev rule does not need.
     """
-    t, geo = _ladder_geometry(geometry, a, b, *args)
+    geo = _ladder_geometry(geometry, a, b, *args)
     half = 0.5 * (b - a)
 
     def values(x, lo):
-        if lo + len(x) <= len(t):
-            return g(t[lo : lo + len(x)], geo[..., lo : lo + len(x)])
-        x = 0.5 * (a + b) + half * x
-        return g(x, geometry(x, *args))
+        if lo + len(x) <= geo.shape[-1]:
+            return g(geo[..., lo : lo + len(x)])
+        return g(geometry(0.5 * (a + b) + half * x, *args))
 
-    total, err = _cc_ladder(values, tol, max_level, rounding)
+    total, err = _cc_ladder(values, tol, _CC_MAX_RUNG, rounding)
     return half * total, half * err
 
 
@@ -377,14 +368,12 @@ def _loop_gamma(
     circle_rounding = _EPS * (1.0 - u * math.log1p(-delta) + math.pi * (abs(s) + 3.0))
     far, back, _ = _far_piece(s, u, delta, s * math.log(delta))
     with np.errstate(under="ignore"):
-        edge, edge_err = _mapped_integral(lambda _, geo: geo[2] * far(geo) + back, _power_geometry,
-                                          0.0, 1.0, (delta,), spec.rel_tolerance, spec.max_level,
-                                          edge_rounding)
+        edge, edge_err = _mapped_integral(lambda geo: geo[2] * far(geo) + back, _power_geometry,
+                                          0.0, 1.0, (delta,), spec.rel_tolerance, edge_rounding)
     circle_exponent = np.array([1j * s, -u])
     circle_val, circle_err = _mapped_integral(
-        lambda _, rows: np.exp(circle_exponent @ rows), _circle_rows, center - math.pi,
-        center + math.pi, (delta, sign, center), min(spec.rel_tolerance, 1e-11), spec.max_level,
-        circle_rounding)
+        lambda rows: np.exp(circle_exponent @ rows), _circle_rows, center - math.pi,
+        center + math.pi, (delta, sign, center), min(spec.rel_tolerance, 1e-11), circle_rounding)
     total = edge_c * edge + circle_c * circle_val
     # refused where lambda**(-s), or the value, would pass exp(LOG_OVERFLOW)
     log_pow = -s * p.log_lambda

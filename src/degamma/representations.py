@@ -57,7 +57,7 @@ from .core import (
     _count,
     _finish,
 )
-from .errors import ConvergenceError, ParameterRangeError
+from .errors import DomainError, ParameterRangeError
 
 __all__ = [
     "ProductSpec",
@@ -80,8 +80,8 @@ _SHORT = 256
 _N_TABLE = np.arange(1.0, _SHORT + 1.0)
 
 
-class ProductSpec(namedtuple("ProductSpec", "n_terms use_tail_correction tolerance",
-                             defaults=(100_000, False, None))):
+class ProductSpec(namedtuple("ProductSpec", "n_terms use_tail_correction",
+                             defaults=(100_000, False))):
     """Truncation control for the product representations, as a checked named tuple.
 
     Parameters
@@ -96,9 +96,6 @@ class ProductSpec(namedtuple("ProductSpec", "n_terms use_tail_correction toleran
     use_tail_correction : bool
         Add the second- and third-order analytic tail of the log-product,
         upgrading the O(1/N) truncation error to roughly O(1/N**3).
-    tolerance : float or None
-        When set, raise ConvergenceError if the a-priori tail bound at
-        n_terms exceeds it.  ValueError unless it is positive (NaN too).
     """
 
     __slots__ = ()
@@ -109,8 +106,6 @@ class ProductSpec(namedtuple("ProductSpec", "n_terms use_tail_correction toleran
         if self.n_terms > sys.float_info.max:
             raise ParameterRangeError("ProductSpec: n_terms is past the largest float")
         n_terms = _count(self.n_terms, 1, "ProductSpec: n_terms must be >= 1 and whole")
-        if self.tolerance is not None and not self.tolerance > 0.0:
-            raise ValueError("ProductSpec: tolerance must be positive")
         return self if type(self.n_terms) is int else self._replace(n_terms=n_terms)
 
 
@@ -169,6 +164,8 @@ def _paired_log_sum(x: complex, u: float, lo: int, hi: int,
     y = u - x
     q = x * y
     m = max(abs(x), abs(y), 1.0)
+    if not 8.0 * m < math.inf:  # the term counts below take ceil(8 m)
+        raise DomainError(f"x = {x} or u - x = {y} is too large in modulus for the products")
     split = max(lo, min(hi, math.ceil(2.0 * m) + 1))
     em_start = hi if direct else max(split, min(hi, max(32, math.ceil(8.0 * m))))
     if not direct and em_start <= _SHORT + 1:
@@ -231,15 +228,9 @@ def _tail_bound(args: tuple[complex, ...], u: float, n_terms: int, power: int) -
     return (sum(abs(a) ** power for a in args) + u) / min(n_terms, 2**256) ** (power - 1)
 
 
-def _log_estimate(rel_est: float, magnitude: float, tolerance: float | None) -> float:
-    """rel_est plus a few ulps of the terms' ``magnitude``; ConvergenceError past ``tolerance``."""
-    rel_est += 4e-16 * magnitude
-    if tolerance is not None and not rel_est <= tolerance:
-        raise ConvergenceError(
-            f"truncation error estimate {rel_est:.3g} exceeds requested "
-            f"tolerance {tolerance:.3g}; raise n_terms"
-        )
-    return rel_est
+def _log_estimate(rel_est: float, magnitude: float) -> float:
+    """rel_est plus a few ulps of the terms' ``magnitude``."""
+    return rel_est + 4e-16 * magnitude
 
 
 def _gamma_product_base(z: complex, p: DegenerateParameter) -> tuple[complex, float]:
@@ -299,7 +290,7 @@ def weierstrass_gamma(
     else:
         correction, rel_est = 0.0, _tail_bound((z, w), u, N, 2)
     log_val, magnitude = _gamma_product_log(base, u, N + 1.0, log_sum, correction)
-    rel_est = _log_estimate(rel_est, magnitude + felt, spec.tolerance)
+    rel_est = _log_estimate(rel_est, magnitude + felt)
     return _finish(EvalMethod.WEIERSTRASS_PRODUCT, log_val, rel_est, not z.imag)
 
 
@@ -334,7 +325,7 @@ def euler_limit_gamma(
     log_half = _gamma_product_log(base, u, half, sum_half)[0]
     rel_est = (math.inf if _before_head((z, u - z), n - 1)
                else 1.25 * abs(log_val - log_half))
-    rel_est = _log_estimate(rel_est, magnitude + felt, spec.tolerance)
+    rel_est = _log_estimate(rel_est, magnitude + felt)
     return _finish(EvalMethod.EULER_LIMIT, log_val, rel_est, not z.imag)
 
 
@@ -394,7 +385,6 @@ def degenerate_beta_product(
     end = spec.n_terms + 1
     sum_ab, sum_a, sum_b = (_paired_log_sum(x, u, 1, end) for x in (ab, a, b))
     rel_est = _log_estimate(_tail_bound((ab, uab, a, u - a, b, u - b), 0.0, spec.n_terms, 2),
-                            abs(log_pre) + abs(sum_ab) + abs(sum_a) + abs(sum_b) + felt,
-                            spec.tolerance)
+                            abs(log_pre) + abs(sum_ab) + abs(sum_a) + abs(sum_b) + felt)
     return _finish(EvalMethod.BETA_PRODUCT, log_pre + (sum_ab - sum_a - sum_b), rel_est,
                    not (a.imag or b.imag))

@@ -219,11 +219,6 @@ def _integer_ratios(lam: float, count: int):
         fact *= k
 
 
-def _integer_ratio(k: int, lam: float) -> tuple[int, int]:
-    """The last of _integer_ratios(lam, k)."""
-    return list(_integer_ratios(lam, k))[-1]
-
-
 def _integer_values():
     # integer arguments against exact rational products
     for lam in (0.05, 0.09, 0.11, 0.3):

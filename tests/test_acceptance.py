@@ -172,7 +172,7 @@ def test_criterion_05_direct_integral():
     crit = _Criterion(5, "defining integral matches closed form to 1e-10 on "
                          "100 strip samples", 30.0)
     rng = np.random.default_rng(505)
-    spec = QuadratureSpec(rel_tolerance=1e-12, max_level=11)
+    spec = QuadratureSpec(rel_tolerance=1e-12)
     for _ in range(100):
         lam = rng.uniform(0.1, 0.9)
         p = DegenerateParameter(lam)

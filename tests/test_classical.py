@@ -392,6 +392,12 @@ class TestBeta:
     def test_halves(self):
         assert beta(0.5, 0.5) == pytest.approx(math.pi, rel=1e-13)
 
+    def test_huge_argument_is_refused(self):
+        # log Gamma(1e308) and log Gamma(1e308 + 0.5) are both inf; their
+        # difference was returned as nan + 0j
+        with pytest.raises(DomainError, match="^log_beta: a = .* too large in modulus$"):
+            log_beta(1e308, 0.5)
+
     def test_pole_identifies_argument(self):
         with pytest.raises(PoleError) as exc:
             beta(-1.0, 0.5)

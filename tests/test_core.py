@@ -158,9 +158,14 @@ _NON_FINITE = [
         lambda s, p: log_gamma(s),
         weierstrass_gamma,
         lambda s, p: reflection_product(s),
+        lambda s, p: degenerate_exp(s, 1.0, p.lam),
+        lambda s, p: degenerate_exp(1.0, s, p.lam),
+        lambda s, p: degenerate_log(s, p.lam),
+        difference_step,
     ],
     ids=["degenerate_gamma", "degenerate_beta_a", "degenerate_beta_b",
-         "log_gamma", "weierstrass_gamma", "reflection_product"],
+         "log_gamma", "weierstrass_gamma", "reflection_product",
+         "degenerate_exp_x", "degenerate_exp_t", "degenerate_log", "difference_step"],
 )
 def test_non_finite_argument_raises_domain_error(evaluate, s):
     with pytest.raises(DomainError):
@@ -213,6 +218,11 @@ class TestDegenerateExpLog:
     def test_branch_point(self):
         with pytest.raises(BranchPointError):
             degenerate_exp(1, -2.0, 0.5)
+
+    def test_overflow_is_the_builtin_error(self):
+        # the value exp(1e216 log 2) passes the largest float
+        with pytest.raises(OverflowError):
+            degenerate_exp(1e16, 1.0, 1e-200)
 
     def test_log_at_one(self):
         for lam in (0.3, 0.9, -1.5, 2.0):
