@@ -280,15 +280,16 @@ def gamma(z: complex) -> complex:
 
 
 def log_beta(a: complex, b: complex) -> complex:
-    """log B(a, b) = log Gamma(a) + log Gamma(b) - log Gamma(a+b); DomainError if one overflows."""
+    """log B(a, b) = log Gamma(a) + log Gamma(b) - log Gamma(a+b), off by about eps times the
+    terms' moduli summed, B's relative error; DomainError where that reaches 1 (no digit right)."""
     a, b = complex(a), complex(b)
     for name, w in (("a", a), ("b", b), ("a+b", a + b)):
         _refuse_integer("log_beta", name, w, "a pole of Gamma", nonpositive=True,
                         argument_name=name)
-    val = _log_gamma_off_pole(a) + _log_gamma_off_pole(b) - _log_gamma_off_pole(a + b)
-    if not cmath.isfinite(val):
+    la, lb, lab = _log_gamma_off_pole(a), _log_gamma_off_pole(b), _log_gamma_off_pole(a + b)
+    if not math.ulp(1.0) * (abs(la) + abs(lb) + abs(lab)) < 1.0:  # inf and NaN fail too
         raise DomainError(f"log_beta: a = {a}, b = {b} are too large in modulus")
-    return val
+    return la + lb - lab
 
 
 def beta(a: complex, b: complex) -> complex:

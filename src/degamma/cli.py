@@ -150,8 +150,8 @@ class _Emitter:
         pick = itemgetter(*kept) if kept else lambda rec: ()
         return self._formats.setdefault(shape, (template, pick))
 
-    def emit(self, rec: OutputRecord) -> None:
-        shape = tuple(map(type, rec))
+    def emit(self, rec: OutputRecord, shape: tuple | None = None) -> None:
+        shape = shape or tuple(map(type, rec))  # a given shape must be rec's field types
         template, pick = self._formats.get(shape) or self._format(shape)
         row = template % pick(rec)
         if self._json:
@@ -162,20 +162,29 @@ class _Emitter:
         self.stream.write(row)
 
 
+# The field types of the records _record_from_result builds: the emitter's keys.
+_VALUE = (float,) * 6 + (str, str) + (type(None),) * 4
+_RESIDUE = (float,) * 3 + (type(None),) * 3 + (str, str, float, float) + (type(None),) * 2
+_NEITHER = (float,) * 3 + (type(None),) * 3 + (str, str) + (type(None),) * 4
+
+
 def _record_from_result(
     s: complex, lam: float, method: str, result: EvalResult
-) -> OutputRecord:
-    """The record of one result; EvalStatus values are the wire's status strings."""
+) -> tuple[OutputRecord, tuple]:
+    """The record of one result, EvalStatus values as the wire's status strings, and its shape;
+    tuple.__new__ with every field skips the named tuple's Python-level __new__ frame."""
     status = result.status
     if status is _AT_POLE:
-        residue = result.pole.residue
-        return OutputRecord(s.real, s.imag, lam, None, None, None, method,
-                            status._value_, residue.real, residue.imag)
+        res = result.pole.residue
+        return tuple.__new__(OutputRecord, (s.real, s.imag, lam, None, None, None, method,
+                             status._value_, res.real, res.imag, None, None)), _RESIDUE
     if status is _OVERFLOW:
-        return OutputRecord(s.real, s.imag, lam, None, None, None, method, status._value_)
+        return tuple.__new__(OutputRecord, (s.real, s.imag, lam, None, None, None, method,
+                             status._value_, None, None, None, None)), _NEITHER
     value = result.value
-    return OutputRecord(s.real, s.imag, lam, value.real, value.imag,
-                        result.abs_error_estimate, method, status._value_)
+    return tuple.__new__(OutputRecord, (s.real, s.imag, lam, value.real, value.imag,
+                         result.abs_error_estimate, method, status._value_,
+                         None, None, None, None)), _VALUE
 
 
 class _Parser(argparse.ArgumentParser):
@@ -187,7 +196,7 @@ class _Parser(argparse.ArgumentParser):
 def _cmd_eval(args, parser, emitter) -> None:
     p = DegenerateParameter(args.lam)
     result = core.gamma_evaluator(args.method, args.tol, args.n_terms)(args.s, p)
-    emitter.emit(_record_from_result(args.s, args.lam, args.method, result))
+    emitter.emit(*_record_from_result(args.s, args.lam, args.method, result))
 
 
 def _cmd_poles(args, parser, emitter) -> None:
@@ -195,7 +204,7 @@ def _cmd_poles(args, parser, emitter) -> None:
     for info in core.poles(p, args.n_max):
         loc, res = info.location, info.residue
         emitter.emit(OutputRecord(loc.real, loc.imag, args.lam, None, None, None,
-                                  "residue", "pole", res.real, res.imag))
+                                  "residue", "pole", res.real, res.imag), _RESIDUE)
 
 
 def _cmd_table(args, parser, emitter) -> None:
@@ -226,9 +235,9 @@ def _cmd_table(args, parser, emitter) -> None:
         try:
             result = evaluate(s, p)
         except DegammaError:
-            emit(OutputRecord(s.real, s.imag, lam, None, None, None, method, "skipped"))
+            emit(OutputRecord(s.real, s.imag, lam, None, None, None, method, "skipped"), _NEITHER)
             continue
-        emit(_record_from_result(s, lam, method, result))
+        emit(*_record_from_result(s, lam, method, result))
 
 
 def _cmd_beta(args, parser, emitter) -> None:
@@ -243,7 +252,7 @@ def _cmd_beta(args, parser, emitter) -> None:
             args.alpha, args.beta, p,
             representations.ProductSpec(n_terms=args.n_terms),
         )
-    rec = _record_from_result(args.alpha, args.lam, args.method, result)
+    rec = _record_from_result(args.alpha, args.lam, args.method, result)[0]
     emitter.emit(rec._replace(beta_re=args.beta.real, beta_im=args.beta.imag))
 
 

@@ -84,7 +84,10 @@ class DegenerateParameter:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "inv_lambda", inv_lambda)
         object.__setattr__(self, "log_lambda", math.log(lam))
-        object.__setattr__(self, "_log_gamma_u", _log_gamma_off_pole(inv_lambda).real)
+        try:  # _log_gamma_off_pole's value, without its frames, below lgamma's 2.56e305
+            object.__setattr__(self, "_log_gamma_u", math.lgamma(inv_lambda))
+        except OverflowError:
+            object.__setattr__(self, "_log_gamma_u", _log_gamma_off_pole(inv_lambda).real)
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"cannot assign to or delete field {name!r}")
@@ -259,7 +262,8 @@ def degenerate_exp(x: complex, t: complex, lam: float) -> complex:
     Defined for any nonzero real lambda (the gamma-side machinery is stricter
     and requires lambda in (0,1)).  Recovers exp(x*t) as lambda -> 0.  Raises
     DomainError if x or t is not finite, and OverflowError where the exponent
-    passes exp's range, as at degenerate_exp(1e16, 1.0, 1e-200).
+    passes exp's range, as at degenerate_exp(1e16, 1.0, 1e-200).  Where
+    lambda*t overflows, log(1 + lambda*t) is log|lambda| + log(+-t).
     """
     lam = float(lam)
     if lam == 0.0 or not math.isfinite(lam):
@@ -268,6 +272,8 @@ def degenerate_exp(x: complex, t: complex, lam: float) -> complex:
     _refuse_non_finite("degenerate_exp", "x", x)
     _refuse_non_finite("degenerate_exp", "t", t)
     w = lam * t
+    if not cmath.isfinite(w):  # 1 + w is lambda*t to double precision
+        return cmath.exp((x / lam) * (math.log(abs(lam)) + cmath.log(math.copysign(1.0, lam) * t)))
     if abs(1.0 + w) < POLE_TOLERANCE:
         raise BranchPointError(
             f"degenerate_exp: 1 + lambda*t = {1.0 + w} is at the branch point"
@@ -276,7 +282,8 @@ def degenerate_exp(x: complex, t: complex, lam: float) -> complex:
 
 
 def degenerate_log(t: complex, lam: float) -> complex:
-    """(t**lambda - 1)/lambda on the principal branch; inverse of degenerate_exp."""
+    """(t**lambda - 1)/lambda on the principal branch; inverse of degenerate_exp.
+    OverflowError where t**lambda overflows, as at degenerate_log(1e308, 2.0)."""
     lam = float(lam)
     if lam == 0.0 or not math.isfinite(lam):
         raise ParameterRangeError("degenerate_log: lambda must be a nonzero real")
@@ -318,27 +325,17 @@ def falling_factorial(x: complex, n: int, lam: float) -> complex:
     return out
 
 
-def _falling_factorial_ratio(x, n: int, lam) -> tuple[int, int]:
-    """The exact falling factorial as an unreduced (numerator, denominator).
-
-    With x = a/d and lambda = b/e (ints, floats or Fractions), each factor is
-    (a e - j b d) / (d e): the integer numerators are multiplied.
-    """
-    xn, xd = x.as_integer_ratio()
-    ln, ld = lam.as_integer_ratio()
-    a, b = xn * ld, ln * xd
-    num = 1
-    for j in range(n):
-        num *= a - j * b
-    return num, (xd * ld) ** n
-
-
 def falling_factorial_exact(x, n: int, lam) -> Fraction:
-    """Exact-rational falling factorial; floats convert exactly to Fractions."""
+    """Exact-rational falling factorial; floats convert exactly to Fractions.  With x = a/d
+    and lambda = b/e each factor is (a e - j b d) / (d e): the numerators are multiplied."""
     from fractions import Fraction  # only the exact paths pay its import
     if n < 0:
         raise ValueError("falling_factorial_exact: n must be non-negative")
-    return Fraction(*_falling_factorial_ratio(Fraction(x), n, Fraction(lam)))
+    (xn, xd), (ln, ld) = Fraction(x).as_integer_ratio(), Fraction(lam).as_integer_ratio()
+    a, b, num = xn * ld, ln * xd, 1
+    for j in range(n):
+        num *= a - j * b
+    return Fraction(num, (xd * ld) ** n)
 
 
 def pole_residue(family: PoleFamily, n: int, p: DegenerateParameter) -> complex:
@@ -505,7 +502,8 @@ def degenerate_gamma_integer(k: int, p: DegenerateParameter) -> IntegerGammaValu
 
 
 def difference_step(s: complex, p: DegenerateParameter) -> complex:
-    """The factor s / (1 - lambda*(s+1)) in dgamma(s+1) = factor * dgamma(s)."""
+    """The factor s / (1 - lambda*(s+1)) in dgamma(s+1) = factor * dgamma(s);
+    DomainError where it overflows."""
     s = complex(s)
     _refuse_non_finite("difference_step", "s", s)
     den = 1.0 - p.lam * (s + 1.0)
@@ -515,7 +513,10 @@ def difference_step(s: complex, p: DegenerateParameter) -> complex:
             f"(s + 1 = 1/lambda is a pole)",
             location=complex(p.inv_lambda - 1.0, 0.0),
         )
-    return s / den
+    q = s / den  # its steps can overflow where the quotient does not; / 4 is exact
+    if cmath.isfinite(q) or cmath.isfinite(q := (0.25 * s) / (0.25 * den)):
+        return q
+    raise DomainError(f"difference_step: the factor at s = {s} overflows")
 
 
 class ShiftStep(NamedTuple):

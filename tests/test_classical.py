@@ -398,6 +398,26 @@ class TestBeta:
         with pytest.raises(DomainError, match="^log_beta: a = .* too large in modulus$"):
             log_beta(1e308, 0.5)
 
+    @staticmethod
+    def _rounding_bound(a, b):
+        """eps times the three log-gamma terms' moduli: log_beta's stated error."""
+        terms = (log_gamma(a), log_gamma(b), log_gamma(a + b))
+        return math.ulp(1.0) * sum(abs(t.as_complex()) for t in terms)
+
+    @pytest.mark.parametrize("a", [1e6j, 1e12j])
+    def test_large_imaginary_argument_within_its_bound(self, a):
+        want = mp.beta(mp.mpc(a.real, a.imag), mp.mpf(0.5))
+        got = beta(a, 0.5)
+        err = abs(mp.mpc(got.real, got.imag) - want) / abs(want)
+        assert err <= self._rounding_bound(a, 0.5) < 1.0
+
+    # from 1e14i on rounding alone leaves no correct digit; 1e200i gave 0j
+    @pytest.mark.parametrize("a", [1e14j, 1e16j, 1e200j])
+    def test_no_correct_digit_is_refused(self, a):
+        assert not self._rounding_bound(a, 0.5) < 1.0
+        with pytest.raises(DomainError, match="^log_beta: a = .* too large in modulus$"):
+            beta(a, 0.5)
+
     def test_pole_identifies_argument(self):
         with pytest.raises(PoleError) as exc:
             beta(-1.0, 0.5)

@@ -435,6 +435,57 @@ def test_table_does_one_evaluation_and_one_write_per_row(sweep, fmt, monkeypatch
     assert len({row["lambda"] for row in wire}) == lambdas
 
 
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("sweep", list(_WORK_SWEEPS), ids=["s-re", "lambda"])
+def test_table_rows_hand_the_emitter_their_shape(sweep, fmt, monkeypatch):
+    # every row passes the field types it has, and none runs OutputRecord's __new__
+    emit, new, shapes, built = cli_mod._Emitter.emit, OutputRecord.__new__, [], []
+
+    def spy(self, rec, *shape):
+        shapes.append((shape, (tuple(map(type, rec)),)))
+        return emit(self, rec, *shape)
+
+    def counted_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(cli_mod._Emitter, "emit", spy)
+    monkeypatch.setattr(OutputRecord, "__new__", staticmethod(counted_new))
+    monkeypatch.setattr(sys, "stdout", _CountingStream())
+    assert main(["table", *sweep, f"--format={fmt}"]) == 0
+    assert len(shapes) == _WORK_SWEEPS[sweep][0] and built == []
+    assert all(given == actual for given, actual in shapes)
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("argv, status", [
+    (("eval", "--lambda=0.5", "--s=1.5"), "regular"),
+    (("eval", "--lambda=0.5", "--s=-1.00001"), "near-pole"),
+    (("eval", "--lambda=0.5", "--s=-1"), "pole"),
+    (("eval", "--lambda=0.001", "--s=900.5"), "overflow"),
+    (("table", "--lambda=0.5", "--s-re=3.5:3.5:1", "--method=direct-integral"), "skipped"),
+    (("poles", "--lambda=0.5", "--n-max=0"), "pole"),
+], ids=["regular", "near-pole", "pole", "overflow", "skipped", "poles"])
+def test_a_given_shape_writes_what_the_field_types_would(argv, status, fmt, monkeypatch,
+                                                         capsys):
+    emit, calls = cli_mod._Emitter.emit, []
+
+    def spy(self, rec, *shape):
+        calls.append((rec, shape))
+        return emit(self, rec, *shape)
+
+    monkeypatch.setattr(cli_mod._Emitter, "emit", spy)
+    assert main([*argv, f"--format={fmt}"]) == 0
+    out = capsys.readouterr().out
+    assert {rec.status for rec, _ in calls} == {status}
+    assert [shape for _, shape in calls] == [(tuple(map(type, rec)),) for rec, _ in calls]
+    buf = io.StringIO()
+    plain = cli_mod._Emitter(fmt, buf)
+    for rec, _ in calls:
+        emit(plain, rec)
+    assert out == buf.getvalue()
+
+
 class TestTableRefusesBeforeAnyRow:
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
     @pytest.mark.parametrize("grid, last", [("0.5:1.5:0.5", "1.5"), ("0.2:1.0:0.4", "1.0")])

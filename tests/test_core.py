@@ -131,6 +131,13 @@ class TestDegenerateParameter:
         for path in self._LOG_GAMMA_U_PATHS:
             path(p)
 
+    # lgamma's own value up to its overflow near 1/lambda = 2.56e305, the kernel's past it
+    @pytest.mark.parametrize("lam", [1e-308, 3.9e-306, 3.91e-306, 1e-300, 1e-12, 0.3, 0.5,
+                                     1.0 - 1e-12, 1.0 - 2.0**-53])
+    def test_log_gamma_u_is_the_kernels_bit_for_bit(self, lam):
+        want = core._log_gamma_off_pole(1.0 / lam).real
+        assert repr(DegenerateParameter(lam)._log_gamma_u) == repr(want)
+
     def test_cached_log_gamma_stays_out_of_eq_hash_repr(self):
         p, q = DegenerateParameter(0.25), DegenerateParameter(0.25)
         assert p == q and p != DegenerateParameter(0.5)
@@ -223,6 +230,20 @@ class TestDegenerateExpLog:
         # the value exp(1e216 log 2) passes the largest float
         with pytest.raises(OverflowError):
             degenerate_exp(1e16, 1.0, 1e-200)
+
+    # lambda*t overflows a float, the value does not; 40-digit mpmath values
+    @pytest.mark.parametrize("x, t, lam, want", [
+        (1.0, 1e308, 10.0, 7.943282347242815e30),
+        (1.0, 1e300j, 1e10, 1.0000000713801404 + 1.570796438918559e-10j),
+        (1.0, 1e308, -10.0, 1.1973092164164023e-31 - 3.8902934689487654e-32j),
+    ], ids=["real-t", "imaginary-t", "negative-lambda"])
+    def test_where_lambda_t_overflows(self, x, t, lam, want):
+        assert rel(degenerate_exp(x, t, lam), want) <= 1e-13
+
+    def test_log_names_its_overflow(self):
+        assert "OverflowError where t**lambda overflows" in degenerate_log.__doc__
+        with pytest.raises(OverflowError):
+            degenerate_log(1e308, 2.0)
 
     def test_log_at_one(self):
         for lam in (0.3, 0.9, -1.5, 2.0):
@@ -450,6 +471,14 @@ class TestDifferenceStep:
         lhs = degenerate_gamma(3, p).value
         rhs = factor * degenerate_gamma(2, p).value
         assert rel(lhs, rhs) <= 1e-13
+
+    def test_where_the_division_overflows_but_the_factor_does_not(self):
+        assert difference_step(-1e308 + 1e308j, DegenerateParameter(0.5)) == -2 + 0j
+
+    def test_an_overflowing_factor_is_refused(self):
+        # 1 - lambda*(s + 1) is 1e-7, so the factor is about 1e315
+        with pytest.raises(DomainError, match="^difference_step: .* overflows$"):
+            difference_step(0.9999999e308, DegenerateParameter(1e-308))
 
     def test_equation_sampled(self):
         rng = np.random.default_rng(21)
