@@ -7,30 +7,30 @@ Gamma(z)Gamma(1-z) = pi/sin(pi z) with explicit branch bookkeeping so that the
 imaginary component tracks the analytic continuation of log Gamma rather than
 wrapping at +-pi.
 
-On the real axis (Im z == 0.0, either sign of zero) the real part is C's
-``math.lgamma``, about ten times cheaper than the Lanczos sum in Python and
-more accurate: against 40-digit mpmath, on 4,179 real points in (-1e13, 1e13),
-its error stays within 1.4e-15 * max(1, |log Gamma(x)|).  The imaginary part
-keeps the reflection's rule, which needs only the signs of sin(pi x) and
-cos(pi x).  Past ``math.lgamma``'s range (it overflows from about 2.56e305)
-the complex path takes over.
+One function, ``_log_gamma_off_pole``, holds the whole dispatch.  Off the
+real axis, Re(z) >= 0.5 goes straight to the Lanczos sum and the rest to the
+reflection.  On the axis (Im z == 0.0, either sign of zero) the real part is
+C's ``math.lgamma``, about ten times cheaper than the Lanczos sum in Python
+and more accurate: against 40-digit mpmath, on 4,179 real points in
+(-1e13, 1e13), its error stays within 1.4e-15 * max(1, |log Gamma(x)|).  Left
+of 0 the imaginary part is the reflection's limit from the lower half-plane,
+which needs only the signs of sin(pi x) and cos(pi x).  Past ``math.lgamma``'s
+range (it overflows from about 2.56e305) the Lanczos sum takes over.
 
 The kernel is written for the interpreter, whose bytecode costs more than
-its arithmetic: the Lanczos sum is one expression; one exact reduction of x
-mod 2, ``_sincospi``, gives sin(pi x) and cos(pi x) to ``sin_pi``, to the
-reflection's log sine and to the real axis' argument; and
-``_log_gamma_off_pole`` sends Re(z) >= 0.5 off the axis straight to the
-sum.  Each keeps the bits of the term-by-term forms the tests hold it to.
+its arithmetic: the Lanczos sum is one expression, and one exact reduction
+of x mod 2, ``_sincospi``, gives sin(pi x) and cos(pi x) to ``sin_pi``, to
+the reflection's log sine and to the real axis' argument.  Each keeps the
+bits of the term-by-term forms the tests hold it to.
 
 Multi-gamma formulas (beta and everything in :mod:`degamma.core`) are
 assembled as sums of log-gamma values and exponentiated once, so intermediate
 magnitudes such as Gamma(1/lambda) never have to be representable.
 
-:func:`log_gamma` is the pole test followed by ``_log_gamma_off_pole``, which
-holds the real-axis cut rule.  The closed form in :mod:`degamma.core` tests
-each argument once, with its own ``nearest_pole`` over both pole families, and
-then funnels every log-gamma term through ``_log_gamma_off_pole`` without a
-second test.
+:func:`log_gamma` is the integer test, ``_refuse_integer``, followed by that
+dispatch.  The closed form in :mod:`degamma.core` tests each argument once,
+with its own ``nearest_pole`` over both pole families, and then funnels every
+log-gamma term through ``_log_gamma_off_pole`` without a second test.
 """
 
 from __future__ import annotations
@@ -162,26 +162,18 @@ def _refuse_non_finite(name: str, arg: str, z: complex) -> None:
         raise DomainError(f"{name}: {arg} = {z} is not finite")
 
 
-def _integer_distance(name: str, arg: str, z: complex, nonpositive=False) -> tuple[float, int]:
-    """Distance from z to the nearest integer n (n <= 0 if nonpositive), and n.
+def _refuse_integer(name: str, arg: str, z: complex, why: str, nonpositive=False,
+                    error=PoleError, **details) -> None:
+    """Raise error if argument ``arg`` = z of function ``name`` is within
+    POLE_TOLERANCE of the nearest integer n (the nearest n <= 0 if nonpositive).
 
-    DomainError, naming function ``name`` and argument ``arg``, for a non-finite z.
+    DomainError for a non-finite z.  The message names the function, the
+    argument and n; a PoleError carries n as its location.
     """
     if not cmath.isfinite(z):  # inline: every log_gamma call passes here
         raise DomainError(f"{name}: {arg} = {z} is not finite")
     n = 0 if nonpositive and z.real > 0.5 else round(z.real)
-    return math.hypot(z.real - n, z.imag), n
-
-
-def _refuse_integer(name: str, arg: str, z: complex, why: str, nonpositive=False,
-                    error=PoleError, **details) -> None:
-    """Raise error if argument ``arg`` = z of function ``name`` is the integer n.
-
-    As in _integer_distance, within POLE_TOLERANCE.  The message names the
-    function, the argument and n; a PoleError carries n as its location.
-    """
-    dist, n = _integer_distance(name, arg, z, nonpositive)
-    if dist < POLE_TOLERANCE:
+    if math.hypot(z.real - n, z.imag) < POLE_TOLERANCE:
         if error is PoleError:
             details["location"] = complex(n, 0.0)
         raise error(f"{name}: {arg} = {z} is within {POLE_TOLERANCE} of the "
@@ -206,45 +198,28 @@ def _lanczos_log(z: complex) -> complex:
     return _HALF_LOG_TWO_PI + zh * cmath.log(t) - t + cmath.log(acc)
 
 
-def _log_gamma_complex(z: complex) -> complex:
-    """Analytic continuation of log Gamma; caller has already excluded poles."""
-    x, y = z.real, z.imag
-    if y == 0.0:
-        try:
-            log_abs = math.lgamma(x)
-        except OverflowError:
-            return _lanczos_log(z)  # x past about 2.56e305
-        if x >= 0.5:
-            return complex(log_abs, 0.0)
-        # The reflection below on the real axis: sin(pi z) = sin(pi x) +
-        # i cos(pi x) sinh(pi y) with sinh(pi y) a zero of y's sign, so the
-        # argument of log sin(pi z) is a signed zero or +-pi.
-        sin_x, cos_x = _sincospi(x)
-        arg = math.atan2(cos_x * y, sin_x)
-        unwind = math.copysign(_TWO_PI, y) * math.floor(0.5 * x + 0.25)
-        return complex(log_abs, unwind - arg)
-    if x >= 0.5:
-        return _lanczos_log(z)
-    # Reflection in log space.  The unwinding term keeps the imaginary part
-    # continuous across Re(z) strips (Hare's prescription); the signed zero of
-    # Im(z) selects the side of the cut on the negative real axis.
-    unwind = math.copysign(_TWO_PI, z.imag) * math.floor(0.5 * z.real + 0.25)
-    return (
-        complex(_LOG_PI, unwind)
-        - _log_sin_pi(z)
-        - _lanczos_log(1.0 - z)
-    )
-
-
 def _log_gamma_off_pole(z: complex) -> complex:
     """log Gamma(z) for a z the caller has already cleared of poles."""
-    if z.imag:
-        if z.real >= 0.5:
+    x, y = z.real, z.imag
+    if y:
+        if x >= 0.5:
             return _lanczos_log(z)
-    elif z.real < 0.0:
-        # On the cut, take the lower-half-plane limit: Gamma(-0.5) gets arg +pi.
-        z = complex(z.real, -0.0)
-    return _log_gamma_complex(z)
+        # Reflection in log space.  The unwinding term keeps the imaginary part
+        # continuous across Re(z) strips (Hare's prescription).
+        unwind = math.copysign(_TWO_PI, y) * math.floor(0.5 * x + 0.25)
+        return complex(_LOG_PI, unwind) - _log_sin_pi(z) - _lanczos_log(1.0 - z)
+    try:
+        log_abs = math.lgamma(x)
+    except OverflowError:
+        return _lanczos_log(z)  # x past about 2.56e305
+    if x >= 0.0:  # the reflection's rule below gives +0.0 on [0, 0.5) too
+        return complex(log_abs, 0.0)
+    # The reflection's limit from the lower half-plane, y = -0.0: sin(pi z) =
+    # sin(pi x) - i cos(pi x) 0, so the argument of log sin(pi z) is a signed
+    # zero or +-pi, and Gamma(-0.5) gets arg +pi.
+    sin_x, cos_x = _sincospi(x)
+    arg = math.atan2(-0.0 * cos_x, sin_x)
+    return complex(log_abs, -_TWO_PI * math.floor(0.5 * x + 0.25) - arg)
 
 
 def log_gamma(z: complex) -> LogGammaResult:

@@ -262,8 +262,10 @@ def degenerate_exp(x: complex, t: complex, lam: float) -> complex:
     Defined for any nonzero real lambda (the gamma-side machinery is stricter
     and requires lambda in (0,1)).  Recovers exp(x*t) as lambda -> 0.  Raises
     DomainError if x or t is not finite, and OverflowError where the exponent
-    passes exp's range, as at degenerate_exp(1e16, 1.0, 1e-200).  Where
-    lambda*t overflows, log(1 + lambda*t) is log|lambda| + log(+-t).
+    passes exp's range, as at degenerate_exp(1e16, 1.0, 1e-200), or is not
+    finite (0 where its real part is below exp's range).  Where lambda*t
+    overflows, log(1 + lambda*t) is log|lambda| + log(+-t); where x/lambda
+    does, the exponent is x*t*(log(1 + lambda*t)/(lambda*t)).
     """
     lam = float(lam)
     if lam == 0.0 or not math.isfinite(lam):
@@ -273,12 +275,21 @@ def degenerate_exp(x: complex, t: complex, lam: float) -> complex:
     _refuse_non_finite("degenerate_exp", "t", t)
     w = lam * t
     if not cmath.isfinite(w):  # 1 + w is lambda*t to double precision
-        return cmath.exp((x / lam) * (math.log(abs(lam)) + cmath.log(math.copysign(1.0, lam) * t)))
-    if abs(1.0 + w) < POLE_TOLERANCE:
+        log_base = math.log(abs(lam)) + cmath.log(math.copysign(1.0, lam) * t)
+    elif abs(1.0 + w) < POLE_TOLERANCE:
         raise BranchPointError(
             f"degenerate_exp: 1 + lambda*t = {1.0 + w} is at the branch point"
         )
-    return cmath.exp((x / lam) * _clog1p(w))
+    else:
+        log_base = _clog1p(w)
+    q = x / lam
+    # log(1 + w)/lambda as t*log(1 + w)/w, which keeps its digits where w underflows
+    expo = q * log_base if cmath.isfinite(q) else x * (t * (log_base / w if w else 1.0))
+    if cmath.isfinite(expo):
+        return cmath.exp(expo)
+    if expo.real < -746.0:  # exp(Re) underflows to 0, whatever the phase
+        return 0j
+    raise OverflowError(f"degenerate_exp: the exponent {expo} is not finite")
 
 
 def degenerate_log(t: complex, lam: float) -> complex:
@@ -573,13 +584,6 @@ def symmetry_partner(s: complex, p: DegenerateParameter) -> complex:
     """The reflected argument 1/lambda - s of the symmetry identity
     lambda**s * dgamma(s) = lambda**(1/lambda - s) * dgamma(1/lambda - s)."""
     return p.inv_lambda - complex(s)
-
-
-def _count(value, least: int, message: str) -> int:
-    """value as an int; ValueError(message) unless it is a whole number >= least (NaN is not)."""
-    if not (value >= least and value % 1 == 0):
-        raise ValueError(message)
-    return int(value)
 
 
 def _check_argument(name: str, w: complex, p: DegenerateParameter) -> float:

@@ -54,7 +54,6 @@ from .core import (
     EvalResult,
     _beta_guard,
     _check_argument,
-    _count,
     _finish,
 )
 from .errors import DomainError, ParameterRangeError
@@ -80,6 +79,16 @@ _SHORT = 256
 _N_TABLE = np.arange(1.0, _SHORT + 1.0)
 
 
+def _count(n_terms, name: str) -> int:
+    """n_terms as an int for ``name``: ParameterRangeError past the largest float,
+    ValueError unless it is a whole number >= 1 (NaN is not)."""
+    if n_terms > sys.float_info.max:
+        raise ParameterRangeError(f"{name}: n_terms is past the largest float")
+    if not (n_terms >= 1 and n_terms % 1 == 0):
+        raise ValueError(f"{name}: n_terms must be >= 1 and whole")
+    return int(n_terms)
+
+
 class ProductSpec(namedtuple("ProductSpec", "n_terms use_tail_correction",
                              defaults=(100_000, False))):
     """Truncation control for the product representations, as a checked named tuple.
@@ -103,9 +112,7 @@ class ProductSpec(namedtuple("ProductSpec", "n_terms use_tail_correction",
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if self.n_terms > sys.float_info.max:
-            raise ParameterRangeError("ProductSpec: n_terms is past the largest float")
-        n_terms = _count(self.n_terms, 1, "ProductSpec: n_terms must be >= 1 and whole")
+        n_terms = _count(self.n_terms, "ProductSpec")
         return self if type(self.n_terms) is int else self._replace(n_terms=n_terms)
 
 
@@ -334,9 +341,7 @@ def sine_product(z: complex, n_terms: int) -> complex:
 
     z = 0 is fine (every factor is 1); nonzero integers are poles.
     """
-    if n_terms > sys.float_info.max:
-        raise ParameterRangeError("sine_product: n_terms is past the largest float")
-    n_terms = _count(n_terms, 1, "sine_product: n_terms must be >= 1 and whole")
+    n_terms = _count(n_terms, "sine_product")
     z = complex(z)
     if not abs(z) < POLE_TOLERANCE:  # true also for a non-finite z
         _refuse_integer("sine_product", "z", z, "where a factor vanishes")

@@ -240,6 +240,23 @@ class TestDegenerateExpLog:
     def test_where_lambda_t_overflows(self, x, t, lam, want):
         assert rel(degenerate_exp(x, t, lam), want) <= 1e-13
 
+    # x/lambda overflows a float, the exponent does not; 40-digit mpmath values
+    @pytest.mark.parametrize("x, t, lam, want", [
+        (1e300, 1e-300, 1e-10, 2.7182818284590455),
+        (1.0, 1e-300, 1e-310, 1.0),
+        (1e300, 1e-300, 1e-310, 2.7182818284590455),
+    ], ids=["lambda-t-subnormal", "lambda-t-zero", "lambda-t-zero-value-e"])
+    def test_where_x_over_lambda_overflows(self, x, t, lam, want):
+        assert rel(degenerate_exp(x, t, lam), want) <= 1e-13
+
+    def test_an_exponent_that_is_not_finite(self):
+        # a real part below exp's range gives 0 whatever the phase; an infinite
+        # phase on a modulus that does not underflow is the documented error
+        assert degenerate_exp(-1e300, 1e10, 1e-300) == 0.0  # exponent -inf
+        assert degenerate_exp(1 + 1e300j, -1e300 + 1j, -1e-300) == 0.0  # -1.2e300 - inf i
+        with pytest.raises(OverflowError):
+            degenerate_exp(1e308j, -2.218924101569276e104, -0.7)
+
     def test_log_names_its_overflow(self):
         assert "OverflowError where t**lambda overflows" in degenerate_log.__doc__
         with pytest.raises(OverflowError):
