@@ -12,11 +12,12 @@ import argparse
 import os
 import re
 import sys
-from functools import cache
+from contextlib import suppress
+from functools import cache, partial
 from operator import itemgetter
 from typing import NamedTuple
 
-from . import core
+from . import classical, core
 from .core import DegenerateParameter, EvalResult, EvalStatus
 from .errors import DegammaError, ParameterRangeError
 
@@ -127,9 +128,10 @@ class _Emitter:
     Each record shape, the type of each field, has one %-template and one
     picker of its non-None fields, built on first use: a row is the template
     of the picked values, floats as %.17g, tags as they are (none needs
-    quoting or escaping), None as null or an empty field.  JSON then respells
-    nan and inf, which no finite %.17g output, key or tag contains.  Every
-    row, and the CSV header, is one ``write`` call on the stream.
+    quoting or escaping), None as null or an empty field.  Fields in ``fixed``,
+    the same in every row, are baked into the templates as %.17g text and not
+    picked.  JSON then respells nan and inf, which no finite %.17g output, key
+    or tag contains.  Every row, and the CSV header, is one ``write`` call.
     """
 
     def __init__(self, fmt: str, stream):
@@ -139,13 +141,16 @@ class _Emitter:
         self._spelling = ({str: '"%s"', type(None): "null"} if self._json
                           else {str: "%s", type(None): ""})
         self._formats = {}
+        self.fixed = {}  # field index -> the float every row has there, set before any row
 
     def _format(self, shape: tuple) -> tuple:
-        """Keeps and returns one record shape's template and picker of its non-None fields."""
-        cells = [self._spelling.get(kind, "%.17g") for kind in shape]
+        """Keeps and returns one record shape's template and picker of its other non-None fields."""
+        fixed = self.fixed
+        cells = ["%.17g" % fixed[i] if i in fixed else self._spelling.get(kind, "%.17g")
+                 for i, kind in enumerate(shape)]
         pairs = map('"{}": {}'.format, OutputRecord.FIELDS, cells)
         template = "{%s}\n" % ", ".join(pairs) if self._json else ",".join(cells) + "\n"
-        kept = [i for i, kind in enumerate(shape) if kind is not type(None)]
+        kept = [i for i, kind in enumerate(shape) if kind is not type(None) and i not in fixed]
         # itemgetter of one index returns a bare value, which % takes as well; of none it raises
         pick = itemgetter(*kept) if kept else lambda rec: ()
         return self._formats.setdefault(shape, (template, pick))
@@ -222,12 +227,17 @@ def _cmd_table(args, parser, emitter) -> None:
         if args.s is None:
             parser.error("--s is required when --lambda is a range")
         points = [(args.s, lam) for lam in args.lam]
+    emitter.fixed = {1: 0.0, 2: args.lam} if s_is_range else {0: args.s.real, 1: args.s.imag}
     # The first row's lambda is checked before the specs, as in eval, and the
     # last after them: the grid increases, so a refused range writes no row.
     p = DegenerateParameter(points[0][1])
     evaluate = core.gamma_evaluator(args.method, args.tol, args.n_terms)
     if points[-1][1] >= 1.0:
         DegenerateParameter(points[-1][1])
+    if args.method == "closed-form" and not s_is_range:  # log Gamma(s) once a sweep, unless
+        with suppress(DegammaError):  # s is not finite or a pole of Gamma, so no row reads it
+            classical._refuse_integer("table", "s", args.s, "a pole of Gamma", nonpositive=True)
+            evaluate = partial(evaluate, _log_gamma_s=core._log_gamma_off_pole(args.s))
     emit, method = emitter.emit, args.method
     for s, lam in points:
         if lam != p.lam:

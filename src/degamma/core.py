@@ -265,7 +265,8 @@ def degenerate_exp(x: complex, t: complex, lam: float) -> complex:
     passes exp's range, as at degenerate_exp(1e16, 1.0, 1e-200), or is not
     finite (0 where its real part is below exp's range).  Where lambda*t
     overflows, log(1 + lambda*t) is log|lambda| + log(+-t); where x/lambda
-    does, the exponent is x*t*(log(1 + lambda*t)/(lambda*t)).
+    does, the exponent is x*t*(log(1 + lambda*t)/(lambda*t)).  DomainError
+    where eps*|Im exponent| >= 1 and the value is not 0: no digit of its phase is right.
     """
     lam = float(lam)
     if lam == 0.0 or not math.isfinite(lam):
@@ -286,7 +287,10 @@ def degenerate_exp(x: complex, t: complex, lam: float) -> complex:
     # log(1 + w)/lambda as t*log(1 + w)/w, which keeps its digits where w underflows
     expo = q * log_base if cmath.isfinite(q) else x * (t * (log_base / w if w else 1.0))
     if cmath.isfinite(expo):
-        return cmath.exp(expo)
+        value = cmath.exp(expo)
+        if value and not math.ulp(1.0) * abs(expo.imag) < 1.0:
+            raise DomainError(f"degenerate_exp: the exponent {expo} leaves no digit of the phase")
+        return value
     if expo.real < -746.0:  # exp(Re) underflows to 0, whatever the phase
         return 0j
     raise OverflowError(f"degenerate_exp: the exponent {expo} is not finite")
@@ -405,15 +409,16 @@ def nearest_pole(s: complex, p: DegenerateParameter) -> tuple[float, PoleFamily,
     return d2, _SHIFTED, n2
 
 
-def _closed_form_log(s: complex, p: DegenerateParameter,
-                     name: str = "s") -> tuple[complex, float]:
+def _closed_form_log(s: complex, p: DegenerateParameter, name: str = "s",
+                     term_s: complex | None = None) -> tuple[complex, float]:
     """The closed form's log value at s and the magnitude sum of its terms.
 
     s must already be cleared by ``nearest_pole``: Gamma(s)'s poles are the
     non-positive family and Gamma(u - s)'s the shifted one, so neither term
     is tested again.  DomainError names argument ``name`` if the terms overflow.
+    ``term_s``, if given, is log Gamma(s), taken by the caller.
     """
-    term_s = _log_gamma_off_pole(s)
+    term_s = _log_gamma_off_pole(s) if term_s is None else term_s
     term_us = _log_gamma_off_pole(p.inv_lambda - s)
     term_u = p.log_gamma_inv_lambda
     log_val = (-s) * p.log_lambda + term_s + term_us - term_u
@@ -438,7 +443,8 @@ def degenerate_gamma_log(s: complex, p: DegenerateParameter) -> complex:
     return _closed_form_log(s, p)[0]
 
 
-def degenerate_gamma(s: complex, p: DegenerateParameter) -> EvalResult:
+def degenerate_gamma(s: complex, p: DegenerateParameter, *,
+                     _log_gamma_s: complex | None = None) -> EvalResult:
     """Degenerate gamma at s via the closed form, with pole handling in status.
 
     Away from poles the relative accuracy is at the 1e-13 level (the error
@@ -446,14 +452,15 @@ def degenerate_gamma(s: complex, p: DegenerateParameter) -> EvalResult:
     real s the value is real: its imaginary part is exactly 0.  Within
     POLE_TOLERANCE of a pole the status is AT_POLE and the PoleInfo carries
     the residue; in the band up to NEAR_POLE_RADIUS the status is NEAR_POLE
-    and the estimate is inflated to reflect cancellation.
+    and the estimate is inflated to reflect cancellation.  A lambda-sweep
+    passes its log Gamma(s), taken once, as ``_log_gamma_s``; no other caller does.
     """
     s = complex(s)
     dist, family, n = nearest_pole(s, p)
     if dist < POLE_TOLERANCE:
         return _finish(_CLOSED_FORM, status=EvalStatus.AT_POLE,
                        pole=_pole_info(family, n, p), abs_est=math.inf)
-    log_val, mag_sum = _closed_form_log(s, p)
+    log_val, mag_sum = _closed_form_log(s, p, "s", _log_gamma_s)
     if family is _SHIFTED:  # u's rounding (_check_argument's docstring); mag_sum covers the other
         mag_sum += (p.inv_lambda + abs(s)) / dist
     rel_est = 1e-14 + 8e-16 * mag_sum

@@ -358,12 +358,15 @@ class TestTableContract:
     """Every table row is degenerate_gamma's result, written in one call."""
 
     @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
-    @pytest.mark.parametrize("sweep", [
-        ("--lambda=0.25", "--s-re=-2.5:5.5:0.125"),  # poles -2..0 and 4, 5
-        ("--s=4", "--lambda=0.0625:0.9375:0.0078125"),  # poles at 1/4, 1/2
-        ("--s=0.7-1.3i", "--lambda=0.05:0.95:0.01"),
-    ], ids=["s-re", "lambda-real-s", "lambda-complex-s"])
-    def test_rows_match_closed_form_one_write_each(self, sweep, fmt, monkeypatch):
+    @pytest.mark.parametrize("sweep, statuses", [
+        (("--lambda=0.25", "--s-re=-2.5:5.5:0.125"), {"regular", "pole"}),  # poles -2..0, 4, 5
+        (("--s=4", "--lambda=0.0625:0.9375:0.0078125"), {"regular", "pole"}),  # at 1/4, 1/2
+        (("--s=0.7-1.3i", "--lambda=0.05:0.95:0.01"), {"regular"}),
+        (("--s=-2", "--lambda=0.05:0.95:0.01"), {"pole"}),  # log Gamma(s) is never taken
+        (("--s=-2.227+1.107i", "--lambda=0.05:0.95:0.01"), {"regular"}),  # the reflection
+    ], ids=["s-re", "lambda-real-s", "lambda-complex-s", "lambda-at-pole",
+            "lambda-reflected-s"])
+    def test_rows_match_closed_form_one_write_each(self, sweep, statuses, fmt, monkeypatch):
         stream = _CountingStream()
         monkeypatch.setattr(sys, "stdout", stream)
         assert main(["table", *sweep, f"--format={fmt}"]) == 0
@@ -379,7 +382,7 @@ class TestTableContract:
             assert writes[0] == ",".join(OutputRecord.FIELDS) + "\n"
             writes = writes[1:]
         assert len(writes) == len(points)
-        statuses = set()
+        seen = set()
         for text, (s, lam) in zip(writes, points):
             got = _parse_wire_row(text, fmt)
             want = _closed_form_row(s, lam)
@@ -387,9 +390,60 @@ class TestTableContract:
             assert {k: repr(v) for k, v in got.items()} == {
                 k: repr(v) for k, v in want.items()
             }, (s, lam)
-            statuses.add(want["status"])
-        if not sweep[0].startswith("--s=0.7"):
-            assert "pole" in statuses
+            seen.add(want["status"])
+        assert seen == statuses
+
+    @pytest.mark.parametrize("fmt, fixed", [
+        ("jsonl", '{"s_re": Infinity, "s_im": 0, "lambda": '),
+        ("csv", "inf,0,"),
+    ])
+    def test_a_non_finite_s_skips_every_row(self, fmt, fixed, monkeypatch):
+        stream = _CountingStream()
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert main(["table", "--s=1e999", "--lambda=0.05:0.95:0.05", f"--format={fmt}"]) == 0
+        writes = stream.writes[fmt == "csv":]
+        assert len(writes) == 19
+        for text, lam in zip(writes, parse_range("0.05:0.95:0.05")):
+            assert text.startswith(fixed + "%.17g" % lam)
+            row = _parse_wire_row(text, fmt)
+            assert (row["s_re"], row["status"], row["value_re"]) == (math.inf, "skipped", None)
+
+
+# Sweeps whose fixed fields the emitter bakes into its templates: (field, its spelling)
+_BAKED_SWEEPS = {
+    ("--lambda=0.2", "--s-re=-2.5:3.5:0.25"): ("lambda", "0.20000000000000001"),
+    ("--s=0.957+2.089i", "--lambda=0.05:0.95:0.05"): ("s_re", "0.95699999999999996"),
+    ("--s=3-0i", "--lambda=0.05:0.95:0.05"): ("s_im", "-0"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+@pytest.mark.parametrize("sweep", list(_BAKED_SWEEPS),
+                         ids=["s-re", "lambda-complex-s", "lambda-negative-zero"])
+def test_table_rows_are_the_bytes_of_eval_rows(sweep, fmt, monkeypatch):
+    # a baked field is spelled as eval spells each field of its one row
+    def written(*argv):
+        stream = _CountingStream()
+        monkeypatch.setattr(sys, "stdout", stream)
+        assert main([*argv, f"--format={fmt}"]) == 0
+        return stream.writes[fmt == "csv":]
+
+    fixed, grid = sweep
+    values = parse_range(grid.split("=")[1])
+    if fixed.startswith("--lambda="):
+        points = [(fixed, f"--s={x!r}") for x in values]
+    else:
+        points = [(f"--lambda={lam!r}", fixed) for lam in values]
+    rows = written("table", *sweep)
+    assert len(rows) == len(points)
+    field, spelled = _BAKED_SWEEPS[sweep]
+    for row in rows:
+        if fmt == "jsonl":
+            assert f'"{field}": {spelled},' in row
+        else:
+            assert next(csv.reader([row]))[OutputRecord.FIELDS.index(field)] == spelled
+    for row, point in zip(rows, points):
+        assert written("eval", *point) == [row], point
 
 
 _WORK_SWEEPS = {
@@ -408,9 +462,9 @@ def test_table_does_one_evaluation_and_one_write_per_row(sweep, fmt, monkeypatch
     counts = collections.Counter()
 
     def counted(name, fn):
-        def call(*args):
+        def call(*args, **kwargs):
             counts[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return call
 
     monkeypatch.setattr(core, "degenerate_gamma", counted("gamma", core.degenerate_gamma))
@@ -455,6 +509,26 @@ def test_table_rows_hand_the_emitter_their_shape(sweep, fmt, monkeypatch):
     assert main(["table", *sweep, f"--format={fmt}"]) == 0
     assert len(shapes) == _WORK_SWEEPS[sweep][0] and built == []
     assert all(given == actual for given, actual in shapes)
+
+
+@pytest.mark.parametrize("s, calls_at_s, calls", [
+    ("0.7-1.3i", 1, 91 + 1),
+    ("-2.227+1.107i", 1, 91 + 1),  # the reflection
+    ("-2", 0, 91 * 2),  # every row a pole: two residue terms each
+], ids=["complex-s", "reflected-s", "at-pole"])
+def test_lambda_sweep_takes_log_gamma_of_s_once(s, calls_at_s, calls, monkeypatch):
+    # a kernel work guard: log Gamma(s) once a sweep, not once a row (2 calls a
+    # regular row before), and never at Gamma's poles; Gamma(u - s) once a row
+    kernel, args = core._log_gamma_off_pole, []
+
+    def counted(z):
+        args.append(z)
+        return kernel(z)
+
+    monkeypatch.setattr(core, "_log_gamma_off_pole", counted)
+    monkeypatch.setattr(sys, "stdout", _CountingStream())
+    assert main(["table", f"--s={s}", "--lambda=0.05:0.95:0.01"]) == 0
+    assert (args.count(parse_complex(s)), len(args)) == (calls_at_s, calls)
 
 
 @pytest.mark.parametrize("fmt", ["jsonl", "csv"])

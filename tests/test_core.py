@@ -257,6 +257,17 @@ class TestDegenerateExpLog:
         with pytest.raises(OverflowError):
             degenerate_exp(1e308j, -2.218924101569276e104, -0.7)
 
+    def test_a_phase_with_no_digit_is_refused(self, mp):
+        # eps |Im exponent| >= 1 leaves no digit of the phase (8.1e19i here, where
+        # the true value is 0.80+0.60j); an underflowed value stays 0
+        with pytest.raises(DomainError, match="exponent 8.10930216216328.e\\+19j"):
+            degenerate_exp(1e20j, 1.0, 0.5)
+        assert degenerate_exp(-1e300 + 1e20j, 1.0, 0.5) == 0.0
+        # below the line the error is within eps |exponent| of 40-digit mpmath
+        expo = 2e14j * math.log(1.5)
+        want = complex(mp.power(mp.mpf(1.5), mp.mpc(0, 2e14)))
+        assert abs(degenerate_exp(1e14j, 1.0, 0.5) - want) <= math.ulp(1.0) * abs(expo)
+
     def test_log_names_its_overflow(self):
         assert "OverflowError where t**lambda overflows" in degenerate_log.__doc__
         with pytest.raises(OverflowError):
