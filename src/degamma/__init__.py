@@ -29,8 +29,8 @@ _LAZY = {
                      "hankel_gamma_reflected"), "quadrature"),
     **dict.fromkeys(("ProductSpec", "degenerate_beta_product", "euler_limit_gamma",
                      "sine_product", "weierstrass_gamma"), "representations"),
-    **dict.fromkeys(("CHECK_ROSTER", "CheckReport", "GridSpec", "run_cross_path_scan",
-                     "run_identity_suite", "run_limit_checks"), "verify"),
+    **dict.fromkeys(("CHECK_ROSTER", "CheckReport", "run_identity_suite",
+                     "run_limit_checks"), "verify"),
 }
 
 __all__ = sorted({name for name in globals() if not name.startswith("_")}

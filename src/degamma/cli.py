@@ -9,6 +9,7 @@ failed verification, 2 numeric/precondition errors, 64 usage errors.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -70,17 +71,34 @@ def parse_complex(text: str) -> complex:
     return complex(float(m.group("re")), float(m.group("im")))
 
 
+# The most points a range may have: 1,000 times a 10k-point table.
+MAX_GRID_POINTS = 10**7
+
+
 def parse_range(text: str) -> list[float]:
-    """Inclusive grid literal start:stop:step."""
+    """Inclusive grid literal start:stop:step: start, start + step, ... up to
+    stop, which the last point may pass by 1e-9 step.  Refused unless the
+    numbers are finite, step > 0, stop >= start and there are at most
+    MAX_GRID_POINTS points."""
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(
             f"invalid range {text!r}; expected start:stop:step"
         )
     try:
-        return core.inclusive_grid(*map(float, parts))
+        start, stop, step = map(float, parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"invalid range {text!r}; {exc}") from None
+    # a NaN or infinite start or stop leaves span NaN or infinite
+    span = (stop - start) / step if 0.0 < step < math.inf else math.nan
+    if not (stop >= start and span + 0.5 < MAX_GRID_POINTS):
+        raise argparse.ArgumentTypeError(
+            f"invalid range {text!r}; need finite numbers, step > 0, stop >= start "
+            f"and at most {MAX_GRID_POINTS} points")
+    values = [start + k * step for k in range(math.floor(span + 0.5) + 1)]
+    if values[-1] > stop + 1e-9 * step:
+        values.pop()
+    return values
 
 
 def _int_at_least(low: int):
@@ -270,9 +288,6 @@ def _cmd_verify(args) -> int:
     from . import verify
     reports = verify.run_identity_suite(seed=args.seed, samples=args.samples)
     reports += verify.run_limit_checks()
-    reports += [verify.run_cross_path_scan(
-        verify.GridSpec(0.2, 1.8, 0.4), DegenerateParameter(0.5)
-    )]
     reports.sort(key=lambda r: r.check_name)
     with open(args.report_path, "w") as fh:
         fh.write(verify.reports_to_json(reports))

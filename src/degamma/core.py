@@ -179,27 +179,6 @@ def gamma_evaluator(method: str, tol: float, n_terms: int):
     return lambda s, p: fn(s, p, spec)
 
 
-# The most points an inclusive grid may have: 1,000 times a 10k-point table.
-MAX_GRID_POINTS = 10**7
-
-
-def inclusive_grid(start: float, stop: float, step: float) -> list[float]:
-    """start, start + step, ... up to stop, which the last point may pass by 1e-9 step.
-
-    ValueError unless the numbers are finite, step > 0, stop >= start and the
-    grid has at most MAX_GRID_POINTS points.
-    """
-    # a NaN or infinite start or stop leaves span NaN or infinite
-    span = (stop - start) / step if 0.0 < step < math.inf else math.nan
-    if not (stop >= start and span + 0.5 < MAX_GRID_POINTS):
-        raise ValueError(f"need finite numbers, step > 0, stop >= start "
-                         f"and at most {MAX_GRID_POINTS} points")
-    values = [start + k * step for k in range(math.floor(span + 0.5) + 1)]
-    if values[-1] > stop + 1e-9 * step:
-        values.pop()
-    return values
-
-
 class EvalResult(NamedTuple):
     """A function value with an absolute error estimate and provenance.
 
@@ -263,7 +242,8 @@ def degenerate_exp(x: complex, t: complex, lam: float) -> complex:
     and requires lambda in (0,1)).  Recovers exp(x*t) as lambda -> 0.  Raises
     DomainError if x or t is not finite, and OverflowError where the exponent
     passes exp's range, as at degenerate_exp(1e16, 1.0, 1e-200), or is not
-    finite (0 where its real part is below exp's range).  Where lambda*t
+    finite (0 where its real part is below exp's range, or is inf - inf and the
+    larger of its two products, compared in logs, is negative).  Where lambda*t
     overflows, log(1 + lambda*t) is log|lambda| + log(+-t); where x/lambda
     does, the exponent is x*t*(log(1 + lambda*t)/(lambda*t)).  DomainError
     where eps*|Im exponent| >= 1 and the value is not 0: no digit of its phase is right.
@@ -285,7 +265,8 @@ def degenerate_exp(x: complex, t: complex, lam: float) -> complex:
         log_base = _clog1p(w)
     q = x / lam
     # log(1 + w)/lambda as t*log(1 + w)/w, which keeps its digits where w underflows
-    expo = q * log_base if cmath.isfinite(q) else x * (t * (log_base / w if w else 1.0))
+    a, b = (q, log_base) if cmath.isfinite(q) else (x, t * (log_base / w if w else 1.0))
+    expo = a * b
     if cmath.isfinite(expo):
         value = cmath.exp(expo)
         if value and not math.ulp(1.0) * abs(expo.imag) < 1.0:
@@ -293,6 +274,12 @@ def degenerate_exp(x: complex, t: complex, lam: float) -> complex:
         return value
     if expo.real < -746.0:  # exp(Re) underflows to 0, whatever the phase
         return 0j
+    if math.isnan(expo.real) and cmath.isfinite(b):  # inf - inf: the larger product decides
+        log_rr = math.log(abs(a.real)) + math.log(abs(b.real))
+        log_ii = math.log(abs(a.imag)) + math.log(abs(b.imag))
+        if not math.isclose(log_rr, log_ii, rel_tol=1e-14) and (
+                a.real * b.real if log_rr > log_ii else -a.imag * b.imag) < 0.0:
+            return 0j
     raise OverflowError(f"degenerate_exp: the exponent {expo} is not finite")
 
 

@@ -13,13 +13,12 @@ lo + (hi - lo) * u for the stream's next double u, read in blocks: that is
 ``Generator.uniform``.  ``CHECK_ROSTER`` is the table's names, and
 :func:`run_identity_suite` is one loop over it that judges every sample by its
 relative error: an exact identity within ``EXACT_TOL``, an approximate path
-(here and in the cross-path scan) within its own estimate.  The residues, the
+within its own estimate.  The residues, the
 sine product and the degeneration limits measure a limit or a truncation and
 keep bounds of their own.  A row that judges one approximate gamma path
 against the closed form is ``_estimated(tag, domain)``, which runs the path
 through ``core.gamma_evaluator`` by its method tag, built once a run.
-``CheckReport.record`` and ``fail`` fill every report, the limit checks' and
-the cross-path scan's too.
+``CheckReport.record`` and ``fail`` fill every report, the limit checks' too.
 """
 
 from __future__ import annotations
@@ -30,20 +29,16 @@ import itertools
 import json
 import math
 from types import SimpleNamespace
-from typing import NamedTuple
 
 import numpy as np
 
 from . import classical, core, quadrature, representations
-from .core import DegenerateParameter, EvalStatus, PoleFamily
-from .errors import DegammaError
+from .core import DegenerateParameter, PoleFamily
 
 __all__ = [
     "CheckReport",
-    "GridSpec",
     "CHECK_ROSTER",
     "run_identity_suite",
-    "run_cross_path_scan",
     "run_limit_checks",
     "reports_to_json",
 ]
@@ -63,10 +58,10 @@ class CheckReport(SimpleNamespace):
     """Outcome of one identity check over its sample set; mutable, equal by value."""
 
     def __init__(self, check_name: str, sample_count: int = 0, max_rel_err: float = 0.0,
-                 failures: list | None = None, passed: bool = True, per_path: dict | None = None):
+                 failures: list | None = None, passed: bool = True):
         super().__init__(check_name=check_name, sample_count=sample_count,
                          max_rel_err=max_rel_err, failures=[] if failures is None else failures,
-                         passed=passed, per_path=per_path)
+                         passed=passed)
 
     def __reduce__(self):
         # SimpleNamespace's own would call CheckReport() without its check_name
@@ -91,26 +86,7 @@ class CheckReport(SimpleNamespace):
 
     def to_dict(self) -> dict:
         # a copy of every dict a caller could mutate; the values are scalars
-        out = {**vars(self), "failures": [dict(f) for f in self.failures]}
-        if self.per_path is None:
-            del out["per_path"]
-        else:
-            out["per_path"] = {name: dict(stats) for name, stats in self.per_path.items()}
-        return out
-
-
-class GridSpec(NamedTuple):
-    """Rectangle + spacing for the cross-path scan."""
-
-    re_start: float
-    re_stop: float
-    re_step: float
-
-    def points(self) -> list[complex]:
-        if self.re_stop < self.re_start:
-            raise ValueError("GridSpec: empty grid")
-        grid = core.inclusive_grid(self.re_start, self.re_stop, self.re_step)
-        return [complex(x, 0.0) for x in grid]
+        return {**vars(self), "failures": [dict(f) for f in self.failures]}
 
 
 def _rel(a: complex, b: complex) -> float:
@@ -333,6 +309,10 @@ def _hankel_domain(rng):
                  lambda w, p: abs(w.real - round(w.real)) + abs(w.imag) < 0.1)
 
 
+def _strip_domain(rng):
+    return _draw(rng, (0.15, 0.85), lambda u: (0.05, u - 0.05), (-1.5, 1.5))
+
+
 def _hankel_contour_reflected(rng, run):
     s, p = _hankel_domain(rng)
     return (s, p.lam, "hankel-reflected",
@@ -366,6 +346,7 @@ _CHECKS = (
     ("residues-shifted", None, _residues(PoleFamily.SHIFTED_BY_INV_LAMBDA)),
     ("hankel-contour", 12, _estimated("hankel", _hankel_domain)),
     ("hankel-contour-reflected", 13, _hankel_contour_reflected),
+    ("direct-integral", 14, _estimated("direct-integral", _strip_domain)),
 )
 
 # Every identity the harness covers, by what each check does.
@@ -415,46 +396,6 @@ def _residue_limit(location: complex, p: DegenerateParameter) -> complex:
     for offset in _RESIDUE_OFFSETS:
         total += offset * core.degenerate_gamma(location + offset, p).value
     return total / 4.0
-
-
-def run_cross_path_scan(grid: GridSpec, p: DegenerateParameter,
-                        product_terms: int = 10**12) -> CheckReport:
-    """Evaluate every path over a grid against the closed form, by its own estimate.
-
-    Each path runs only where its preconditions hold; precondition rejections
-    are counted as skipped cells, and a path whose validity region misses the
-    grid entirely is marked not applicable.
-    """
-    points = grid.points()
-    paths = {name: core.gamma_evaluator(name, core.DEFAULT_TOLERANCE, product_terms)
-             for name in ("direct-integral", "hankel", "weierstrass", "euler-limit")}
-    per_path = {
-        name: {"max_rel_err": 0.0, "evaluated": 0, "skipped": 0, "applicable": True}
-        for name in paths
-    }
-    report = CheckReport("cross-path-scan", per_path=per_path)
-    for s in points:
-        ref = core.degenerate_gamma(s, p)
-        if ref.status in (EvalStatus.AT_POLE, EvalStatus.OVERFLOW):
-            for stats in per_path.values():
-                stats["skipped"] += 1
-            continue
-        for name, fn in paths.items():
-            stats = per_path[name]
-            try:
-                res = fn(s, p)
-            except DegammaError:
-                stats["skipped"] += 1
-                continue
-            stats["evaluated"] += 1
-            *sample, tol = _estimated_sample(s, p.lam, res, ref.value)
-            err = _rel(res.value, ref.value)
-            stats["max_rel_err"] = max(stats["max_rel_err"], err)
-            report.record(*sample, err, tol)
-    for stats in per_path.values():
-        stats["applicable"] = stats["evaluated"] > 0
-    report.sample_count = len(points)
-    return report
 
 
 # The degeneration limits: (name, path, arguments, reference function,

@@ -19,6 +19,7 @@ import degamma.cli as cli_mod
 from degamma import core
 from degamma.cli import OutputRecord, main, parse_complex, parse_range
 from degamma.core import GAMMA_METHODS, DegenerateParameter, EvalStatus, degenerate_gamma
+from degamma.verify import CHECK_ROSTER
 
 
 def run_cli(capsys, *argv):
@@ -674,7 +675,8 @@ class TestVerifyCommand:
         payload = json.loads(report.read_text())
         assert all(entry["passed"] for entry in payload)
         names = [entry["check_name"] for entry in payload]
-        assert names == sorted(names)
+        # every report is a roster row or a limit check: no second judge
+        assert names == sorted(CHECK_ROSTER + ("limit-lambda-to-one", "limit-lambda-to-zero"))
 
     def test_fault_injection_exits_1_and_names_check(self, capsys, tmp_path, perturb):
         report = tmp_path / "report.json"

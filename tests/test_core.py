@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from argparse import ArgumentTypeError
 from fractions import Fraction
 
 import numpy as np
@@ -56,7 +57,6 @@ from degamma.quadrature import (
     hankel_gamma,
     hankel_gamma_reflected,
 )
-from degamma.verify import GridSpec
 
 
 def rel(a, b):
@@ -249,13 +249,28 @@ class TestDegenerateExpLog:
     def test_where_x_over_lambda_overflows(self, x, t, lam, want):
         assert rel(degenerate_exp(x, t, lam), want) <= 1e-13
 
-    def test_an_exponent_that_is_not_finite(self):
-        # a real part below exp's range gives 0 whatever the phase; an infinite
-        # phase on a modulus that does not underflow is the documented error
-        assert degenerate_exp(-1e300, 1e10, 1e-300) == 0.0  # exponent -inf
-        assert degenerate_exp(1 + 1e300j, -1e300 + 1j, -1e-300) == 0.0  # -1.2e300 - inf i
-        with pytest.raises(OverflowError):
-            degenerate_exp(1e308j, -2.218924101569276e104, -0.7)
+    # A real part below exp's range gives 0 whatever the phase, also where the
+    # real part is inf - inf and the larger of its two products is negative.
+    # A modulus past exp's range, or an infinite phase on a modulus that does
+    # not underflow, is the documented error, and so is a tie of the products.
+    # 40-digit mpmath's exponent says which each one is.
+    @pytest.mark.parametrize("x, t, lam", [
+        (-1e300, 1e10, 1e-300),  # -inf
+        (1 + 1e300j, -1e300 + 1j, -1e-300),  # -1.2e300 - inf i
+        (1e308j, -2.218924101569276e104, -0.7),  # an infinite phase
+        (2 + 1e300j, 1e308 + 1e300j, 5e-324),  # inf - inf: -1e600 + 1e608 i
+        (1e300 + 1e10j, 1e308 + 1e300j, 5e-324),  # inf - inf: 1e608 + 1e600 i
+        (1e300 + 1e300j, 1e308 + 1e308j, 5e-324),  # inf - inf, a tie: 4.9e592 + 2e608 i
+    ], ids=["minus-inf", "minus-inf-phase-inf", "phase-inf", "inf-minus-inf-to-zero",
+            "inf-minus-inf-to-inf", "inf-minus-inf-tie"])
+    def test_an_exponent_that_is_not_finite(self, mp, x, t, lam):
+        expo = mp.mpc(x) / mp.mpf(lam) * mp.log1p(mp.mpf(lam) * mp.mpc(t))
+        if expo.real < -746:
+            assert degenerate_exp(x, t, lam) == 0.0
+            return
+        assert expo.real > 710 or abs(expo.imag) >= 2**1024  # past the largest float
+        with pytest.raises(OverflowError, match="is not finite$"):
+            degenerate_exp(x, t, lam)
 
     def test_a_phase_with_no_digit_is_refused(self, mp):
         # eps |Im exponent| >= 1 leaves no digit of the phase (8.1e19i here, where
@@ -977,16 +992,15 @@ class TestSubnormalFloor:
     (lambda p: sine_product(0.5, 0), ValueError, "^sine_product: "),
     (lambda p: lambda_shift_recurrence(1.5, 3, p), ParameterRangeError, "k = 3 shift$"),
     (lambda p: degenerate_log(2.0, 0.0), ParameterRangeError, "^degenerate_log: "),
-    (lambda p: GridSpec(1, 0, 1).points(), ValueError, "^GridSpec: empty grid$"),
-    (lambda p: GridSpec(0, 1, 0).points(), ValueError, "^need finite numbers, step > 0"),
-    (lambda p: GridSpec(0, math.inf, 1).points(), ValueError, "^need finite numbers"),
-    (lambda p: GridSpec(0, math.nan, 1).points(), ValueError, "^need finite numbers"),
-    (lambda p: GridSpec(0, 1, 1e-300).points(), ValueError, "at most 10000000 points$"),
+    (lambda p: parse_range("0:1:0"), ArgumentTypeError, "^invalid range '0:1:0'; need finite"),
+    (lambda p: parse_range("0:inf:1"), ArgumentTypeError, "; need finite numbers"),
+    (lambda p: parse_range("0:nan:1"), ArgumentTypeError, "; need finite numbers"),
+    (lambda p: parse_range("0:1:1e-300"), ArgumentTypeError, "at most 10000000 points$"),
 ], ids=[
     "falling_factorial", "falling_factorial_exact", "pole_residue", "poles",
     "degenerate_gamma_integer", "lambda_shift_recurrence-k", "sine_product",
-    "lambda_shift_recurrence-lambda", "degenerate_log", "GridSpec",
-    "GridSpec-step-0", "GridSpec-inf", "GridSpec-nan", "GridSpec-tiny-step",
+    "lambda_shift_recurrence-lambda", "degenerate_log",
+    "parse_range-step-0", "parse_range-inf", "parse_range-nan", "parse_range-tiny-step",
 ])
 def test_argument_refused(call, error, message):
     with pytest.raises(error, match=message):
@@ -999,9 +1013,8 @@ def test_argument_refused(call, error, message):
     (0.2, 1.8, 0.4, [0.2 + k * 0.4 for k in range(5)]),
     (2.0, 2.0, 1.0, [2.0]),
 ])
-def test_grid_spec_ends_at_its_stop(start, stop, step, expected):
-    """GridSpec and the CLI's ranges share one rule: no point past the stop."""
-    assert GridSpec(start, stop, step).points() == [complex(x, 0.0) for x in expected]
+def test_parse_range_ends_at_its_stop(start, stop, step, expected):
+    """A range has no point past its stop."""
     assert parse_range(f"{start!r}:{stop!r}:{step!r}") == expected
 
 

@@ -12,10 +12,8 @@ from degamma.core import DegenerateParameter, degenerate_gamma, degenerate_gamma
 from degamma.verify import (
     CHECK_ROSTER,
     CheckReport,
-    GridSpec,
     _sample_complex,
     reports_to_json,
-    run_cross_path_scan,
     run_identity_suite,
     run_limit_checks,
 )
@@ -24,7 +22,7 @@ from degamma.verify import (
 # difference equation, both closed-form identities, the single- and
 # multi-step parameter shifts, integer values, both product forms, the
 # rational limit, the sine product, all three beta expressions, both
-# residue families, and both loop realizations.
+# residue families, both loop realizations and the defining integral.
 EXPECTED_ROSTER = {
     "difference-equation",
     "closed-form-beta-identity",
@@ -44,6 +42,7 @@ EXPECTED_ROSTER = {
     "residues-shifted",
     "hankel-contour",
     "hankel-contour-reflected",
+    "direct-integral",
 }
 
 
@@ -91,6 +90,7 @@ class TestIdentitySuite:
         ("integer-values", 1.0 + 1e-5),
         ("hankel-contour", 1.0 + 1e-5),
         ("hankel-contour-reflected", 1.0 + 1e-11),
+        ("direct-integral", 1.0 + 1e-5),
         ("beta-product", 1.05),  # product tolerance tracks its own O(1/N) tail
         ("residues-shifted", 1.0 + 1e-4),
     ])
@@ -216,18 +216,26 @@ def test_every_shared_kernel_is_caught(monkeypatch, kernel):
     owner, name, make_faulty = SHARED_KERNELS[kernel]
     monkeypatch.setattr(owner, name, make_faulty(getattr(owner, name), 1e-10))
     reports = run_identity_suite(seed=0, samples=10) + run_limit_checks()
-    reports.append(run_cross_path_scan(GridSpec(0.2, 1.8, 0.4), DegenerateParameter(0.5)))
     assert [r.check_name for r in reports if not r.passed]
 
 
-def test_products_run_at_1e12_in_the_suite_and_the_scan(monkeypatch):
+@pytest.mark.parametrize("kernel", ["cc-ladder", "far-piece", "log-gamma-inv-lambda",
+                                    "lanczos-log"])
+def test_the_defining_integral_row_catches_its_kernels(monkeypatch, kernel):
+    # a relative 1e-10 fault in a kernel that the defining integral, or the
+    # closed form it is judged against, runs fails that row itself
+    owner, name, make_faulty = SHARED_KERNELS[kernel]
+    monkeypatch.setattr(owner, name, make_faulty(getattr(owner, name), 1e-10))
+    by_name = {r.check_name: r for r in run_identity_suite(seed=0, samples=10)}
+    assert not by_name["direct-integral"].passed
+
+
+def test_products_run_at_1e12_in_the_suite(monkeypatch):
     # at N = 1e5 a product's own estimate, about 3e-5 relative, hides the fault
     owner, name, make_faulty = SHARED_KERNELS["paired-log-sum"]
     monkeypatch.setattr(owner, name, make_faulty(getattr(owner, name), 1e-10))
     failed = {r.check_name for r in run_identity_suite(seed=0, samples=3) if not r.passed}
     assert {"weierstrass-product-main", "euler-limit", "beta-product", "sine-product"} <= failed
-    scan = run_cross_path_scan(GridSpec(0.2, 1.8, 0.4), DegenerateParameter(0.5))
-    assert {f["path"] for f in scan.failures} == {"weierstrass", "euler-limit"}
 
 
 @pytest.mark.parametrize("samples", [3, 10])
@@ -351,8 +359,9 @@ def test_the_harness_does_its_fixed_work_once_per_run(monkeypatch):
         run_identity_suite(seed=0, samples=3)
         counts.append(([dict(c) for c in streams], dict(evaluators)))
     assert counts[0] == counts[1]
-    assert counts[0][0] == [{"random": 1}] * 14
-    assert counts[0][1] == {"weierstrass": 1, "euler-limit": 1, "hankel": 1}
+    assert counts[0][0] == [{"random": 1}] * 15
+    assert counts[0][1] == {"weierstrass": 1, "euler-limit": 1, "hankel": 1,
+                            "direct-integral": 1}
 
 
 class _StubRng:
@@ -389,38 +398,6 @@ class TestSampler:
                             lambda s: True)
 
 
-class TestCrossPathScan:
-    def test_example_grid(self):
-        scan = run_cross_path_scan(
-            GridSpec(0.2, 1.8, 0.4), DegenerateParameter(0.5),
-            product_terms=10**4,
-        )
-        assert scan.passed
-        assert scan.sample_count == 5
-        # s = 1.0 is an integer: the loop-contour path must be skipped there,
-        # not failed
-        assert scan.per_path["hankel"]["skipped"] == 1
-        assert scan.per_path["hankel"]["evaluated"] == 4
-        assert scan.per_path["direct-integral"]["evaluated"] == 5
-
-    def test_not_applicable_path(self):
-        # entire grid sits right of the validity strip for lambda = 0.5
-        scan = run_cross_path_scan(
-            GridSpec(2.2, 2.4, 0.2), DegenerateParameter(0.5),
-            product_terms=10**4,
-        )
-        assert not scan.per_path["direct-integral"]["applicable"]
-        assert not scan.per_path["hankel"]["applicable"]
-        assert scan.per_path["weierstrass"]["applicable"]
-
-    def test_pole_cell_skipped_for_all_paths(self):
-        scan = run_cross_path_scan(
-            GridSpec(2.0, 2.0, 1.0), DegenerateParameter(0.5),
-            product_terms=10**4,
-        )
-        assert scan.per_path["weierstrass"]["skipped"] == 1
-
-
 class TestLimitChecks:
     def test_both_limits_pass(self):
         reports = run_limit_checks()
@@ -447,19 +424,15 @@ class TestLimitChecks:
 
 class TestSerialization:
     def test_to_dict_is_an_independent_copy(self):
-        rep = CheckReport("demo", per_path={"hankel": {"evaluated": 1, "skipped": 0}})
+        rep = CheckReport("demo")
         rep.fail(0.5 + 1j, 0.3, "hankel", 1 + 0j, 2 + 0j, 0.5, 1e-12)
         before = rep.to_dict()
         out = rep.to_dict()
         out["failures"][0]["rel_err"] = 9.0
         out["failures"].append({})
-        out["per_path"]["hankel"]["evaluated"] = 7
-        out["per_path"]["weierstrass"] = {}
         out["check_name"] = "other"
         assert rep.to_dict() == before
         assert rep.failures[0]["rel_err"] == 0.5
-        assert rep.per_path == {"hankel": {"evaluated": 1, "skipped": 0}}
-        assert "per_path" not in CheckReport("bare").to_dict()
 
     def test_reports_sorted_in_json(self):
         reports = run_limit_checks()[::-1]
