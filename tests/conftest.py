@@ -22,8 +22,16 @@ def perturb(monkeypatch):
                 return name, stream, fn
             if stream is None:
                 return name, stream, lambda: map(scale, fn())
-            return name, stream, lambda rng, pspec: scale(fn(rng, pspec))
+            return name, stream, lambda rng, run: scale(fn(rng, run))
 
         monkeypatch.setattr(verify, "_CHECKS", tuple(wrap(*row) for row in verify._CHECKS))
 
     return apply
+
+
+@pytest.fixture
+def mp():
+    """mpmath at 40 digits; the tests using it skip when it is missing."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        yield mpmath

@@ -57,23 +57,11 @@ from degamma.quadrature import (
     hankel_gamma,
     hankel_gamma_reflected,
 )
+from helpers import mp_dgamma, sample_regular
 
 
 def rel(a, b):
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
-
-
-def sample_regular(rng, p, re_range, im_max, min_dist=0.05, shifted_too=False):
-    while True:
-        s = complex(rng.uniform(*re_range), rng.uniform(-im_max, im_max))
-        d, _, _ = nearest_pole(s, p)
-        if d < min_dist:
-            continue
-        if shifted_too:
-            d1, _, _ = nearest_pole(s + 1.0, p)
-            if d1 < min_dist:
-                continue
-        return s
 
 
 class TestDegenerateParameter:
@@ -845,24 +833,9 @@ def test_results_hold_python_scalars(method):
         assert res.log_value is None or type(res.log_value) is complex
 
 
-@pytest.fixture
-def mp():
-    """mpmath at 40 digits; the tests using it skip when it is missing."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        yield mpmath
-
-
-def _mp_dgamma(mp, s, lam):
-    """40-digit closed form; s as a float or an exact mpmath sum, never rounded."""
-    lam, s = mp.mpf(lam), mp.mpc(s)
-    u = 1 / lam
-    return lam ** (-s) * mp.gamma(s) * mp.gamma(u - s) / mp.gamma(u)
-
-
 def _mp_beta(mp, a, b, lam):
     a, b = mp.mpc(a), mp.mpc(b)
-    return _mp_dgamma(mp, a, lam) * _mp_dgamma(mp, b, lam) / _mp_dgamma(mp, a + b, lam)
+    return mp_dgamma(mp, a, lam) * mp_dgamma(mp, b, lam) / mp_dgamma(mp, a + b, lam)
 
 
 def _near_shifted_poles(seed, k):
@@ -892,7 +865,7 @@ class TestEstimateNearPoles:
     ] + _near_shifted_poles(31, 40))
     def test_gamma(self, mp, lam, s):
         res = degenerate_gamma(s, DegenerateParameter(lam))
-        assert abs(res.value - complex(_mp_dgamma(mp, s, lam))) <= res.abs_error_estimate
+        assert abs(res.value - complex(mp_dgamma(mp, s, lam))) <= res.abs_error_estimate
 
     @pytest.mark.parametrize("lam, a, b", [
         (0.15, 6.666665666666667, -3.4949495396202357),
@@ -926,7 +899,7 @@ class TestEstimateNearPoles:
         if path is degenerate_beta_product:
             res, want = path(z, b, p, spec), _mp_beta(mp, z, b, lam)
         else:
-            res, want = path(z, p, spec), _mp_dgamma(mp, z, lam)
+            res, want = path(z, p, spec), mp_dgamma(mp, z, lam)
         assert abs(res.value - complex(want)) <= res.abs_error_estimate
 
     @pytest.mark.parametrize("lam, s, tol", [
@@ -937,7 +910,7 @@ class TestEstimateNearPoles:
     @pytest.mark.parametrize("path", [hankel_gamma, hankel_gamma_reflected])
     def test_contours(self, mp, path, lam, s, tol):
         res = path(s, DegenerateParameter(lam), QuadratureSpec(rel_tolerance=tol))
-        assert abs(res.value - complex(_mp_dgamma(mp, s, lam))) <= res.abs_error_estimate
+        assert abs(res.value - complex(mp_dgamma(mp, s, lam))) <= res.abs_error_estimate
 
 
 class TestRecordsWithoutValue:
@@ -979,7 +952,7 @@ class TestSubnormalFloor:
     @pytest.mark.parametrize("s", [0.5 + 234j, 0.5 + 240j])
     def test_estimate_bounds_the_error(self, mp, s):
         res = degenerate_gamma(s, DegenerateParameter(0.5))
-        assert abs(mp.mpc(res.value) - _mp_dgamma(mp, s, 0.5)) <= res.abs_error_estimate
+        assert abs(mp.mpc(res.value) - mp_dgamma(mp, s, 0.5)) <= res.abs_error_estimate
 
 
 @pytest.mark.parametrize("call, error, message", [

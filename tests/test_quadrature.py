@@ -380,14 +380,6 @@ class TestClenshawCurtisLadder:
         assert abs(res.value - closed(s, p)) <= res.abs_error_estimate
 
 
-@pytest.fixture
-def mp():
-    """mpmath at 40 digits; the tests using it skip when it is missing."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        yield mpmath
-
-
 def _mp_dgamma(mp, s, lam):
     """lambda**(-s) B(s, 1/lambda - s), with a digit more for each of 1/lambda's."""
     with mp.workdps(mp.mp.dps + max(0, int(math.log10(1.0 / lam)))):

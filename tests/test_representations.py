@@ -23,7 +23,7 @@ from degamma.representations import (
     sine_product,
     weierstrass_gamma,
 )
-from test_core import _mp_dgamma, sample_regular
+from helpers import mp_dgamma, sample_regular
 
 
 def rel(a, b):
@@ -375,14 +375,6 @@ class TestProductSpec:
         assert sine_product(z, float(n_terms)) == sine_product(z, n_terms)
 
 
-@pytest.fixture
-def mp():
-    """mpmath at 40 digits; the tests using it skip when it is missing."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(40):
-        yield mpmath
-
-
 def _mp_paired_log_sum(mp, x, u, n_terms):
     """40-digit sum_{n=1}^{N} log((1 + x/n)(1 + (u - x)/n)), up to 2*pi*i.
 
@@ -416,7 +408,7 @@ class TestValueBoundFromLogBound:
     ])
     def test_estimate_bounds_the_error(self, mp, path, z, lam, n):
         res = path(z, DegenerateParameter(lam), ProductSpec(n_terms=n))
-        assert abs(res.value - complex(_mp_dgamma(mp, z, lam))) <= res.abs_error_estimate
+        assert abs(res.value - complex(mp_dgamma(mp, z, lam))) <= res.abs_error_estimate
 
 
 class TestPairedSumPrecision:
