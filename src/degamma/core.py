@@ -14,11 +14,11 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 from typing import NamedTuple
 
 from .classical import POLE_TOLERANCE, LOG_OVERFLOW, _log_gamma_off_pole, _refuse_non_finite
 from .errors import (
-    BranchPointError,
     DomainError,
     ParameterRangeError,
     PoleError,
@@ -34,8 +34,6 @@ __all__ = [
     "EvalResult",
     "IntegerGammaValue",
     "ShiftStep",
-    "degenerate_exp",
-    "degenerate_log",
     "falling_factorial",
     "falling_factorial_exact",
     "degenerate_gamma",
@@ -235,94 +233,24 @@ def _finish(method: EvalMethod, log_val: complex | None = None, rel_est: float =
     return EvalResult(value, abs_est, method, status, pole, log_val, note)
 
 
-def degenerate_exp(x: complex, t: complex, lam: float) -> complex:
-    """(1 + lambda*t)**(x/lambda) on the principal branch.
-
-    Defined for any nonzero real lambda (the gamma-side machinery is stricter
-    and requires lambda in (0,1)).  Recovers exp(x*t) as lambda -> 0.  Raises
-    DomainError if x or t is not finite, and OverflowError where the exponent
-    passes exp's range, as at degenerate_exp(1e16, 1.0, 1e-200), or is not
-    finite (0 where its real part is below exp's range, or is inf - inf and the
-    larger of its two products, compared in logs, is negative).  Where lambda*t
-    overflows, log(1 + lambda*t) is log|lambda| + log(+-t); where x/lambda
-    does, the exponent is x*t*(log(1 + lambda*t)/(lambda*t)).  DomainError
-    where eps*|Im exponent| >= 1 and the value is not 0: no digit of its phase is right.
-    """
-    lam = float(lam)
-    if lam == 0.0 or not math.isfinite(lam):
-        raise ParameterRangeError("degenerate_exp: lambda must be a nonzero real")
-    x, t = complex(x), complex(t)
-    _refuse_non_finite("degenerate_exp", "x", x)
-    _refuse_non_finite("degenerate_exp", "t", t)
-    w = lam * t
-    if not cmath.isfinite(w):  # 1 + w is lambda*t to double precision
-        log_base = math.log(abs(lam)) + cmath.log(math.copysign(1.0, lam) * t)
-    elif abs(1.0 + w) < POLE_TOLERANCE:
-        raise BranchPointError(
-            f"degenerate_exp: 1 + lambda*t = {1.0 + w} is at the branch point"
-        )
-    else:
-        log_base = _clog1p(w)
-    q = x / lam
-    # log(1 + w)/lambda as t*log(1 + w)/w, which keeps its digits where w underflows
-    a, b = (q, log_base) if cmath.isfinite(q) else (x, t * (log_base / w if w else 1.0))
-    expo = a * b
-    if cmath.isfinite(expo):
-        value = cmath.exp(expo)
-        if value and not math.ulp(1.0) * abs(expo.imag) < 1.0:
-            raise DomainError(f"degenerate_exp: the exponent {expo} leaves no digit of the phase")
-        return value
-    if expo.real < -746.0:  # exp(Re) underflows to 0, whatever the phase
-        return 0j
-    if math.isnan(expo.real) and cmath.isfinite(b):  # inf - inf: the larger product decides
-        log_rr = math.log(abs(a.real)) + math.log(abs(b.real))
-        log_ii = math.log(abs(a.imag)) + math.log(abs(b.imag))
-        if not math.isclose(log_rr, log_ii, rel_tol=1e-14) and (
-                a.real * b.real if log_rr > log_ii else -a.imag * b.imag) < 0.0:
-            return 0j
-    raise OverflowError(f"degenerate_exp: the exponent {expo} is not finite")
+_FLOAT_MAX = sys.float_info.max
 
 
-def degenerate_log(t: complex, lam: float) -> complex:
-    """(t**lambda - 1)/lambda on the principal branch; inverse of degenerate_exp.
-    OverflowError where t**lambda overflows, as at degenerate_log(1e308, 2.0)."""
-    lam = float(lam)
-    if lam == 0.0 or not math.isfinite(lam):
-        raise ParameterRangeError("degenerate_log: lambda must be a nonzero real")
-    t = complex(t)
-    _refuse_non_finite("degenerate_log", "t", t)
-    if t == 0.0:
-        raise DomainError("degenerate_log: t = 0 is outside the domain")
-    return _cexpm1(lam * cmath.log(t)) / lam
-
-
-def _clog1p(w: complex) -> complex:
-    """log(1 + w) for complex w, accurate for small |w|."""
-    u = 1.0 + w
-    if u == 1.0:
-        return w
-    if abs(w) > 0.5:
-        return cmath.log(u)
-    return cmath.log(u) * (w / (u - 1.0))
-
-
-def _cexpm1(w: complex) -> complex:
-    """exp(w) - 1 for complex w, accurate for small |w|."""
-    u = cmath.exp(w)
-    if u == 1.0:
-        return w
-    if abs(u - 1.0) > 0.5:
-        return u - 1.0
-    return (u - 1.0) * (w / cmath.log(u))
+def _count(value, name: str, arg: str, minimum: int) -> int:
+    """Argument ``arg`` of ``name`` as an int: ParameterRangeError past the largest
+    float, ValueError unless it is a whole number >= minimum (NaN is not)."""
+    if not (minimum <= value <= _FLOAT_MAX and value % 1 == 0):
+        if value > _FLOAT_MAX:
+            raise ParameterRangeError(f"{name}: {arg} is past the largest float")
+        raise ValueError(f"{name}: {arg} must be >= {minimum} and whole")
+    return value if value.__class__ is int else int(value)  # int() of an int costs a call
 
 
 def falling_factorial(x: complex, n: int, lam: float) -> complex:
     """Generalized falling factorial x(x-lam)(x-2*lam)...(x-(n-1)*lam); 1 for n=0."""
-    if n < 0:
-        raise ValueError("falling_factorial: n must be a non-negative integer")
     out = 1.0 + 0.0j
     x = complex(x)
-    for j in range(n):
+    for j in range(_count(n, "falling_factorial", "n", 0)):
         out *= x - j * lam
     return out
 
@@ -331,8 +259,7 @@ def falling_factorial_exact(x, n: int, lam) -> Fraction:
     """Exact-rational falling factorial; floats convert exactly to Fractions.  With x = a/d
     and lambda = b/e each factor is (a e - j b d) / (d e): the numerators are multiplied."""
     from fractions import Fraction  # only the exact paths pay its import
-    if n < 0:
-        raise ValueError("falling_factorial_exact: n must be non-negative")
+    n = _count(n, "falling_factorial_exact", "n", 0)
     (xn, xd), (ln, ld) = Fraction(x).as_integer_ratio(), Fraction(lam).as_integer_ratio()
     a, b, num = xn * ld, ln * xd, 1
     for j in range(n):
@@ -346,8 +273,10 @@ def pole_residue(family: PoleFamily, n: int, p: DegenerateParameter) -> complex:
     Computed in log space, so Gamma(1/lambda + n) never has to be
     representable.  At the pole s = 0 the residue is exactly 1.
     """
-    if n < 0:
-        raise ValueError("pole_residue: n must be non-negative")
+    return _residue(family, _count(n, "pole_residue", "n", 0), p)
+
+
+def _residue(family: PoleFamily, n: int, p: DegenerateParameter) -> complex:
     log_mag, sign = _log_residue(family, n, p)
     if log_mag > LOG_OVERFLOW:
         return complex(math.copysign(math.inf, sign), 0.0)
@@ -369,13 +298,12 @@ def _log_residue(family: PoleFamily, n: int, p: DegenerateParameter) -> tuple[fl
 
 def _pole_info(family: PoleFamily, n: int, p: DegenerateParameter) -> PoleInfo:
     location = complex(-n if family is _NON_POSITIVE else p.inv_lambda + n, 0.0)
-    return PoleInfo(family, n, location, pole_residue(family, n, p))
+    return PoleInfo(family, n, location, _residue(family, n, p))  # n: nearest_pole's or poles' int
 
 
 def poles(p: DegenerateParameter, n_max: int) -> list[PoleInfo]:
     """The 2*(n_max+1) poles {-n} and {1/lambda + n}, n = 0..n_max, with residues."""
-    if n_max < 0:
-        raise ValueError("poles: n_max must be non-negative")
+    n_max = _count(n_max, "poles", "n_max", 0)
     return [_pole_info(family, n, p) for family in PoleFamily for n in range(n_max + 1)]
 
 
@@ -480,9 +408,7 @@ def degenerate_gamma_integer(k: int, p: DegenerateParameter) -> IntegerGammaValu
     correctly reports those points as poles instead), and OverflowError when
     the value exceeds double range.
     """
-    k = int(k)
-    if k < 1:
-        raise ValueError("degenerate_gamma_integer: k must be a positive integer")
+    k = _count(k, "degenerate_gamma_integer", "k", 1)
     for j in range(2, k + 1):
         if abs(p.lam - 1.0 / j) < POLE_TOLERANCE:
             raise SingularParameterError(
@@ -546,9 +472,7 @@ def lambda_shift_recurrence(
     is the single-step rule dgamma(s+1) = s*(1-lambda)**(-s-1) *
     dgamma_{lambda/(1-lambda)}(s).
     """
-    k = int(k)
-    if k < 0:
-        raise ValueError("lambda_shift_recurrence: k must be non-negative")
+    k = _count(k, "lambda_shift_recurrence", "k", 0)
     s = complex(s)
     lam = p.lam
     if lam >= 1.0 / (k + 1):

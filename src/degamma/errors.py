@@ -27,10 +27,6 @@ class PoleError(DegammaError):
         self.argument_name = argument_name
 
 
-class BranchPointError(DegammaError):
-    """The deformed exponential was evaluated at its branch point 1 + lambda*t = 0."""
-
-
 class DomainError(DegammaError):
     """Argument outside the mathematical domain (e.g. log of zero)."""
 

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from collections import namedtuple
 
 import numpy as np
@@ -54,9 +53,10 @@ from .core import (
     EvalResult,
     _beta_guard,
     _check_argument,
+    _count,
     _finish,
 )
-from .errors import DomainError, ParameterRangeError
+from .errors import DomainError
 
 __all__ = [
     "ProductSpec",
@@ -77,16 +77,6 @@ _CHUNK = 1 << 13
 # calls on arrays of a few dozen terms cost more than the terms themselves.
 _SHORT = 256
 _N_TABLE = np.arange(1.0, _SHORT + 1.0)
-
-
-def _count(n_terms, name: str) -> int:
-    """n_terms as an int for ``name``: ParameterRangeError past the largest float,
-    ValueError unless it is a whole number >= 1 (NaN is not)."""
-    if n_terms > sys.float_info.max:
-        raise ParameterRangeError(f"{name}: n_terms is past the largest float")
-    if not (n_terms >= 1 and n_terms % 1 == 0):
-        raise ValueError(f"{name}: n_terms must be >= 1 and whole")
-    return int(n_terms)
 
 
 class ProductSpec(namedtuple("ProductSpec", "n_terms use_tail_correction",
@@ -112,7 +102,7 @@ class ProductSpec(namedtuple("ProductSpec", "n_terms use_tail_correction",
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        n_terms = _count(self.n_terms, "ProductSpec")
+        n_terms = _count(self.n_terms, "ProductSpec", "n_terms", 1)
         return self if type(self.n_terms) is int else self._replace(n_terms=n_terms)
 
 
@@ -341,7 +331,7 @@ def sine_product(z: complex, n_terms: int) -> complex:
 
     z = 0 is fine (every factor is 1); nonzero integers are poles.
     """
-    n_terms = _count(n_terms, "sine_product")
+    n_terms = _count(n_terms, "sine_product", "n_terms", 1)
     z = complex(z)
     if not abs(z) < POLE_TOLERANCE:  # true also for a non-finite z
         _refuse_integer("sine_product", "z", z, "where a factor vanishes")

@@ -21,11 +21,9 @@ from degamma.core import (
     PoleFamily,
     degenerate_beta,
     degenerate_beta_classical,
-    degenerate_exp,
     degenerate_gamma,
     degenerate_gamma_integer,
     degenerate_gamma_log,
-    degenerate_log,
     difference_step,
     falling_factorial,
     falling_factorial_exact,
@@ -37,7 +35,6 @@ from degamma.core import (
     symmetry_partner,
 )
 from degamma.errors import (
-    BranchPointError,
     DegammaError,
     DomainError,
     ParameterRangeError,
@@ -153,14 +150,10 @@ _NON_FINITE = [
         lambda s, p: log_gamma(s),
         weierstrass_gamma,
         lambda s, p: reflection_product(s),
-        lambda s, p: degenerate_exp(s, 1.0, p.lam),
-        lambda s, p: degenerate_exp(1.0, s, p.lam),
-        lambda s, p: degenerate_log(s, p.lam),
         difference_step,
     ],
     ids=["degenerate_gamma", "degenerate_beta_a", "degenerate_beta_b",
-         "log_gamma", "weierstrass_gamma", "reflection_product",
-         "degenerate_exp_x", "degenerate_exp_t", "degenerate_log", "difference_step"],
+         "log_gamma", "weierstrass_gamma", "reflection_product", "difference_step"],
 )
 def test_non_finite_argument_raises_domain_error(evaluate, s):
     with pytest.raises(DomainError):
@@ -194,114 +187,6 @@ def test_huge_argument_is_flagged_or_refused(evaluate, name, s, lam):
     assert cmath.isfinite(log_value)
     if not isinstance(res, complex):
         assert res.status is EvalStatus.OVERFLOW and log_value.real > LOG_OVERFLOW
-
-
-class TestDegenerateExpLog:
-    def test_unit_case(self):
-        assert degenerate_exp(1, 1, 1.0) == pytest.approx(2.0, rel=1e-15)
-
-    def test_power_case(self):
-        assert degenerate_exp(2, 3, 0.5) == pytest.approx(39.0625, rel=1e-14)
-
-    def test_limit_recovers_exp(self):
-        assert rel(degenerate_exp(1, 1, 1e-8), math.e) <= 1e-6
-
-    def test_step_lost_to_rounding(self):
-        # w = lambda*t = 1e-17 leaves 1 + w == 1; log(1 + w) is then w, not 0/0
-        assert degenerate_exp(1.0, 0.1, 1e-16) == cmath.exp(0.1)
-
-    def test_branch_point(self):
-        with pytest.raises(BranchPointError):
-            degenerate_exp(1, -2.0, 0.5)
-
-    def test_overflow_is_the_builtin_error(self):
-        # the value exp(1e216 log 2) passes the largest float
-        with pytest.raises(OverflowError):
-            degenerate_exp(1e16, 1.0, 1e-200)
-
-    # lambda*t overflows a float, the value does not; 40-digit mpmath values
-    @pytest.mark.parametrize("x, t, lam, want", [
-        (1.0, 1e308, 10.0, 7.943282347242815e30),
-        (1.0, 1e300j, 1e10, 1.0000000713801404 + 1.570796438918559e-10j),
-        (1.0, 1e308, -10.0, 1.1973092164164023e-31 - 3.8902934689487654e-32j),
-    ], ids=["real-t", "imaginary-t", "negative-lambda"])
-    def test_where_lambda_t_overflows(self, x, t, lam, want):
-        assert rel(degenerate_exp(x, t, lam), want) <= 1e-13
-
-    # x/lambda overflows a float, the exponent does not; 40-digit mpmath values
-    @pytest.mark.parametrize("x, t, lam, want", [
-        (1e300, 1e-300, 1e-10, 2.7182818284590455),
-        (1.0, 1e-300, 1e-310, 1.0),
-        (1e300, 1e-300, 1e-310, 2.7182818284590455),
-    ], ids=["lambda-t-subnormal", "lambda-t-zero", "lambda-t-zero-value-e"])
-    def test_where_x_over_lambda_overflows(self, x, t, lam, want):
-        assert rel(degenerate_exp(x, t, lam), want) <= 1e-13
-
-    # A real part below exp's range gives 0 whatever the phase, also where the
-    # real part is inf - inf and the larger of its two products is negative.
-    # A modulus past exp's range, or an infinite phase on a modulus that does
-    # not underflow, is the documented error, and so is a tie of the products.
-    # 40-digit mpmath's exponent says which each one is.
-    @pytest.mark.parametrize("x, t, lam", [
-        (-1e300, 1e10, 1e-300),  # -inf
-        (1 + 1e300j, -1e300 + 1j, -1e-300),  # -1.2e300 - inf i
-        (1e308j, -2.218924101569276e104, -0.7),  # an infinite phase
-        (2 + 1e300j, 1e308 + 1e300j, 5e-324),  # inf - inf: -1e600 + 1e608 i
-        (1e300 + 1e10j, 1e308 + 1e300j, 5e-324),  # inf - inf: 1e608 + 1e600 i
-        (1e300 + 1e300j, 1e308 + 1e308j, 5e-324),  # inf - inf, a tie: 4.9e592 + 2e608 i
-    ], ids=["minus-inf", "minus-inf-phase-inf", "phase-inf", "inf-minus-inf-to-zero",
-            "inf-minus-inf-to-inf", "inf-minus-inf-tie"])
-    def test_an_exponent_that_is_not_finite(self, mp, x, t, lam):
-        expo = mp.mpc(x) / mp.mpf(lam) * mp.log1p(mp.mpf(lam) * mp.mpc(t))
-        if expo.real < -746:
-            assert degenerate_exp(x, t, lam) == 0.0
-            return
-        assert expo.real > 710 or abs(expo.imag) >= 2**1024  # past the largest float
-        with pytest.raises(OverflowError, match="is not finite$"):
-            degenerate_exp(x, t, lam)
-
-    def test_a_phase_with_no_digit_is_refused(self, mp):
-        # eps |Im exponent| >= 1 leaves no digit of the phase (8.1e19i here, where
-        # the true value is 0.80+0.60j); an underflowed value stays 0
-        with pytest.raises(DomainError, match="exponent 8.10930216216328.e\\+19j"):
-            degenerate_exp(1e20j, 1.0, 0.5)
-        assert degenerate_exp(-1e300 + 1e20j, 1.0, 0.5) == 0.0
-        # below the line the error is within eps |exponent| of 40-digit mpmath
-        expo = 2e14j * math.log(1.5)
-        want = complex(mp.power(mp.mpf(1.5), mp.mpc(0, 2e14)))
-        assert abs(degenerate_exp(1e14j, 1.0, 0.5) - want) <= math.ulp(1.0) * abs(expo)
-
-    def test_log_names_its_overflow(self):
-        assert "OverflowError where t**lambda overflows" in degenerate_log.__doc__
-        with pytest.raises(OverflowError):
-            degenerate_log(1e308, 2.0)
-
-    def test_log_at_one(self):
-        for lam in (0.3, 0.9, -1.5, 2.0):
-            assert degenerate_log(1.0, lam) == pytest.approx(0.0, abs=1e-16)
-
-    def test_log_unit_lambda(self):
-        assert degenerate_log(2.0, 1.0) == pytest.approx(1.0, rel=1e-15)
-
-    def test_log_limit(self):
-        assert rel(degenerate_log(math.e, 1e-8), 1.0) <= 1e-6
-
-    def test_log_domain(self):
-        with pytest.raises(DomainError):
-            degenerate_log(0.0, 0.5)
-
-    def test_zero_lambda_rejected(self):
-        with pytest.raises(ParameterRangeError):
-            degenerate_exp(1, 1, 0.0)
-
-    @given(st.floats(0.2, 3.0), st.floats(-2.0, 2.0), st.floats(0.05, 0.95))
-    @settings(max_examples=60, deadline=None)
-    def test_exp_log_composition(self, tr, ti, lam):
-        t = complex(tr, ti)
-        # t = log_lam(e_lam(t)) whenever both stay on the principal branch
-        e = degenerate_exp(1, t, lam)
-        back = degenerate_log(e, lam)
-        assert abs(back - t) <= 1e-10 * max(1.0, abs(t))
 
 
 class TestFallingFactorial:
@@ -964,7 +849,14 @@ class TestSubnormalFloor:
     (lambda p: lambda_shift_recurrence(1.5, -1, p), ValueError, "^lambda_shift_recurrence: "),
     (lambda p: sine_product(0.5, 0), ValueError, "^sine_product: "),
     (lambda p: lambda_shift_recurrence(1.5, 3, p), ParameterRangeError, "k = 3 shift$"),
-    (lambda p: degenerate_log(2.0, 0.0), ParameterRangeError, "^degenerate_log: "),
+    # a count that is not whole: each was used rounded down, or raised a raw TypeError
+    (lambda p: degenerate_gamma_integer(2.7, p), ValueError, "^degenerate_gamma_integer: k "),
+    (lambda p: pole_residue(PoleFamily.NON_POSITIVE, 1.5, p), ValueError, "^pole_residue: n "),
+    (lambda p: lambda_shift_recurrence(2.5, 1.9, DegenerateParameter(0.2)), ValueError,
+     "^lambda_shift_recurrence: k "),
+    (lambda p: poles(p, 2.5), ValueError, "^poles: n_max "),
+    (lambda p: falling_factorial(1.0, 2.5, 0.3), ValueError, "^falling_factorial: n "),
+    (lambda p: falling_factorial_exact(1.0, 2.5, 0.3), ValueError, "^falling_factorial_exact: n "),
     (lambda p: parse_range("0:1:0"), ArgumentTypeError, "^invalid range '0:1:0'; need finite"),
     (lambda p: parse_range("0:inf:1"), ArgumentTypeError, "; need finite numbers"),
     (lambda p: parse_range("0:nan:1"), ArgumentTypeError, "; need finite numbers"),
@@ -972,7 +864,9 @@ class TestSubnormalFloor:
 ], ids=[
     "falling_factorial", "falling_factorial_exact", "pole_residue", "poles",
     "degenerate_gamma_integer", "lambda_shift_recurrence-k", "sine_product",
-    "lambda_shift_recurrence-lambda", "degenerate_log",
+    "lambda_shift_recurrence-lambda", "degenerate_gamma_integer-fraction",
+    "pole_residue-fraction", "lambda_shift_recurrence-fraction", "poles-fraction",
+    "falling_factorial-fraction", "falling_factorial_exact-fraction",
     "parse_range-step-0", "parse_range-inf", "parse_range-nan", "parse_range-tiny-step",
 ])
 def test_argument_refused(call, error, message):

@@ -25,14 +25,13 @@ _EXPORTS = {
     "core": [
         "DegenerateParameter", "EvalMethod", "EvalResult", "EvalStatus",
         "IntegerGammaValue", "PoleFamily", "PoleInfo", "ShiftStep",
-        "degenerate_beta", "degenerate_beta_classical", "degenerate_exp",
-        "degenerate_gamma", "degenerate_gamma_integer", "degenerate_gamma_log",
-        "degenerate_log", "difference_step", "falling_factorial",
-        "falling_factorial_exact", "lambda_shift_recurrence", "pole_residue",
-        "poles", "symmetry_partner",
+        "degenerate_beta", "degenerate_beta_classical", "degenerate_gamma",
+        "degenerate_gamma_integer", "degenerate_gamma_log", "difference_step",
+        "falling_factorial", "falling_factorial_exact", "lambda_shift_recurrence",
+        "pole_residue", "poles", "symmetry_partner",
     ],
     "errors": [
-        "BranchPointError", "ConvergenceError", "DegammaError", "DomainError",
+        "ConvergenceError", "DegammaError", "DomainError",
         "IntegerArgumentError", "ParameterRangeError", "PoleError",
         "SingularParameterError", "StripError",
     ],
