@@ -145,15 +145,26 @@ _NON_FINITE = [
     "evaluate",
     [
         degenerate_gamma,
+        degenerate_gamma_log,
         lambda s, p: degenerate_beta(s, 0.5, p),
         lambda s, p: degenerate_beta(0.5, s, p),
+        lambda s, p: degenerate_beta_classical(s, 0.5, p),
+        lambda s, p: degenerate_beta_classical(0.5, s, p),
+        lambda s, p: degenerate_beta_product(s, 0.5, p),
+        lambda s, p: degenerate_beta_product(0.5, s, p),
+        lambda s, p: gamma(s),
         lambda s, p: log_gamma(s),
         weierstrass_gamma,
+        euler_limit_gamma,
         lambda s, p: reflection_product(s),
         difference_step,
+        nearest_pole,
     ],
-    ids=["degenerate_gamma", "degenerate_beta_a", "degenerate_beta_b",
-         "log_gamma", "weierstrass_gamma", "reflection_product", "difference_step"],
+    ids=["degenerate_gamma", "degenerate_gamma_log", "degenerate_beta_a", "degenerate_beta_b",
+         "degenerate_beta_classical_a", "degenerate_beta_classical_b",
+         "degenerate_beta_product_a", "degenerate_beta_product_b", "gamma", "log_gamma",
+         "weierstrass_gamma", "euler_limit_gamma", "reflection_product", "difference_step",
+         "nearest_pole"],
 )
 def test_non_finite_argument_raises_domain_error(evaluate, s):
     with pytest.raises(DomainError):
